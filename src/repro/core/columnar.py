@@ -8,13 +8,20 @@ masks that replicate :mod:`repro.query.predicates` semantics (events of
 other types pass vacuously; a missing attribute means the per-event path
 would raise :class:`~repro.errors.PredicateError`).
 
-Capability gating is conservative: a plan exists only when the compiled
-runtime is the flat :class:`~repro.core.vectorized.VectorizedSemEngine`
-(windowed, no negation, no Kleene, no HPC partitioning), tracing is off,
-and every predicate is mask-compilable. Everything else — and any batch
-whose columns cannot satisfy the plan (missing attribute, exotic value
-column) — goes through the batch→Event materializer instead, so results
-and raised errors stay bit-identical to the reference engine.
+A plan exists when the compiled runtime is a windowed
+:class:`~repro.core.vectorized.VectorizedSemEngine` — flat, or the
+per-key partitions of an :class:`~repro.core.hpc.HPCEngine` reporting
+per group on one attribute — tracing is off, and every predicate is
+mask-compilable. Negation runs in the kernel (the Recounting Rule is a
+slot wipe); GROUP BY runs as one factorization of the key column and
+one kernel call per partition. :func:`decline_reason` names what keeps
+a registration off the kernel (``kleene``, ``unwindowed``,
+``not_vectorized``, ``composite_key``, ``scalar_equivalence``,
+``predicate_kind``, ``tracing``); a batch whose columns cannot satisfy
+the plan declines for that batch alone (``missing_attribute``,
+``missing_key``). Every decline goes through the batch→Event
+materializer, so results and raised errors stay bit-identical to the
+reference engine.
 """
 
 from __future__ import annotations
@@ -23,9 +30,12 @@ from typing import Any, Callable
 
 import numpy as np
 
+from repro.core.hpc import partition_attributes
 from repro.events.batch import BatchSchema, EventBatch
+from repro.query.ast import Query
 from repro.query.predicates import (
     AttributeComparison,
+    EquivalencePredicate,
     LocalPredicate,
     comparison_fn,
 )
@@ -35,31 +45,42 @@ from repro.query.predicates import (
 _MaskFn = Callable[[EventBatch, np.ndarray, np.ndarray], bool]
 
 
-def columnar_capable(executor: Any) -> bool:
-    """Schema-independent capability check for one executor."""
-    from repro.core.vectorized import VectorizedSemEngine
-
-    runtime = getattr(executor, "runtime", None)
-    if not isinstance(runtime, VectorizedSemEngine):
-        return False
-    layout = executor.layout
-    if layout.reset_slot or layout.kleene_slots:
-        return False
-    if getattr(executor, "_trace_on", False):
+def decline_reason(
+    query: Query, vectorized: bool, tracing: bool = False
+) -> str | None:
+    """Why a registration of ``query`` stays off the kernel, as a slug
+    (None = columnar-capable). Schema-independent: it mirrors the
+    runtime :class:`~repro.core.executor.ASeqEngine` compiles."""
+    if tracing:
         # Tracing is a per-event debug surface; the kernel would have
         # to re-trace arrivals one by one, which defeats the lane.
-        return False
-    # Routing buckets (layout slots) and the predicate filter's notion
-    # of relevance must agree, or bucket-level accounting would drift
-    # from the per-event path.
-    if frozenset(layout.update_slots) != frozenset(
-        executor.query.relevant_types
+        return "tracing"
+    if query.pattern.has_kleene:
+        return "kleene"
+    if query.window is None:
+        return "unwindowed"
+    if not vectorized:
+        return "not_vectorized"
+    attributes = partition_attributes(query)
+    if len(attributes) > 1:
+        return "composite_key"
+    if attributes and query.group_by is None:
+        # A TRIG value sums every partition at that instant; the
+        # per-partition kernel calls cannot see each other mid-batch.
+        return "scalar_equivalence"
+    if not all(
+        isinstance(
+            p, (LocalPredicate, AttributeComparison, EquivalencePredicate)
+        )
+        for p in query.predicates
     ):
-        return False
-    return all(
-        isinstance(p, (LocalPredicate, AttributeComparison))
-        for p in executor.query.predicates
-    )
+        return "predicate_kind"
+    return None
+
+
+def columnar_capable(executor: Any) -> bool:
+    """Schema-independent capability check for one executor."""
+    return getattr(executor, "columnar_decline", "not_vectorized") is None
 
 
 def _compile_local(
@@ -136,6 +157,8 @@ class ColumnarPlan:
         "needs_value",
         "value_attribute",
         "value_needed_lut",
+        "key_attribute",
+        "last_decline",
         "_mask_fns",
     )
 
@@ -144,9 +167,15 @@ class ColumnarPlan:
         n_types = len(schema.types)
         self.schema = schema
         self.routed_lut = np.zeros(n_types, dtype=bool)
+        #: type code -> slots the kernel updates, descending. A negated
+        #: type's entry is ``(~reset_slot,)``: the complement is the
+        #: only negative slot value, so the kernel's existing "skip
+        #: slot 0" test doubles as the Recounting Rule dispatch and
+        #: positive rows pay nothing for it.
         slots_of: list[tuple[int, ...]] = [()] * n_types
         self.is_start = [False] * n_types
         self.is_trigger = [False] * n_types
+        value_lut = np.zeros(n_types, dtype=bool)
         for name, slots in layout.update_slots.items():
             code = schema.code_of.get(name)
             if code is None:
@@ -155,26 +184,33 @@ class ColumnarPlan:
             slots_of[code] = slots
             self.is_start[code] = name in layout.start_types
             self.is_trigger[code] = name in layout.trigger_types
+            value_lut[code] = layout.value_slot in slots
+        for name, reset in layout.reset_slot.items():
+            code = schema.code_of.get(name)
+            if code is not None:
+                self.routed_lut[code] = True
+                slots_of[code] = (~reset,)
         self.slots_of_code = slots_of
         self.value_attribute = (
             layout.value_attribute if layout.value_slot >= 0 else None
         )
-        if self.value_attribute is not None:
-            lut = np.zeros(n_types, dtype=bool)
-            for code in range(n_types):
-                if layout.value_slot in slots_of[code]:
-                    lut[code] = True
-            self.value_needed_lut = lut
-            self.needs_value = bool(lut.any())
-        else:
-            self.value_needed_lut = None
-            self.needs_value = False
+        # All False for COUNT, whose value slot (-1) is no one's slot.
+        self.value_needed_lut = value_lut
+        self.needs_value = bool(value_lut.any())
+        #: The GROUP BY column of a partitioned registration (None for a
+        #: flat one): every kept row must carry it.
+        attributes = partition_attributes(executor.query)
+        self.key_attribute = attributes[0] if attributes else None
+        #: Why the latest :meth:`evaluate` returned None.
+        self.last_decline: str | None = None
         mask_fns: list[_MaskFn] = []
         for predicate in executor.query.predicates:
             if isinstance(predicate, LocalPredicate):
                 fn = _compile_local(predicate, schema)
-            else:
+            elif isinstance(predicate, AttributeComparison):
                 fn = _compile_comparison(predicate, schema)
+            else:
+                continue  # the equivalence chain is the partitioning
             if fn is not None:
                 mask_fns.append(fn)
         self._mask_fns = mask_fns
@@ -186,10 +222,14 @@ class ColumnarPlan:
 
         Returns ``(routed_idx, kept_idx)`` — rows of relevant types,
         then the subset passing every local predicate — or None when
-        this batch needs the materialized fallback (a predicate or the
-        aggregate's value column cannot be evaluated columnar-exactly,
-        including the cases where the per-event path raises
-        :class:`~repro.errors.PredicateError`).
+        this batch needs the materialized fallback, with the reason in
+        :attr:`last_decline`: ``missing_attribute`` when a predicate or
+        the aggregate's value column cannot be evaluated columnar-
+        exactly, ``missing_key`` when a kept row lacks the partition
+        key (a key-less negated row invalidates every partition; any
+        other key-less row makes the per-event path raise
+        :class:`~repro.errors.PredicateError`). Nothing but that slug
+        is written before a None return.
         """
         codes = batch.codes
         routed_mask = self.routed_lut[codes]
@@ -201,27 +241,33 @@ class ColumnarPlan:
             try:
                 for fn in self._mask_fns:
                     if not fn(batch, codes, mask):
-                        return None
+                        return self._decline("missing_attribute")
             except Exception:
                 # Heterogeneous columns can make a vectorized compare
                 # raise where the short-circuiting per-event evaluator
                 # would not; the fallback path settles it exactly.
-                return None
+                return self._decline("missing_attribute")
             kept_idx = np.flatnonzero(mask)
         else:
             kept_idx = routed_idx
-        if self.needs_value and kept_idx.size:
-            needed = self.value_needed_lut[codes[kept_idx]]
-            if needed.any():
-                column = batch.cols.get(self.value_attribute)
-                if column is None:
-                    return None  # per-event path raises PredicateError
-                missing = batch.present.get(self.value_attribute)
-                if missing is not None and bool(
-                    (~missing[kept_idx] & needed).any()
-                ):
-                    return None
+        if not kept_idx.size:
+            return routed_idx, kept_idx
+        if self.key_attribute is not None and not _covers(
+            batch, self.key_attribute, kept_idx
+        ):
+            return self._decline("missing_key")
+        if self.needs_value:
+            needed = kept_idx[self.value_needed_lut[codes[kept_idx]]]
+            if needed.size and not _covers(
+                batch, self.value_attribute, needed
+            ):
+                # The per-event path raises PredicateError here.
+                return self._decline("missing_attribute")
         return routed_idx, kept_idx
+
+    def _decline(self, reason: str) -> None:
+        self.last_decline = reason
+        return None
 
     def values_for(
         self, batch: EventBatch, kept_idx: np.ndarray
@@ -234,6 +280,14 @@ class ColumnarPlan:
         if column is None:
             return None
         return column[kept_idx].tolist()
+
+
+def _covers(batch: EventBatch, name: str, rows: np.ndarray) -> bool:
+    """Whether every row of ``rows`` carries attribute ``name``."""
+    if name not in batch.cols:
+        return False
+    present = batch.present.get(name)
+    return present is None or bool(present[rows].all())
 
 
 def plan_for(executor: Any, schema: BatchSchema) -> ColumnarPlan | None:

@@ -24,6 +24,7 @@ from typing import Any
 
 from repro.events.event import Event
 from repro.core.aggregates import PatternLayout
+from repro.core.columnar import decline_reason, plan_for
 from repro.core.dpc import DPCEngine
 from repro.core.hpc import HPCEngine, partition_attributes
 from repro.core.sem import SemEngine
@@ -87,6 +88,11 @@ class ASeqEngine:
         self._funnel_on = funnel.enabled
         self._fq = funnel.for_query(query.name or "q")
         self._runtime = self._compile()
+        #: Why this registration stays off the columnar kernel (a
+        #: :func:`~repro.core.columnar.decline_reason` slug), or None.
+        self.columnar_decline = decline_reason(
+            query, vectorized, self._trace_on
+        )
         self.events_seen = 0
         self.peak_objects = 0
 
@@ -286,14 +292,13 @@ class ASeqEngine:
     # ----- columnar lane ---------------------------------------------------
 
     def columnar_plan(self, schema: Any) -> Any | None:
-        """Bind this executor to a batch schema (None = not capable).
+        """Bind this executor to a batch schema (None = not capable,
+        :attr:`columnar_decline` says why).
 
         The engine caches the returned plan per schema identity; a None
         return routes every batch of that schema through the
         batch→Event materializer instead.
         """
-        from repro.core.columnar import plan_for
-
         return plan_for(self, schema)
 
     def process_columnar(
@@ -306,8 +311,9 @@ class ASeqEngine:
         (its routed bucket under ``routed=True``, the whole batch
         otherwise — mirroring :meth:`process_batch` accounting on the
         corresponding engine path). A None return means this particular
-        batch cannot be evaluated columnar-exactly and must go through
-        the materialized fallback; the executor state is untouched.
+        batch cannot be evaluated columnar-exactly (``plan.last_decline``
+        names the reason) and must go through the materialized
+        fallback; the executor state is untouched.
         """
         selection = plan.evaluate(batch)
         if selection is None:
@@ -338,15 +344,11 @@ class ASeqEngine:
             if kept_count < offered:
                 self._m_filtered.inc(offered - kept_count)
         runtime = self._runtime
-        if kept_count:
-            emitted = runtime.process_columns(
-                batch.codes[kept_idx].tolist(),
-                batch.ts[kept_idx].tolist(),
-                plan,
-                plan.values_for(batch, kept_idx),
-            )
-        else:
-            emitted = []
+        emitted = (
+            runtime.process_batch_columns(batch, kept_idx, plan)
+            if kept_count
+            else []
+        )
         # The last offered arrival still moves the clock even when
         # filtered: windows slide on every event (paper Sec. 2.1).
         runtime.advance_time(horizon)

@@ -19,6 +19,8 @@ from __future__ import annotations
 
 from typing import Any, Callable, Iterator
 
+import numpy as np
+
 from repro.errors import PredicateError, QueryError
 from repro.events.event import Event
 from repro.core.aggregates import PatternLayout
@@ -181,14 +183,7 @@ class HPCEngine:
             )
         engine = self._partitions.get(key)
         if engine is None:
-            engine = self._engine_factory(self.query)
-            self._partitions[key] = engine
-            if self._per_group:
-                group = key[0] if self._composite else key
-                self._by_group.setdefault(group, []).append(engine)
-            if self._obs_on:
-                self._m_partitions_created.inc()
-                self._m_partitions_live.set(len(self._partitions))
+            engine = self._open_partition(key)
             if self._trace_on:
                 self._trace.record(
                     Stage.PARTITION_CREATE, event.ts, event.event_type,
@@ -204,6 +199,76 @@ class HPCEngine:
                 return {group: self._group_result(group)}
             return self.result()
         return None
+
+    def _open_partition(self, key: Any) -> Any:
+        engine = self._engine_factory(self.query)
+        self._partitions[key] = engine
+        if self._per_group:
+            group = key[0] if self._composite else key
+            self._by_group.setdefault(group, []).append(engine)
+        if self._obs_on:
+            self._m_partitions_created.inc()
+            self._m_partitions_live.set(len(self._partitions))
+        return engine
+
+    def process_batch_columns(
+        self, batch: Any, kept_idx: np.ndarray, plan: Any
+    ) -> list[tuple[int, Any]]:
+        """Ingest the kept rows of one columnar batch; returns
+        ``(ts, {group: value})`` pairs for the TRIG arrivals in stream
+        order — what per-event :meth:`process` returns on those rows.
+
+        Single-attribute GROUP BY only, every kept row carrying the key
+        (the plan declines anything else before calling). Partitions
+        never interact (paper Sec. 3.4), so the rows are factorized by
+        key once, each partition's slice runs through its engine's own
+        columnar kernel, and the per-row emissions are put back in row
+        order. Keys go through a dict exactly as in :meth:`process`, so
+        key equality, first-seen partition order and the label reported
+        with each emission (the arriving row's own key value) agree
+        with the per-event lane for any column dtype.
+        """
+        keys = batch.cols[plan.key_attribute][kept_idx].tolist()
+        first_seen: dict[Any, int] = {}
+        group_of = np.array(
+            [first_seen.setdefault(key, len(first_seen)) for key in keys]
+        )
+        order = np.argsort(group_of, kind="stable")
+        sorted_idx = kept_idx[order]
+        kept_codes = batch.codes[kept_idx]
+        codes = kept_codes[order].tolist()
+        ts = batch.ts[sorted_idx].tolist()
+        values = plan.values_for(batch, sorted_idx)
+        rows = order.tolist()
+        ends = np.bincount(group_of).cumsum().tolist()
+        partitions = self._partitions
+        fresh_of: dict[int, Any] = {}
+        start = 0
+        for key, end in zip(first_seen, ends):
+            engine = partitions.get(key)
+            if engine is None:
+                engine = self._open_partition(key)
+            fresh_of.update(
+                engine.process_columns(
+                    codes[start:end],
+                    ts[start:end],
+                    plan,
+                    values[start:end] if values is not None else None,
+                    rows[start:end],
+                )
+            )
+            start = end
+        self.events_processed += len(keys)
+        self._now = max(self._now, int(batch.ts[kept_idx[-1]]))
+        # Every TRIG row reports its group, None included (an AVG/MAX/
+        # MIN with nothing to aggregate), as process() does.
+        triggers = np.flatnonzero(np.array(plan.is_trigger)[kept_codes])
+        return [
+            (t, {keys[row]: fresh_of.get(row)})
+            for row, t in zip(
+                triggers.tolist(), batch.ts[kept_idx[triggers]].tolist()
+            )
+        ]
 
     # ----- results -------------------------------------------------------------
 

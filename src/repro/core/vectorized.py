@@ -17,6 +17,7 @@ suite pins it to the reference engine.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from typing import Any
 
 import numpy as np
@@ -29,7 +30,11 @@ from repro.obs.registry import MetricsRegistry, resolve_registry
 from repro.obs.tracing import Stage, TraceRecorder, resolve_tracer
 from repro.query.ast import AggKind, Query
 
-_INITIAL_CAPACITY = 256
+#: Ring columns allocated up front. Kept small because every HPC
+#: partition owns a ring and typically holds 0-2 live STARTs; a flat
+#: query outgrows it through the doubling in ``_make_room`` and the
+#: ``process_columns`` write-back within its first window.
+_INITIAL_CAPACITY = 8
 
 #: Kleene updates double counts; guard well below int64's 2^63 - 1.
 _KLEENE_GUARD = 2**61
@@ -192,12 +197,26 @@ class VectorizedSemEngine:
             if (fresh := process(event)) is not None
         ]
 
+    def process_batch_columns(
+        self, batch: Any, kept_idx: np.ndarray, plan: Any
+    ) -> list[tuple[int, Any]]:
+        """:meth:`process_columns` over the kept rows of one batch — the
+        entry point a flat registration shares with
+        :meth:`repro.core.hpc.HPCEngine.process_batch_columns`."""
+        return self.process_columns(
+            batch.codes[kept_idx].tolist(),
+            batch.ts[kept_idx].tolist(),
+            plan,
+            plan.values_for(batch, kept_idx),
+        )
+
     def process_columns(
         self,
         codes: list[int],
         ts: list[int],
         plan: Any,
         values: list[Any] | None = None,
+        rows: list[int] | None = None,
     ) -> list[tuple[int, Any]]:
         """Ingest a pre-filtered columnar slice; returns ``(ts, fresh)``
         pairs for the TRIG arrivals.
@@ -206,7 +225,11 @@ class VectorizedSemEngine:
         attribute) are plain Python lists for the rows that survived
         routing and predicate masks; ``plan`` is the registration's
         :class:`~repro.core.columnar.ColumnarPlan` (slot/START/TRIG
-        lookup by type code). Semantically identical to per-event
+        lookup by type code). ``rows``, when given, tags each emission
+        with the caller's row number in place of the timestamp, so
+        :class:`~repro.core.hpc.HPCEngine` can interleave its
+        partitions' emissions back into stream order (timestamps may
+        tie). Semantically identical to per-event
         :meth:`process` over the same slice — the differential suite
         pins it — but the hot loop runs on Python ints and lists,
         mirroring the numpy ring into list columns once per slice:
@@ -214,8 +237,10 @@ class VectorizedSemEngine:
         slow for the 2M ev/s lane, while list operations over the small
         live set (tens of counters) stay in the low hundreds of ns.
         Expiry remains a binary search (``bisect`` == ``searchsorted``
-        on the same sorted expiry column). Only flat, non-negated,
-        non-Kleene layouts reach this kernel (plans gate the rest).
+        on the same sorted expiry column). Negated types arrive here
+        too: their plan entry is the complemented reset slot, and the
+        Recounting Rule wipes that slot of every live counter. Kleene
+        layouts never reach this kernel (plans gate them).
         """
         layout = self.layout
         n = len(codes)
@@ -250,7 +275,7 @@ class VectorizedSemEngine:
         slots_of = plan.slots_of_code
         start_of = plan.is_start
         trigger_of = plan.is_trigger
-        from bisect import bisect_right
+        tags = ts if rows is None else rows
 
         lo = 0
         size = len(exps)
@@ -259,6 +284,7 @@ class VectorizedSemEngine:
         updates = 0
         expired = 0
         created = 0
+        blocked = 0
         emitted: list[tuple[int, Any]] = []
         for i in range(n):
             t = ts[i]
@@ -275,7 +301,18 @@ class VectorizedSemEngine:
                 # matching SemEngine / per-event bookkeeping.
                 updates += live
                 for slot in slots_of[code]:  # descending
-                    if slot == 0:
+                    if slot <= 0:
+                        if slot:
+                            # Recounting Rule: a negated arrival wipes
+                            # slot ``~slot`` of every live counter. It
+                            # is no counter update (taken back below).
+                            blocked += live
+                            reset = ~slot
+                            counts[reset][lo:] = [0] * live
+                            if wsums is not None:
+                                wsums[reset][lo:] = [0.0] * live
+                            if extrema is not None:
+                                extrema[reset][lo:] = [identity] * live
                         continue
                     previous = counts[slot - 1]
                     if wsums is not None:
@@ -373,7 +410,8 @@ class VectorizedSemEngine:
                             None if best == identity else float(best)
                         )
                 if fresh is not None:
-                    emitted.append((t, fresh))
+                    emitted.append((tags[i], fresh))
+        updates -= blocked
         # Write the mirrored state back into the ring.
         live = size - lo
         if live > self._capacity:
@@ -411,10 +449,14 @@ class VectorizedSemEngine:
                 self._m_created.inc(created)
             if expired:
                 self._m_expired.inc(expired)
+            if blocked:
+                self._m_resets.inc(blocked)
             self._m_active.set(live)
         if self._funnel_on:
             if updates:
                 self._fq.extended.inc(updates)
+            if blocked:
+                self._fq.blocked.inc(blocked)
             if expired:
                 self._fq.expired.inc(expired)
         return emitted

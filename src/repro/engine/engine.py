@@ -91,10 +91,11 @@ class _Registration:
         self.m_events = m_events
         self.m_outputs = m_outputs
         self.m_latency = m_latency
-        #: Single-entry columnar-plan cache: (schema, plan-or-None).
-        #: Schemas are shared across a generator's batches, so one
-        #: entry covers the steady state; None means "materialize".
-        self.columnar: tuple[Any, Any] | None = None
+        #: Single-entry columnar-plan cache: (schema, plan-or-None,
+        #: decline-reason-or-None). Schemas are shared across a
+        #: generator's batches, so one entry covers the steady state;
+        #: a None plan means "materialize", the reason says why.
+        self.columnar: tuple[Any, Any, str | None] | None = None
 
 
 class StreamEngine:
@@ -443,13 +444,17 @@ class StreamEngine:
         The zero-object lane: registrations whose executor binds a
         :class:`~repro.core.columnar.ColumnarPlan` to this batch's
         schema consume the column arrays directly (type-code LUT
-        routing, boolean predicate masks, the scalar counting kernel);
-        everything else — negation, Kleene, HPC/GROUP BY, shared plans,
-        ad-hoc executors, or a batch a plan cannot evaluate exactly —
+        routing, boolean predicate masks, the scalar counting kernel —
+        negation included, single-attribute GROUP BY as one kernel call
+        per partition). Everything else — Kleene, scalar equivalence,
+        composite keys, unwindowed or non-vectorized runtimes, shared
+        plans, ad-hoc executors, tracing, or a batch a plan cannot
+        evaluate exactly (a missing attribute or partition key) —
         receives the memoized ``batch.to_events()`` materialization
         through the same ``_drive_batch`` path ``process_batch`` uses,
         so results stay bit-identical to the reference engine either
-        way.
+        way. Each such decline is counted, per batch, in
+        ``repro_columnar_declined_total{query=,reason=}``.
 
         ``enforce_order=True`` rejects in-batch and cross-batch
         timestamp regressions with the same
@@ -477,16 +482,27 @@ class StreamEngine:
         routed = self._routed
         materialized: list[Event] | None = None
         for registration in self._all:
-            plan = self._bind_columnar(registration, batch.schema)
+            plan, reason = self._bind_columnar(registration, batch.schema)
             outcome = None
             if plan is not None:
                 outcome = registration.executor.process_columnar(
                     batch, plan, routed=routed
                 )
+                if outcome is None:
+                    reason = plan.last_decline
             if outcome is None:
                 # Fallback: identical to the object path, bucketed the
                 # way routed process_batch buckets (materialized once,
                 # shared across every fallback registration).
+                if obs_on:
+                    self.obs_registry.counter(
+                        "repro_columnar_declined_total",
+                        "batches a registration took through the "
+                        "batch→Event materializer instead of the "
+                        "columnar kernel, by reason",
+                        query=registration.name,
+                        reason=reason,
+                    ).inc()
                 if materialized is None:
                     materialized = batch.to_events()
                 if not routed or registration.types is None:
@@ -529,19 +545,21 @@ class StreamEngine:
 
     def _bind_columnar(
         self, registration: _Registration, schema: Any
-    ) -> Any | None:
-        """The registration's plan for ``schema`` (cached by schema
-        identity; None = use the materialized fallback)."""
+    ) -> tuple[Any | None, str | None]:
+        """The registration's ``(plan, decline reason)`` for ``schema``,
+        cached by schema identity; a None plan means "use the
+        materialized fallback" and the reason slug says why."""
         cached = registration.columnar
-        if cached is not None and cached[0] is schema:
-            return cached[1]
-        plan = None
-        if not self._trace_on:
-            probe = getattr(registration.executor, "columnar_plan", None)
-            if probe is not None:
-                plan = probe(schema)
-        registration.columnar = (schema, plan)
-        return plan
+        if cached is None or cached[0] is not schema:
+            executor = registration.executor
+            reason = (
+                "tracing"
+                if self._trace_on
+                else getattr(executor, "columnar_decline", "not_vectorized")
+            )
+            plan = executor.columnar_plan(schema) if reason is None else None
+            registration.columnar = cached = (schema, plan, reason)
+        return cached[1], cached[2]
 
     def _drive_batch(
         self,

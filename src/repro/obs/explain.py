@@ -6,8 +6,9 @@ An explain plan is a JSON-serializable dict with a stable shape
 * the parsed pattern and its dialect features (window, negation,
   Kleene, choice, predicates, GROUP BY, aggregate);
 * the chosen execution path — which runtime the query compiles onto
-  (DPC / SEM / vectorized SEM / HPC) and which lane it runs in
-  (per-event, routed, or a shard fleet);
+  (DPC / SEM / vectorized SEM / HPC), which lane it runs in
+  (per-event, routed, or a shard fleet), and whether ``EventBatch``
+  ingest reaches the columnar kernel or why it is materialized instead;
 * the sharing strategy for multi-query engines — which prefixes or
   chopped segments are shared with which other queries;
 * the cost model's *estimated* per-event update cost, so operators can
@@ -56,6 +57,12 @@ def runtime_of(query: Query, vectorized: bool = False) -> dict[str, Any]:
     }
 
 
+def columnar_of(reason: str | None) -> dict[str, Any]:
+    """The plan's ``columnar`` entry for one decline slug (see
+    :func:`repro.core.columnar.decline_reason`; None = on the kernel)."""
+    return {"capable": reason is None, "reason": reason}
+
+
 def estimate_cost(
     query: Query, rate_per_type: float = DEFAULT_RATE_PER_TYPE
 ) -> dict[str, Any]:
@@ -91,6 +98,8 @@ def explain_query(
     rate_per_type: float = DEFAULT_RATE_PER_TYPE,
 ) -> dict[str, Any]:
     """One query's full plan (pattern, features, runtime, estimate)."""
+    from repro.core.columnar import decline_reason
+
     pattern = query.pattern
     positives = pattern.positive_types
     return {
@@ -115,6 +124,7 @@ def explain_query(
         },
         "runtime": runtime_of(query, vectorized),
         "lane": lane,
+        "columnar": columnar_of(decline_reason(query, vectorized)),
         "sharing": sharing or {"strategy": "unshared", "shared_with": []},
         "estimated": estimate_cost(query, rate_per_type),
     }
@@ -237,6 +247,9 @@ def _executor_plan(
     runtime = getattr(executor, "runtime", None)
     if runtime is not None:
         plan["runtime"]["compiled"] = type(runtime).__name__
+    if hasattr(executor, "columnar_decline"):
+        # The live slug also knows whether tracing is on.
+        plan["columnar"] = columnar_of(executor.columnar_decline)
     return plan
 
 
@@ -465,6 +478,16 @@ def render_explain(plan: dict[str, Any]) -> str:
             lines.append(
                 f"  lane: {query.get('lane', '-')}   runtime: {kind}"
                 f"   vectorized: {_yes_no(runtime['vectorized'])}"
+            )
+        columnar = query.get("columnar")
+        if columnar is not None:
+            lines.append(
+                "  columnar: "
+                + (
+                    "kernel"
+                    if columnar["capable"]
+                    else f"materialized ({columnar['reason']})"
+                )
             )
         if features is not None:
             window = features["window_ms"]

@@ -307,13 +307,14 @@ class TestColumnarFunnelParity:
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_fallback_lane_matches_per_event(self, seed):
-        # GROUP BY compiles to HPC, which the kernel cannot consume:
-        # the batch→Event materializer must keep the funnel identical.
+        # A scalar equivalence result sums every partition, which the
+        # kernel declines: the batch→Event materializer must keep the
+        # funnel identical.
         query = (
             seq("A", "B")
             .count()
             .within(ms=200)
-            .group_by("k")
+            .where_equal("k")
             .named("q")
             .build()
         )

@@ -293,3 +293,38 @@ class TestHPCEngine:
             ),
         )
         assert engine.result() == 6.0
+
+
+class TestColumnarPartitions:
+    def test_ten_thousand_keys_stay_under_the_ring_budget(self):
+        """Each key owns a ring, and most hold 0-2 live STARTs: the
+        rings of 10 000 keys of a length-3 SUM query must fit in 512 B
+        apiece (they took 14 KiB apiece at 256 columns)."""
+        from repro.core.executor import ASeqEngine
+        from repro.events.batch import EventBatch
+
+        keys = 10_000
+        query = (
+            seq("A", "B", "C").sum("C", "w").within(ms=10**6)
+            .group_by("k").build()
+        )
+        engine = ASeqEngine(query, vectorized=True)
+        events = [Event("A", ts, {"k": ts, "w": 1}) for ts in range(keys)]
+        events += [
+            Event("B", keys + ts, {"k": ts, "w": 1}) for ts in range(keys)
+        ]
+        batch = EventBatch.from_events(events)
+        engine.process_columnar(
+            batch, engine.columnar_plan(batch.schema), routed=False
+        )
+        hpc = engine.runtime
+        assert hpc.partition_count == keys
+        assert hpc.current_objects() == keys
+        ring_bytes = sum(
+            array.nbytes
+            for _, partition in hpc.partitions()
+            for array in (
+                partition._counts, partition._exps, partition._wsums
+            )
+        )
+        assert ring_bytes <= keys * 512

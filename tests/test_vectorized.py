@@ -86,6 +86,40 @@ class TestVectorizedSem:
         assert engine.result() == reference.result()
         assert engine.active_counters == reference.active_counters
 
+    def test_ring_outgrown_inside_one_columnar_call_stays_exact(self):
+        """One ``process_columns`` call opens far more STARTs than the
+        ring holds: the write-back must grow it, and the per-event path
+        must be able to carry on from the grown ring."""
+        from repro.core.executor import ASeqEngine
+        from repro.core.vectorized import _INITIAL_CAPACITY
+        from repro.events import Event
+        from repro.events.batch import EventBatch
+
+        query = seq("A", "B").sum("B", "w").within(ms=1000).build()
+        events = [
+            Event("B" if ts % 4 == 0 else "A", ts, {"w": ts % 7})
+            for ts in range(1, 400)
+        ]
+        head, tail = events[:300], events[300:]
+        reference = ASeqEngine(query)
+        expected = [
+            (event.ts, fresh)
+            for event in head
+            if (fresh := reference.process(event)) is not None
+        ]
+        engine = ASeqEngine(query, vectorized=True)
+        batch = EventBatch.from_events(head)
+        emitted, _ = engine.process_columnar(
+            batch, engine.columnar_plan(batch.schema), routed=False
+        )
+        assert emitted == expected
+        assert engine.runtime.active_counters > 4 * _INITIAL_CAPACITY
+        assert engine.runtime.inspect()["capacity"] >= (
+            engine.runtime.active_counters
+        )
+        for event in tail:
+            assert engine.process(event) == reference.process(event)
+
     def test_advance_time(self):
         from repro.events import Event
 
