@@ -22,15 +22,16 @@ import json
 import os
 import sys
 import time
-from typing import Any, Iterable
+from typing import Any, Iterable, Iterator
 
 from repro.baseline.twostep import TwoStepEngine
 from repro.core.executor import ASeqEngine
 from repro.datagen.clicks import ClickStreamGenerator
 from repro.datagen.security import LoginStreamGenerator
 from repro.datagen.stock import StockTradeGenerator
-from repro.datagen.tracefile import read_trace
+from repro.datagen.tracefile import read_trace, read_trace_batches
 from repro.errors import ReproError
+from repro.events.batch import EventBatch, batches_from_events
 from repro.events.event import Event
 from repro.events.reorder import reordered
 from repro.multi.unshared import UnsharedEngine
@@ -227,7 +228,8 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="ingest as struct-of-arrays event batches through the "
         "zero-object columnar lane (implies the routed vectorized "
-        "engine; non-vectorizable queries fall back per batch with "
+        "engine; a --trace file is parsed straight into batches; "
+        "non-vectorizable queries fall back per batch with "
         "identical results; composes with --shards via the "
         "flat-buffer shard wire)",
     )
@@ -400,6 +402,28 @@ def _load_events(args: argparse.Namespace) -> Iterable[Event]:
     if args.reorder_slack_ms:
         events = reordered(events, slack_ms=args.reorder_slack_ms)
     return events
+
+
+def _columnar_batch_size(args: argparse.Namespace) -> int:
+    return args.batch_size if args.batch_size > 1 else 4096
+
+
+def _load_batches(args: argparse.Namespace) -> Iterator[EventBatch]:
+    """The ``--columnar`` event source.
+
+    A trace file is parsed straight into columns — no ``Event`` and no
+    ``EventStream``; the engine's vectorised per-batch check enforces
+    stream order instead. The reorder buffer and the generators produce
+    events, so those are columnarized from events as before.
+    """
+    batch_size = _columnar_batch_size(args)
+    if (
+        args.trace is not None
+        and args.generate is None
+        and not args.reorder_slack_ms
+    ):
+        return read_trace_batches(args.trace, batch_size)
+    return batches_from_events(_load_events(args), batch_size)
 
 
 def _build_engine(
@@ -636,7 +660,7 @@ def _run_resilient(
 def _run_sharded(
     args: argparse.Namespace,
     queries: list,
-    events: Iterable[Event],
+    events: Iterable[Event] | Iterable[EventBatch],
     registry: MetricsRegistry,
     trace: TraceRecorder,
     history: HistoryRecorder | None = None,
@@ -665,15 +689,6 @@ def _run_sharded(
         raise SystemExit("--shards and --shared are mutually exclusive")
     if args.ingest_lanes < 1:
         raise SystemExit("--ingest-lanes must be >= 1")
-    if args.columnar:
-        from repro.events.batch import batches_from_events
-
-        # The sharded run loop accepts EventBatch items natively and
-        # ships each worker its partition as a flat buffer.
-        events = batches_from_events(
-            events,
-            batch_size=args.batch_size if args.batch_size > 1 else 4096,
-        )
     supervise = args.heartbeat_interval > 0
     transport = args.transport
     if args.shard_worker:
@@ -793,6 +808,9 @@ def _run_sharded(
     admin = _start_admin(args, engine, registry, trace, history)
     try:
         started = time.perf_counter()
+        # With --columnar the items are EventBatches: the run loop takes
+        # them natively and ships each worker its partition as a flat
+        # buffer.
         processed = engine.run(events)
         elapsed = time.perf_counter() - started
         results = engine.results()
@@ -856,7 +874,7 @@ def _run_sharded(
 def _run_columnar(
     args: argparse.Namespace,
     queries: list,
-    events: Iterable[Event],
+    batches: Iterator[EventBatch],
     registry: MetricsRegistry,
     trace: TraceRecorder,
     history: HistoryRecorder | None = None,
@@ -866,7 +884,6 @@ def _run_columnar(
     routed vectorized engine's zero-object lane."""
     from repro.engine.engine import StreamEngine
     from repro.engine.sinks import CallbackSink
-    from repro.events.batch import batches_from_events
 
     if args.engine in ("twostep", "both"):
         raise SystemExit(
@@ -902,11 +919,13 @@ def _run_columnar(
             history.set_refresher(refresh)
     admin = _start_admin(args, engine, registry, trace, history, profiler)
     try:
-        batch_size = args.batch_size if args.batch_size > 1 else 4096
+        batch_size = _columnar_batch_size(args)
         started = time.perf_counter()
-        processed = engine.run(
-            batches_from_events(events, batch_size=batch_size)
-        )
+        if args.stats_every > 0:
+            batches = _stats_between_batches(
+                batches, args.stats_every, started, engine, registry
+            )
+        processed = engine.run(batches)
         elapsed = time.perf_counter() - started
         if args.emit != "none":
             for name, value in engine.results().items():
@@ -938,6 +957,33 @@ def _run_columnar(
         return 0
     finally:
         _stop_admin(admin, args.admin_linger)
+
+
+def _stats_between_batches(
+    batches: Iterator[EventBatch],
+    stats_every: int,
+    started: float,
+    engine: Any,
+    registry: MetricsRegistry,
+) -> Iterator[EventBatch]:
+    """Pass batches through, logging a stats line whenever one carried
+    the event count across a multiple of ``stats_every`` (the rule of
+    the ``--batch-size`` loop in :func:`main`)."""
+    processed = 0
+    for batch in batches:
+        yield batch
+        # Resumed when the engine asks for the next batch, i.e. after
+        # it has consumed this one.
+        previous = processed
+        processed += len(batch)
+        if processed // stats_every != previous // stats_every:
+            _log.info(
+                "stats",
+                message=_stats_line(
+                    processed, engine.metrics.outputs,
+                    time.perf_counter() - started, engine, registry,
+                ),
+            )
 
 
 def _stats_line(
@@ -1093,7 +1139,9 @@ def main(argv: list[str] | None = None) -> int:
     profile_on = args.profile or bool(args.profile_out)
     try:
         queries = _load_queries(args)
-        events = _load_events(args)
+        events = (
+            _load_batches(args) if args.columnar else _load_events(args)
+        )
         if args.history_every > 0:
             history = default_history(
                 registry, interval_s=args.history_every

@@ -2229,8 +2229,9 @@ class ShardedStreamEngine:
         its hash-partition of the relevant rows as one flat-buffer
         sub-batch over the data pipe. Lanes that need per-event
         bookkeeping — the router WAL and trace sampling — fall back to
-        per-event routing over the materialized batch, so durability
-        and tracing semantics never fork from :meth:`process`.
+        per-event routing over the materialized batch (order-checked
+        first, against the router clock), so durability and tracing
+        semantics never fork from :meth:`process`.
         """
         count = len(batch)
         if count == 0:
@@ -2238,6 +2239,9 @@ class ShardedStreamEngine:
         if not self._started:
             self._start()
         if self._router_log is not None or self._trace_on:
+            # process() trusts its caller for order, so check the batch
+            # here as the columnar branch below does via the local lane.
+            batch.ensure_in_order(self._clock_ms)
             for event in batch.to_events():
                 self.process(event)
             return count

@@ -44,7 +44,9 @@ import numpy as np
 from repro.errors import OutOfOrderError, StreamError
 from repro.events.event import Event
 
-_ABSENT = object()
+#: Marks a row that lacks the attribute in :meth:`EventBatch.from_columns`
+#: input (``None`` is a legal attribute value, so it cannot serve).
+ABSENT = object()
 
 _HEADER = struct.Struct("<I")
 
@@ -102,22 +104,22 @@ def _column_array(
 ) -> tuple[np.ndarray, np.ndarray | None]:
     """Build one attribute column (+ presence mask) preserving values.
 
-    ``values`` uses the ``_ABSENT`` sentinel for rows lacking the
+    ``values`` uses the ``ABSENT`` sentinel for rows lacking the
     attribute. Column dtype is chosen so ``tolist()`` round-trips the
     original Python values exactly; mixed or exotic columns fall back
     to ``object`` dtype rather than coercing.
     """
     present = None
-    if any(v is _ABSENT for v in values):
+    if any(v is ABSENT for v in values):
         present = np.fromiter(
-            (v is not _ABSENT for v in values), dtype=bool, count=n
+            (v is not ABSENT for v in values), dtype=bool, count=n
         )
-    kinds = {type(v) for v in values if v is not _ABSENT}
+    kinds = {type(v) for v in values if v is not ABSENT}
     if kinds == {int}:
         try:
             return (
                 np.fromiter(
-                    (0 if v is _ABSENT else v for v in values),
+                    (0 if v is ABSENT else v for v in values),
                     dtype=np.int64,
                     count=n,
                 ),
@@ -128,7 +130,7 @@ def _column_array(
     elif kinds == {float}:
         return (
             np.fromiter(
-                (0.0 if v is _ABSENT else v for v in values),
+                (0.0 if v is ABSENT else v for v in values),
                 dtype=np.float64,
                 count=n,
             ),
@@ -137,13 +139,13 @@ def _column_array(
     elif kinds == {str}:
         return (
             np.asarray(
-                ["" if v is _ABSENT else v for v in values], dtype=np.str_
+                ["" if v is ABSENT else v for v in values], dtype=np.str_
             ),
             present,
         )
     column = np.empty(n, dtype=object)
     for i, v in enumerate(values):
-        column[i] = None if v is _ABSENT else v
+        column[i] = None if v is ABSENT else v
     return column, present
 
 
@@ -192,29 +194,59 @@ class EventBatch:
         reusing the returned batch's schema across consecutive calls
         keeps type codes stable and per-schema engine caches warm.
         """
-        n = len(events)
         column_names: dict[str, None] = {}
         for event in events:
             for name in event.attrs:
                 column_names.setdefault(name)
-        types = dict.fromkeys(event.event_type for event in events)
+        return cls.from_columns(
+            [event.event_type for event in events],
+            np.fromiter(
+                (event.ts for event in events),
+                dtype=np.int64,
+                count=len(events),
+            ),
+            {
+                name: [event.attrs.get(name, ABSENT) for event in events]
+                for name in column_names
+            },
+            schema,
+        )
+
+    @classmethod
+    def from_columns(
+        cls,
+        type_names: Sequence[str],
+        ts: Sequence[int] | np.ndarray,
+        columns: dict[str, list[Any] | np.ndarray],
+        schema: BatchSchema | None = None,
+    ) -> "EventBatch":
+        """Build a batch from rows already held column-wise.
+
+        ``type_names[i]`` and ``ts[i]`` describe row ``i``; each entry
+        of ``columns`` is either a list with :data:`ABSENT` where the
+        row lacks the attribute (dtype and presence mask are chosen as
+        documented in the module docstring) or a finished array with
+        every row present, taken as is. ``schema`` is extended exactly
+        as :meth:`from_events` extends it — that method is this one
+        applied to the events' fields, so the two cannot drift.
+        """
+        n = len(type_names)
+        types = dict.fromkeys(type_names)
         if schema is None:
-            schema = BatchSchema(types, column_names)
+            schema = BatchSchema(types, columns)
         else:
-            schema = schema.extended(types, column_names)
-        code_of = schema.code_of
+            schema = schema.extended(types, columns)
         codes = np.fromiter(
-            (code_of[event.event_type] for event in events),
+            map(schema.code_of.__getitem__, type_names),
             dtype=np.int32,
             count=n,
         )
-        ts = np.fromiter(
-            (event.ts for event in events), dtype=np.int64, count=n
-        )
         cols: dict[str, np.ndarray] = {}
         present: dict[str, np.ndarray] = {}
-        for name in column_names:
-            values = [event.attrs.get(name, _ABSENT) for event in events]
+        for name, values in columns.items():
+            if isinstance(values, np.ndarray):
+                cols[name] = values
+                continue
             column, mask = _column_array(values, n)
             cols[name] = column
             if mask is not None:

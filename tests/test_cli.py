@@ -131,3 +131,117 @@ class TestErrors:
     def test_bad_query_reports_error(self, trace_path, capsys):
         assert main(["--query", "PATTERN OOPS", "--trace", trace_path]) == 1
         assert "error:" in capsys.readouterr().err
+
+
+def _result_values(out):
+    """The final aggregates: the last field of each ``result`` line
+    (the default lane prints ``result\\tV``, the batch lanes
+    ``result\\tNAME\\tV``)."""
+    return [
+        line.split("\t")[-1]
+        for line in out.splitlines()
+        if line.startswith("result")
+    ]
+
+
+def _error_lines(err):
+    return [line for line in err.splitlines() if "error:" in line]
+
+
+class TestColumnarTraceSource:
+    """``--columnar --trace`` reads the file straight into batches: no
+    ``Event``, no ``EventStream``, order checked once per batch."""
+
+    def test_same_answer_with_no_event_and_no_stream_built(
+        self, trace_path, capsys, monkeypatch
+    ):
+        from repro.events.event import Event
+        from repro.events.stream import EventStream
+
+        main(["--query", QUERY, "--trace", trace_path])
+        expected = _result_values(capsys.readouterr().out)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("object built on the columnar lane")
+
+        monkeypatch.setattr(Event, "__init__", refuse)
+        monkeypatch.setattr(EventStream, "__init__", refuse)
+        monkeypatch.setattr(EventStream, "__next__", refuse)
+        code = main(["--query", QUERY, "--trace", trace_path, "--columnar"])
+        assert code == 0
+        assert _result_values(capsys.readouterr().out) == expected
+
+    def test_empty_trace_still_reports_results(self, tmp_path, capsys):
+        empty = tmp_path / "empty.txt"
+        empty.write_text("")
+        code = main(["--query", QUERY, "--trace", str(empty), "--columnar"])
+        assert code == 0
+        assert capsys.readouterr().out == "result\tq\t0\n"
+
+    @pytest.mark.parametrize(
+        "lane",
+        [[], ["--shards", "2"], ["--shards", "2", "--dump-trace"]],
+        ids=["single", "sharded", "sharded-traced"],
+    )
+    def test_out_of_order_trace_fails_like_the_default_lane(
+        self, tmp_path, capsys, lane
+    ):
+        # Lines 6-7 regress inside the second 4-row batch, after a
+        # first batch that was fine.
+        path = tmp_path / "disordered.txt"
+        path.write_text(
+            "".join(f"DELL,{ts},1.5,9\n" for ts in (1, 2, 3, 4, 5, 9, 7, 8))
+        )
+        argv = ["--query", QUERY, "--trace", str(path)]
+        assert main(argv) == 1
+        expected = _error_lines(capsys.readouterr().err)
+        assert len(expected) == 1 and "timestamp 7 is earlier" in expected[0]
+        code = main(argv + ["--columnar", "--batch-size", "4"] + lane)
+        captured = capsys.readouterr()
+        assert code == 1
+        assert _error_lines(captured.err) == expected
+        assert "result" not in captured.out
+
+    def test_malformed_line_fails_with_its_line_number(
+        self, tmp_path, capsys
+    ):
+        path = tmp_path / "bad.txt"
+        path.write_text("DELL,1,1.5,9\nDELL,2,1.5,9\nDELL,oops,1.5,9\n")
+        argv = ["--query", QUERY, "--trace", str(path)]
+        assert main(argv) == 1
+        expected = _error_lines(capsys.readouterr().err)
+        assert "trace line 3" in expected[0]
+        assert main(argv + ["--columnar", "--batch-size", "2"]) == 1
+        assert _error_lines(capsys.readouterr().err) == expected
+
+    def test_stats_every_prints_under_columnar(self, trace_path, capsys):
+        # 3 000 events in 512-row batches cross 1 000, 2 000 and 3 000
+        # in three different batches: the --batch-size loop's rule.
+        flags = ["--stats-every", "1000", "--batch-size", "512"]
+
+        def stats_positions(extra):
+            main(["--query", QUERY, "--trace", trace_path] + flags + extra)
+            return [
+                line.split()[2]
+                for line in capsys.readouterr().err.splitlines()
+                if line.startswith("# stats ")
+            ]
+
+        expected = stats_positions([])
+        assert expected == ["events=1,024", "events=2,048", "events=3,000"]
+        assert stats_positions(["--columnar"]) == expected
+
+    def test_reorder_slack_still_columnarizes_from_events(
+        self, tmp_path, capsys
+    ):
+        path = tmp_path / "disordered.txt"
+        path.write_text("DELL,1\nIPIX,5\nAMAT,4\nAMAT,6\n")
+        argv = [
+            "--query", "PATTERN SEQ(DELL, AMAT) AGG COUNT WITHIN 1 s",
+            "--trace", str(path), "--reorder-slack-ms", "10",
+        ]
+        assert main(argv) == 0
+        expected = _result_values(capsys.readouterr().out)
+        assert expected == ["2"]
+        assert main(argv + ["--columnar"]) == 0
+        assert _result_values(capsys.readouterr().out) == expected

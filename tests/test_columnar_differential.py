@@ -776,3 +776,27 @@ def test_sharded_mixed_batches_and_events():
             engine.register(parse_query(text), name=f"q{index}")
         engine.run(mixed)
         assert engine.results() == expected
+
+
+@pytest.mark.parametrize("lane", ["columnar", "traced"])
+def test_sharded_batch_order_checked_on_every_lane(lane):
+    # The traced lane materialises the batch and loops process(), which
+    # trusts its caller for order: the batch must be checked first, in
+    # batch and against the router clock, as the columnar lane's is.
+    from repro.obs.tracing import TraceRecorder
+
+    trace = TraceRecorder(capacity=64) if lane == "traced" else None
+    with ShardedStreamEngine(shards=2, vectorized=True, trace=trace) as engine:
+        engine.register(parse_query(SHARDED_QUERIES[0]), name="q")
+
+        def batch(*stamps):
+            return EventBatch.from_events(
+                [Event("A", ts, {"g": 1}) for ts in stamps]
+            )
+
+        engine.process_event_batch(batch(5, 6))
+        for regressed, pair in ((batch(7, 9, 8), (9, 8)), (batch(4), (6, 4))):
+            with pytest.raises(OutOfOrderError) as raised:
+                engine.process_event_batch(regressed)
+            assert (raised.value.previous_ts, raised.value.current_ts) == pair
+        assert engine.metrics.events == 2

@@ -201,10 +201,22 @@ def test_repeated_kills_degrade_shard_into_local_lane():
         for event in events[:400]:
             engine.process(event)
         engine.flush()
+        first_pid = engine._workers[0].process.pid
         kill_shard(engine, 0)
-        assert _wait_for(
-            lambda: engine.shard_health()[0]["restarts"] >= 1
-        )
+
+        def restarted_generation_is_up():
+            # `restarts` is bumped before the respawn, while
+            # worker.process is still the dead one: a kill issued then
+            # hits nothing. Wait for the new process itself.
+            process = engine._workers[0].process
+            return (
+                engine.shard_health()[0]["alive"]
+                and process is not None
+                and process.pid not in (None, first_pid)
+            )
+
+        assert _wait_for(restarted_generation_is_up)
+        assert engine.shard_health()[0]["restarts"] == 1
         kill_shard(engine, 0)  # the restarted generation, budget spent
         assert _wait_for(lambda: 0 in engine.degraded_shards)
         assert engine.degraded_shards == {0}
