@@ -22,6 +22,13 @@ the plan declines for that batch alone (``missing_attribute``,
 ``missing_key``). Every decline goes through the batch→Event
 materializer, so results and raised errors stay bit-identical to the
 reference engine.
+
+On the kernel there are two bodies (see
+:meth:`~repro.core.vectorized.VectorizedSemEngine.process_columns`):
+the row loop, which runs every plan, and a batch-level closed form for
+flat COUNT plans. :func:`closed_form_decline` names what keeps a plan
+on the row loop (``aggregate``, ``negation``, ``adjacent_slots``,
+``group_by``).
 """
 
 from __future__ import annotations
@@ -30,9 +37,10 @@ from typing import Any, Callable
 
 import numpy as np
 
+from repro.core.aggregates import PatternLayout
 from repro.core.hpc import partition_attributes
 from repro.events.batch import BatchSchema, EventBatch
-from repro.query.ast import Query
+from repro.query.ast import AggKind, Query
 from repro.query.predicates import (
     AttributeComparison,
     EquivalencePredicate,
@@ -75,6 +83,34 @@ def decline_reason(
         for p in query.predicates
     ):
         return "predicate_kind"
+    return None
+
+
+def closed_form_decline(
+    layout: PatternLayout, partitioned: bool
+) -> str | None:
+    """Why a columnar-capable registration stays on the kernel's row
+    loop, as a slug (None = the closed-form COUNT kernel may run).
+
+    The closed form inverts the per-row counter update, so it needs an
+    update that *has* an exact inverse: ``aggregate`` — SUM/AVG would
+    subtract floats and lose bit-identity, MAX/MIN have no inverse at
+    all; ``negation`` — a Recounting-Rule wipe is a projection;
+    ``adjacent_slots`` — a type holding slots ``k`` and ``k + 1`` (both
+    ≥ 1, as in ``SEQ(A, B, B)``) makes the row's update ``I + N`` with
+    ``N² ≠ 0``, whose inverse is no longer ``I − N``; ``group_by`` —
+    partitions see a handful of rows per call, below any cut-over.
+    """
+    if layout.agg_kind is not AggKind.COUNT:
+        return "aggregate"
+    if layout.reset_slot:
+        return "negation"
+    for slots in layout.update_slots.values():
+        held = set(slots)
+        if any(slot >= 1 and slot + 1 in held for slot in slots):
+            return "adjacent_slots"
+    if partitioned:
+        return "group_by"
     return None
 
 
@@ -154,6 +190,10 @@ class ColumnarPlan:
         "slots_of_code",
         "is_start",
         "is_trigger",
+        "slot_luts",
+        "start_lut",
+        "trigger_lut",
+        "closed_form_decline",
         "needs_value",
         "value_attribute",
         "value_needed_lut",
@@ -173,8 +213,13 @@ class ColumnarPlan:
         #: slot 0" test doubles as the Recounting Rule dispatch and
         #: positive rows pay nothing for it.
         slots_of: list[tuple[int, ...]] = [()] * n_types
-        self.is_start = [False] * n_types
-        self.is_trigger = [False] * n_types
+        #: The same lookups as arrays, for whole-slice indexing:
+        #: ``slot_luts[k, code]`` is 1 when a row of this type updates
+        #: slot ``k`` (reset slots are not updates and stay 0) — int64
+        #: because the closed form multiplies counts by it.
+        self.slot_luts = np.zeros((layout.length, n_types), dtype=np.int64)
+        self.start_lut = np.zeros(n_types, dtype=bool)
+        self.trigger_lut = np.zeros(n_types, dtype=bool)
         value_lut = np.zeros(n_types, dtype=bool)
         for name, slots in layout.update_slots.items():
             code = schema.code_of.get(name)
@@ -182,9 +227,14 @@ class ColumnarPlan:
                 continue
             self.routed_lut[code] = True
             slots_of[code] = slots
-            self.is_start[code] = name in layout.start_types
-            self.is_trigger[code] = name in layout.trigger_types
+            self.slot_luts[list(slots), code] = 1
+            self.start_lut[code] = name in layout.start_types
+            self.trigger_lut[code] = name in layout.trigger_types
             value_lut[code] = layout.value_slot in slots
+        # The row loop indexes by one Python int at a time, where a
+        # list beats an array.
+        self.is_start = self.start_lut.tolist()
+        self.is_trigger = self.trigger_lut.tolist()
         for name, reset in layout.reset_slot.items():
             code = schema.code_of.get(name)
             if code is not None:
@@ -201,6 +251,11 @@ class ColumnarPlan:
         #: flat one): every kept row must carry it.
         attributes = partition_attributes(executor.query)
         self.key_attribute = attributes[0] if attributes else None
+        #: Why this plan's slices stay on the kernel's row loop (None =
+        #: the closed form may take them).
+        self.closed_form_decline = closed_form_decline(
+            layout, bool(attributes)
+        )
         #: Why the latest :meth:`evaluate` returned None.
         self.last_decline: str | None = None
         mask_fns: list[_MaskFn] = []

@@ -262,7 +262,7 @@ class HPCEngine:
         self._now = max(self._now, int(batch.ts[kept_idx[-1]]))
         # Every TRIG row reports its group, None included (an AVG/MAX/
         # MIN with nothing to aggregate), as process() does.
-        triggers = np.flatnonzero(np.array(plan.is_trigger)[kept_codes])
+        triggers = np.flatnonzero(plan.trigger_lut[kept_codes])
         return [
             (t, {keys[row]: fresh_of.get(row)})
             for row, t in zip(

@@ -39,6 +39,17 @@ _INITIAL_CAPACITY = 8
 #: Kleene updates double counts; guard well below int64's 2^63 - 1.
 _KLEENE_GUARD = 2**61
 
+#: Kept rows per ``process_columns`` call from which the closed-form
+#: COUNT kernel beats the row loop. Measured, not derived: the closed
+#: form costs a fixed few dozen numpy calls per slice whatever its
+#: size, the row loop ~25 ns per row per live counter (see
+#: docs/PERFORMANCE.md, "Inside the kernel", for the sweep).
+_CLOSED_FORM_MIN_ROWS = 48
+
+#: True counter values and emitted totals must stay below this for the
+#: closed form's wrapping int64 arithmetic to be exact.
+_INT64_LIMIT = 2**63
+
 
 class VectorizedSemEngine:
     """Windowed A-Seq with columnar per-START counters."""
@@ -87,6 +98,11 @@ class VectorizedSemEngine:
         #: (each arrival touches every live counter once, even though
         #: the touch is a single vectorized addition here).
         self.counter_updates = 0
+        #: ``process_columns`` slices per kernel, and why a slice the
+        #: plan allowed on the closed form ran the row loop anyway.
+        self._closed_form_slices = 0
+        self._row_loop_slices = 0
+        self._fallbacks = {"small_slice": 0, "bound": 0, "unordered": 0}
         registry = resolve_registry(registry)
         self.obs_registry = registry
         self._obs_on = registry.enabled
@@ -204,16 +220,16 @@ class VectorizedSemEngine:
         entry point a flat registration shares with
         :meth:`repro.core.hpc.HPCEngine.process_batch_columns`."""
         return self.process_columns(
-            batch.codes[kept_idx].tolist(),
-            batch.ts[kept_idx].tolist(),
+            batch.codes[kept_idx],
+            batch.ts[kept_idx],
             plan,
             plan.values_for(batch, kept_idx),
         )
 
     def process_columns(
         self,
-        codes: list[int],
-        ts: list[int],
+        codes: np.ndarray | list[int],
+        ts: np.ndarray | list[int],
         plan: Any,
         values: list[Any] | None = None,
         rows: list[int] | None = None,
@@ -221,31 +237,53 @@ class VectorizedSemEngine:
         """Ingest a pre-filtered columnar slice; returns ``(ts, fresh)``
         pairs for the TRIG arrivals.
 
-        ``codes``/``ts`` (and ``values`` when the aggregate reads an
-        attribute) are plain Python lists for the rows that survived
-        routing and predicate masks; ``plan`` is the registration's
-        :class:`~repro.core.columnar.ColumnarPlan` (slot/START/TRIG
-        lookup by type code). ``rows``, when given, tags each emission
-        with the caller's row number in place of the timestamp, so
-        :class:`~repro.core.hpc.HPCEngine` can interleave its
-        partitions' emissions back into stream order (timestamps may
-        tie). Semantically identical to per-event
-        :meth:`process` over the same slice — the differential suite
-        pins it — but the hot loop runs on Python ints and lists,
-        mirroring the numpy ring into list columns once per slice:
-        per-event numpy slice arithmetic costs ~1µs per touch, far too
-        slow for the 2M ev/s lane, while list operations over the small
-        live set (tens of counters) stay in the low hundreds of ns.
-        Expiry remains a binary search (``bisect`` == ``searchsorted``
-        on the same sorted expiry column). Negated types arrive here
-        too: their plan entry is the complemented reset slot, and the
-        Recounting Rule wipes that slot of every live counter. Kleene
-        layouts never reach this kernel (plans gate them).
+        ``codes``/``ts`` (arrays or plain lists) and ``values`` (a list,
+        when the aggregate reads an attribute) hold the rows that
+        survived routing and predicate masks; ``plan`` is the
+        registration's :class:`~repro.core.columnar.ColumnarPlan`
+        (slot/START/TRIG lookup by type code). ``rows``, when given,
+        tags each emission with the caller's row number in place of the
+        timestamp, so :class:`~repro.core.hpc.HPCEngine` can interleave
+        its partitions' emissions back into stream order (timestamps
+        may tie). Semantically identical to per-event :meth:`process`
+        over the same slice — the differential suites pin it — through
+        either of two kernels that leave the ring in the same format,
+        so they can alternate slice by slice:
+
+        * the **closed form** (:meth:`_closed_form`) for flat COUNT
+          plans (``plan.closed_form_decline is None``): no per-row
+          Python at all. It runs when the slice is large enough to pay
+          for its fixed cost, in order, and provably inside int64;
+        * the **row loop** below for everything else. Its hot loop runs
+          on Python ints and lists, mirroring the numpy ring into list
+          columns once per slice: per-event numpy slice arithmetic
+          costs ~1µs per touch, while list operations over the small
+          live set (tens of counters) stay in the low hundreds of ns.
+          Expiry remains a binary search (``bisect`` ==
+          ``searchsorted`` on the same sorted expiry column). Negated
+          types arrive here too: their plan entry is the complemented
+          reset slot, and the Recounting Rule wipes that slot of every
+          live counter.
+
+        Kleene layouts never reach either kernel (plans gate them).
         """
         layout = self.layout
         n = len(codes)
         if not n:
             return []
+        if rows is None and plan.closed_form_decline is None:
+            if n < _CLOSED_FORM_MIN_ROWS:
+                self._fallbacks["small_slice"] += 1
+            else:
+                emitted = self._closed_form(
+                    np.asarray(codes), np.asarray(ts, dtype=np.int64), plan
+                )
+                if emitted is not None:
+                    return emitted
+        self._row_loop_slices += 1
+        if isinstance(codes, np.ndarray):
+            codes = codes.tolist()
+            ts = ts.tolist()
         # Mirror the live ring slice into list columns.
         head, tail = self._head, self._tail
         counts: list[list[int]] = self._counts[:, head:tail].tolist()
@@ -415,22 +453,7 @@ class VectorizedSemEngine:
         # Write the mirrored state back into the ring.
         live = size - lo
         if live > self._capacity:
-            while self._capacity < live:
-                self._capacity *= 2
-            self._counts = np.zeros(
-                (length, self._capacity), dtype=np.int64
-            )
-            self._exps = np.zeros(self._capacity, dtype=np.int64)
-            if wsums is not None:
-                self._wsums = np.zeros(
-                    (length, self._capacity), dtype=np.float64
-                )
-            if extrema is not None:
-                self._extrema = np.full(
-                    (length, self._capacity),
-                    self._extreme_identity,
-                    dtype=np.float64,
-                )
+            self._grow_to(live)
         if live:
             self._counts[:, :live] = [row[lo:] for row in counts]
             self._exps[:live] = exps[lo:]
@@ -438,6 +461,41 @@ class VectorizedSemEngine:
                 self._wsums[:, :live] = [row[lo:] for row in wsums]
             if extrema is not None:
                 self._extrema[:, :live] = [row[lo:] for row in extrema]
+        self._settle(n, now, live, updates, peak, created, expired, blocked)
+        return emitted
+
+    def _grow_to(self, live: int) -> None:
+        """Reallocate the ring (contents dropped) to hold ``live``
+        columns; both kernels rewrite it whole from column 0."""
+        while self._capacity < live:
+            self._capacity *= 2
+        length = self.layout.length
+        self._counts = np.zeros((length, self._capacity), dtype=np.int64)
+        self._exps = np.zeros(self._capacity, dtype=np.int64)
+        if self._wsums is not None:
+            self._wsums = np.zeros(
+                (length, self._capacity), dtype=np.float64
+            )
+        if self._extrema is not None:
+            self._extrema = np.full(
+                (length, self._capacity),
+                self._extreme_identity,
+                dtype=np.float64,
+            )
+
+    def _settle(
+        self,
+        n: int,
+        now: int,
+        live: int,
+        updates: int,
+        peak: int,
+        created: int,
+        expired: int,
+        blocked: int = 0,
+    ) -> None:
+        """One slice's bookkeeping, after its kernel rewrote the ring
+        as columns ``[0, live)``."""
         self._head = 0
         self._tail = live
         self._now = now
@@ -459,7 +517,163 @@ class VectorizedSemEngine:
                 self._fq.blocked.inc(blocked)
             if expired:
                 self._fq.expired.inc(expired)
+
+    def _closed_form(
+        self, codes: np.ndarray, ts: np.ndarray, plan: Any
+    ) -> list[tuple[int, Any]] | None:
+        """The flat COUNT kernel as prefix products over the slice
+        (derivation: docs/ALGORITHMS.md, "Closed-form COUNT kernel").
+
+        Row ``j`` applies ``M_j = I + Σ E[k, k-1]`` (over the slots
+        ``k ≥ 1`` it updates) to every live counter. With ``P_j = M_j ⋯
+        M_1`` and ``R_j = P_j⁻¹``, a carried-in counter ``c`` is ``P_j
+        c`` at row ``j`` and a START born at row ``s`` is ``P_j R_s
+        e0``; STARTs expire in birth order, so the live set at a row is
+        an index range of each, and a TRIG's total is the last row of
+        ``P_j`` against range sums of ``R_s e0`` and of ``c``. Every
+        entry of ``P`` and ``R`` is one ``cumsum`` over the slice. All
+        arithmetic is int64, which wraps — i.e. is exact in Z/2⁶⁴ — so
+        results are right whenever the *true* values fit, which the
+        bound below proves before anything is computed.
+
+        Returns None, with nothing written, when the slice must take
+        the row loop instead (out of order, or the bound fails).
+        """
+        n = len(codes)
+        window = self._window_ms
+        if int(ts[0]) < self._now or bool((ts[1:] < ts[:-1]).any()):
+            self._fallbacks["unordered"] += 1
+            return None
+        length = self.layout.length
+        last = length - 1
+        head, tail = self._head, self._tail
+        carried = self._counts[:, head:tail]
+        carried_exps = self._exps[head:tail]
+        size0 = tail - head
+
+        steps = plan.slot_luts.take(codes, axis=1)
+        if not self._fits_int64(steps, ts, carried):
+            self._fallbacks["bound"] += 1
+            return None
+
+        # Live ranges. In-batch STARTs (the rows holding slot 0) in
+        # birth order: ``[lo, born)`` at each row; carried-in counters:
+        # ``[lo0, size0)``.
+        start_rows = np.flatnonzero(steps[0])
+        start_ts = ts[start_rows]
+        born = steps[0].cumsum()
+        lo = start_ts.searchsorted(ts - window, side="right")
+        lo0 = carried_exps.searchsorted(ts, side="right")
+        live_after = born - lo + (size0 - lo0)
+
+        # Row k of P and column i of R, each entry a series over the
+        # slice with a leading "before row 0" value (x[:-1] is what a
+        # row sees, x[1:] what it leaves). Both are unit lower
+        # triangular and only the triangle is held: ``prefix`` walks
+        # down to the last row of P, ``inverse`` left to column 0 of R.
+        final = np.eye(length, dtype=np.int64)
+        prefix = np.ones((1, n + 1), dtype=np.int64)
+        for k in range(1, length):
+            below = np.empty((k + 1, n + 1), dtype=np.int64)
+            below[:k, 0] = 0
+            below[k] = 1
+            (steps[k] * prefix[:, :-1]).cumsum(axis=1, out=below[:k, 1:])
+            final[k, :k] = below[:k, -1]
+            prefix = below
+        inverse = np.ones((1, n + 1), dtype=np.int64)
+        for i in range(length - 2, -1, -1):
+            left = np.empty((length - i, n + 1), dtype=np.int64)
+            left[0] = 1
+            left[1:, 0] = 0
+            (steps[i + 1] * inverse[:, :-1]).cumsum(axis=1, out=left[1:, 1:])
+            np.negative(left[1:], out=left[1:])
+            inverse = left
+
+        # ``R_s e0`` per START — the state it would have needed before
+        # the slice to be ``e0`` at its own row — prefix-summed in birth
+        # order; carried state suffix-summed.
+        born_state = inverse[:, start_rows + 1]
+        born_sums = np.zeros((length, start_rows.size + 1), dtype=np.int64)
+        born_state.cumsum(axis=1, out=born_sums[:, 1:])
+        carried_sums = np.zeros((length, size0 + 1), dtype=np.int64)
+        carried[:, ::-1].cumsum(axis=1, out=carried_sums[:, -2::-1])
+
+        triggers = np.flatnonzero(plan.trigger_lut[codes])
+        hi_t, lo_t, lo0_t = born[triggers], lo[triggers], lo0[triggers]
+        in_range = (
+            born_sums[:, hi_t] - born_sums[:, lo_t] + carried_sums[:, lo0_t]
+        )
+        totals = (prefix[:, triggers + 1] * in_range).sum(axis=0)
+        emitted = list(zip(ts[triggers].tolist(), totals.tolist()))
+
+        # Write the survivors back: P_n applied to both families.
+        end_lo, end_lo0 = int(lo[-1]), int(lo0[-1])
+        counts = final @ np.concatenate(
+            (carried[:, end_lo0:], born_state[:, end_lo:]), axis=1
+        )
+        exps = np.concatenate(
+            (carried_exps[end_lo0:], start_ts[end_lo:] + window)
+        )
+        live = exps.size
+        if live > self._capacity:
+            self._grow_to(live)
+        self._counts[:, :live] = counts
+        self._exps[:live] = exps
+
+        # One accounting tick per arrival per counter live before it,
+        # and a peak sampled after each START, as the row loop counts.
+        peak = self.peak_counters
+        if start_rows.size:
+            peak = max(peak, int(live_after[start_rows].max()))
+        self._closed_form_slices += 1
+        self._settle(
+            n,
+            int(ts[-1]),
+            live,
+            updates=int(live_after.sum()) - start_rows.size,
+            peak=peak,
+            created=start_rows.size,
+            expired=end_lo + end_lo0,
+        )
         return emitted
+
+    def _fits_int64(
+        self, steps: np.ndarray, ts: np.ndarray, carried: np.ndarray
+    ) -> bool:
+        """Prove, in Python ints, that every counter value and emitted
+        total of this slice stays below 2⁶³.
+
+        A counter's slot ``k`` ends at most at its carried-in value plus
+        (rows updating ``k`` while it lives) × (the most slot ``k - 1``
+        ever holds), and a total sums at most one such value per live
+        counter. "While it lives" is first taken as the whole slice;
+        only when that fails are the rows counted per window.
+        """
+        if int(ts[-1]) + self._window_ms >= _INT64_LIMIT:
+            return False
+        size0 = carried.shape[1]
+        ceilings = (
+            carried.max(axis=1).tolist() if size0 else [0] * len(carried)
+        )
+
+        def fits(rows_per_slot: list[int]) -> bool:
+            bound = max(ceilings[0], 1)
+            for ceiling, rows in zip(ceilings[1:], rows_per_slot[1:]):
+                bound = ceiling + rows * bound
+                if bound >= _INT64_LIMIT:
+                    return False
+            # Slot 0's rows are the STARTs: no more counters are ever
+            # live together than were carried in or born.
+            return (size0 + rows_per_slot[0]) * bound < _INT64_LIMIT
+
+        if fits(steps.sum(axis=1).tolist()):
+            return True
+        # Rows of each slot inside the window ending at each row: all a
+        # counter still live at that row can have seen.
+        first = ts.searchsorted(ts - self._window_ms, side="right")
+        seen = np.zeros((len(steps), len(ts) + 1), dtype=np.int64)
+        steps.cumsum(axis=1, out=seen[:, 1:])
+        return fits((seen[:, 1:] - seen[:, first]).max(axis=1).tolist())
 
     def _update_slot(
         self, slot: int, head: int, tail: int, value: float | None
@@ -651,4 +865,9 @@ class VectorizedSemEngine:
             "peak_counters": self.peak_counters,
             "capacity": self._capacity,
             "agg": self.layout.agg_kind.name.lower(),
+            "kernel_slices": {
+                "closed_form": self._closed_form_slices,
+                "row_loop": self._row_loop_slices,
+            },
+            "closed_form_fallbacks": dict(self._fallbacks),
         }

@@ -7,8 +7,9 @@ An explain plan is a JSON-serializable dict with a stable shape
   Kleene, choice, predicates, GROUP BY, aggregate);
 * the chosen execution path — which runtime the query compiles onto
   (DPC / SEM / vectorized SEM / HPC), which lane it runs in
-  (per-event, routed, or a shard fleet), and whether ``EventBatch``
-  ingest reaches the columnar kernel or why it is materialized instead;
+  (per-event, routed, or a shard fleet), whether ``EventBatch``
+  ingest reaches the columnar kernel or why it is materialized instead,
+  and on the kernel, whether slices run the closed form or the row loop;
 * the sharing strategy for multi-query engines — which prefixes or
   chopped segments are shared with which other queries;
 * the cost model's *estimated* per-event update cost, so operators can
@@ -63,6 +64,23 @@ def columnar_of(reason: str | None) -> dict[str, Any]:
     return {"capable": reason is None, "reason": reason}
 
 
+def kernel_of(query: Query) -> dict[str, Any]:
+    """Which body of the columnar kernel a capable registration's
+    slices run (see :func:`repro.core.columnar.closed_form_decline`):
+    the closed-form COUNT kernel, or the row loop and why."""
+    from repro.core.aggregates import PatternLayout
+    from repro.core.columnar import closed_form_decline
+    from repro.core.hpc import partition_attributes
+
+    reason = closed_form_decline(
+        PatternLayout.of(query), bool(partition_attributes(query))
+    )
+    return {
+        "kind": "closed_form" if reason is None else "row_loop",
+        "reason": reason,
+    }
+
+
 def estimate_cost(
     query: Query, rate_per_type: float = DEFAULT_RATE_PER_TYPE
 ) -> dict[str, Any]:
@@ -102,6 +120,7 @@ def explain_query(
 
     pattern = query.pattern
     positives = pattern.positive_types
+    columnar = columnar_of(decline_reason(query, vectorized))
     return {
         "name": query.name,
         "text": " ".join(str(query).split()),
@@ -124,7 +143,9 @@ def explain_query(
         },
         "runtime": runtime_of(query, vectorized),
         "lane": lane,
-        "columnar": columnar_of(decline_reason(query, vectorized)),
+        "columnar": columnar,
+        # Only a registration on the kernel has a kernel body to name.
+        "kernel": kernel_of(query) if columnar["capable"] else None,
         "sharing": sharing or {"strategy": "unshared", "shared_with": []},
         "estimated": estimate_cost(query, rate_per_type),
     }
@@ -250,6 +271,8 @@ def _executor_plan(
     if hasattr(executor, "columnar_decline"):
         # The live slug also knows whether tracing is on.
         plan["columnar"] = columnar_of(executor.columnar_decline)
+        if not plan["columnar"]["capable"]:
+            plan["kernel"] = None
     return plan
 
 
@@ -487,6 +510,16 @@ def render_explain(plan: dict[str, Any]) -> str:
                     "kernel"
                     if columnar["capable"]
                     else f"materialized ({columnar['reason']})"
+                )
+            )
+        kernel = query.get("kernel")
+        if kernel is not None:
+            lines.append(
+                "  kernel: "
+                + (
+                    kernel["kind"]
+                    if kernel["reason"] is None
+                    else f"{kernel['kind']} ({kernel['reason']})"
                 )
             )
         if features is not None:
