@@ -460,31 +460,23 @@ def _print_explain(engine: Any) -> None:
     print(render_explain(_explain_plan(engine)), file=sys.stderr, end="")
 
 
-def _write_profile(args: argparse.Namespace, engine: Any) -> None:
-    if not args.workload_profile:
-        return
-    refresh = getattr(engine, "refresh_cost_metrics", None)
-    if callable(refresh):
-        try:
-            refresh()  # pull-based gauges (drift, watermarks) go stale
-        except Exception:
-            pass
-    write_workload_profile(engine, args.workload_profile)
-    _log.info(
-        "workload_profile_written",
-        message=f"wrote workload profile to {args.workload_profile}",
-        path=args.workload_profile,
-    )
-
-
-def _start_admin(
+def _open_run(
     args: argparse.Namespace,
     engine: Any,
     registry: MetricsRegistry,
     trace: TraceRecorder,
-    history: HistoryRecorder | None = None,
+    history: HistoryRecorder | None,
     profiler: SamplingProfiler | None = None,
 ) -> AdminServer | None:
+    """What every lane does between building its engine and ingesting:
+    ``--explain`` to stderr, the history recorder's cost refresher, the
+    admin endpoint (returned for :func:`_stop_admin`)."""
+    if args.explain:
+        _print_explain(engine)
+    if history is not None:
+        refresh = getattr(engine, "refresh_cost_metrics", None)
+        if callable(refresh):
+            history.set_refresher(refresh)
     if args.admin_port is None:
         return None
     admin = AdminServer(
@@ -497,6 +489,74 @@ def _start_admin(
     )
     admin.start()
     return admin
+
+
+def _finish_run(
+    args: argparse.Namespace,
+    engine: Any,
+    registry: MetricsRegistry,
+    trace: TraceRecorder,
+    processed: int,
+    elapsed: float,
+    detail: str,
+    results: dict[str, Any] | None = None,
+    written: str | None = None,
+    **fields: Any,
+) -> None:
+    """What every lane does once ingest is over: print the final
+    aggregates, log ``run_complete``, write ``--metrics-out`` (Prometheus
+    text and JSON snapshot), ``--dump-trace`` and the workload profile.
+
+    ``detail`` finishes the ``run_complete`` sentence; ``fields`` ride in
+    that record and in the snapshot's ``run`` section; ``written`` is
+    what the lane appends to its "wrote metrics" line (None: it logs
+    none).
+    """
+    if results is not None and args.emit != "none":
+        for name, value in results.items():
+            print(f"result\t{name}\t{value}")
+    rate = processed / elapsed if elapsed else 0.0
+    _log.info(
+        "run_complete",
+        message=f"{processed:,} events in {elapsed:.2f}s "
+        f"({rate:,.0f} ev/s){detail}",
+        events=processed,
+        **fields,
+        elapsed_s=round(elapsed, 3),
+    )
+    if args.metrics_out:
+        write_prometheus(registry, args.metrics_out)
+        write_json_snapshot(
+            registry,
+            args.metrics_out + ".json",
+            run={
+                "events": processed,
+                **fields,
+                "elapsed_s": elapsed,
+                "events_per_s": rate,
+            },
+        )
+        if written is not None:
+            _log.info(
+                "metrics_written",
+                message=f"wrote metrics to {args.metrics_out}{written}",
+                path=args.metrics_out,
+            )
+    if args.dump_trace:
+        print(trace.format(), file=sys.stderr)
+    if args.workload_profile:
+        refresh = getattr(engine, "refresh_cost_metrics", None)
+        if callable(refresh):
+            try:
+                refresh()  # pull-based gauges (drift, watermarks) go stale
+            except Exception:
+                pass
+        write_workload_profile(engine, args.workload_profile)
+        _log.info(
+            "workload_profile_written",
+            message=f"wrote workload profile to {args.workload_profile}",
+            path=args.workload_profile,
+        )
 
 
 def _stop_admin(admin: AdminServer | None, linger: float) -> None:
@@ -596,11 +656,7 @@ def _run_resilient(
             name = query.name or f"q{index}"
             engine.register(query, *sinks.get(name, ()), name=name)
 
-    if args.explain:
-        _print_explain(engine)
-    if history is not None:
-        history.set_refresher(engine.refresh_cost_metrics)
-    admin = _start_admin(args, engine, registry, trace, history, profiler)
+    admin = _open_run(args, engine, registry, trace, history, profiler)
     try:
         started = time.perf_counter()
         processed = engine.run(events, batch_size=args.batch_size or None)
@@ -611,9 +667,6 @@ def _run_resilient(
         if engine.journal is not None:
             engine.journal.close()
 
-        if args.emit != "none":
-            for name, value in engine.results().items():
-                print(f"result\t{name}\t{value}")
         quarantined = engine.quarantined()
         if quarantined or len(engine.dlq):
             _log.warning(
@@ -623,35 +676,14 @@ def _run_resilient(
                 quarantined=quarantined,
                 dead_letters=len(engine.dlq),
             )
-        rate = processed / elapsed if elapsed else 0.0
-        _log.info(
-            "run_complete",
-            message=f"{processed:,} events in {elapsed:.2f}s "
-            f"({rate:,.0f} ev/s), {engine.metrics.outputs:,} outputs "
+        _finish_run(
+            args, engine, registry, trace, processed, elapsed,
+            f", {engine.metrics.outputs:,} outputs "
             f"(lifetime {engine.metrics.events:,} events)",
-            events=processed,
+            results=engine.results(),
+            written="",
             outputs=engine.metrics.outputs,
-            elapsed_s=round(elapsed, 3),
         )
-        if args.metrics_out:
-            write_prometheus(registry, args.metrics_out)
-            write_json_snapshot(
-                registry,
-                args.metrics_out + ".json",
-                run={
-                    "events": processed,
-                    "elapsed_s": elapsed,
-                    "events_per_s": rate,
-                },
-            )
-            _log.info(
-                "metrics_written",
-                message=f"wrote metrics to {args.metrics_out}",
-                path=args.metrics_out,
-            )
-        if args.dump_trace:
-            print(trace.format(), file=sys.stderr)
-        _write_profile(args, engine)
         return 0
     finally:
         _stop_admin(admin, args.admin_linger)
@@ -799,13 +831,7 @@ def _run_sharded(
                     registry=registry,
                 )
             )
-    if args.explain:
-        _print_explain(engine)
-    if history is not None:
-        refresh = getattr(engine, "refresh_cost_metrics", None)
-        if callable(refresh):
-            history.set_refresher(refresh)
-    admin = _start_admin(args, engine, registry, trace, history)
+    admin = _open_run(args, engine, registry, trace, history)
     try:
         started = time.perf_counter()
         # With --columnar the items are EventBatches: the run loop takes
@@ -815,9 +841,6 @@ def _run_sharded(
         elapsed = time.perf_counter() - started
         results = engine.results()
         state = engine.inspect()
-        if args.emit != "none":
-            for name, value in results.items():
-                print(f"result\t{name}\t{value}")
         if engine.degraded_shards or engine.shed_events:
             _log.warning(
                 "shard_summary",
@@ -826,29 +849,14 @@ def _run_sharded(
                 degraded_shards=sorted(engine.degraded_shards),
                 shed_events=engine.shed_events,
             )
-        rate = processed / elapsed if elapsed else 0.0
-        _log.info(
-            "run_complete",
-            message=f"{processed:,} events in {elapsed:.2f}s "
-            f"({rate:,.0f} ev/s) across {args.shards} shards "
+        _finish_run(
+            args, engine, registry, trace, processed, elapsed,
+            f" across {args.shards} shards "
             f"(sharded={state['sharded_queries']} "
             f"local={state['local_queries']})",
-            events=processed,
-            elapsed_s=round(elapsed, 3),
+            results=results,
             shards=args.shards,
         )
-        if args.metrics_out:
-            write_prometheus(registry, args.metrics_out)
-            write_json_snapshot(
-                registry,
-                args.metrics_out + ".json",
-                run={
-                    "events": processed,
-                    "elapsed_s": elapsed,
-                    "events_per_s": rate,
-                    "shards": args.shards,
-                },
-            )
         if args.profile_out:
             profile = engine.collapsed_profile() or ""
             with open(args.profile_out, "w", encoding="utf-8") as handle:
@@ -858,9 +866,6 @@ def _run_sharded(
                 message=f"wrote fleet profile to {args.profile_out}",
                 path=args.profile_out,
             )
-        if args.dump_trace:
-            print(trace.format(), file=sys.stderr)
-        _write_profile(args, engine)
         return 0
     finally:
         # Workers stay up through the linger so /queries and
@@ -911,15 +916,8 @@ def _run_columnar(
         )
     for index, query in enumerate(queries):
         engine.register(query, *sinks, name=query.name or f"q{index}")
-    if args.explain:
-        _print_explain(engine)
-    if history is not None:
-        refresh = getattr(engine, "refresh_cost_metrics", None)
-        if callable(refresh):
-            history.set_refresher(refresh)
-    admin = _start_admin(args, engine, registry, trace, history, profiler)
+    admin = _open_run(args, engine, registry, trace, history, profiler)
     try:
-        batch_size = _columnar_batch_size(args)
         started = time.perf_counter()
         if args.stats_every > 0:
             batches = _stats_between_batches(
@@ -927,33 +925,13 @@ def _run_columnar(
             )
         processed = engine.run(batches)
         elapsed = time.perf_counter() - started
-        if args.emit != "none":
-            for name, value in engine.results().items():
-                print(f"result\t{name}\t{value}")
-        rate = processed / elapsed if elapsed else 0.0
-        _log.info(
-            "run_complete",
-            message=f"{processed:,} events in {elapsed:.2f}s "
-            f"({rate:,.0f} ev/s) through the columnar lane "
-            f"(batch size {batch_size})",
-            events=processed,
+        _finish_run(
+            args, engine, registry, trace, processed, elapsed,
+            f" through the columnar lane "
+            f"(batch size {_columnar_batch_size(args)})",
+            results=engine.results(),
             outputs=engine.metrics.outputs,
-            elapsed_s=round(elapsed, 3),
         )
-        if args.metrics_out:
-            write_prometheus(registry, args.metrics_out)
-            write_json_snapshot(
-                registry,
-                args.metrics_out + ".json",
-                run={
-                    "events": processed,
-                    "elapsed_s": elapsed,
-                    "events_per_s": rate,
-                },
-            )
-        if args.dump_trace:
-            print(trace.format(), file=sys.stderr)
-        _write_profile(args, engine)
         return 0
     finally:
         _stop_admin(admin, args.admin_linger)
@@ -1180,13 +1158,7 @@ def main(argv: list[str] | None = None) -> int:
                 args, queries, events, registry, trace, history, profiler
             )
         engine = _build_engine(args, queries, registry, trace)
-        if args.explain:
-            _print_explain(engine)
-        if history is not None:
-            refresh = getattr(engine, "refresh_cost_metrics", None)
-            if callable(refresh):
-                history.set_refresher(refresh)
-        admin = _start_admin(args, engine, registry, trace, history, profiler)
+        admin = _open_run(args, engine, registry, trace, history, profiler)
 
         cross_check = None
         if args.engine == "both" and len(queries) == 1:
@@ -1282,37 +1254,12 @@ def main(argv: list[str] | None = None) -> int:
             )
             if baseline != final:
                 return 2
-        rate = processed / elapsed if elapsed else 0.0
-        _log.info(
-            "run_complete",
-            message=f"{processed:,} events in {elapsed:.2f}s "
-            f"({rate:,.0f} ev/s), {outputs:,} outputs",
-            events=processed,
+        _finish_run(
+            args, engine, registry, trace, processed, elapsed,
+            f", {outputs:,} outputs",
+            written=f" (+ {args.metrics_out}.json)",
             outputs=outputs,
-            elapsed_s=round(elapsed, 3),
         )
-        if args.metrics_out:
-            write_prometheus(registry, args.metrics_out)
-            json_path = args.metrics_out + ".json"
-            write_json_snapshot(
-                registry,
-                json_path,
-                run={
-                    "events": processed,
-                    "outputs": outputs,
-                    "elapsed_s": elapsed,
-                    "events_per_s": rate,
-                },
-            )
-            _log.info(
-                "metrics_written",
-                message=f"wrote metrics to {args.metrics_out} "
-                f"(+ {json_path})",
-                path=args.metrics_out,
-            )
-        if args.dump_trace:
-            print(trace.format(), file=sys.stderr)
-        _write_profile(args, engine)
         return 0
     except (ReproError, OSError) as error:
         _log.error(

@@ -38,7 +38,7 @@ from typing import Any, Callable
 import numpy as np
 
 from repro.core.aggregates import PatternLayout
-from repro.core.hpc import partition_attributes
+from repro.core.hpc import flat_runtime_kind, partition_attributes
 from repro.events.batch import BatchSchema, EventBatch
 from repro.query.ast import AggKind, Query
 from repro.query.predicates import (
@@ -65,10 +65,9 @@ def decline_reason(
         return "tracing"
     if query.pattern.has_kleene:
         return "kleene"
-    if query.window is None:
-        return "unwindowed"
-    if not vectorized:
-        return "not_vectorized"
+    runtime = flat_runtime_kind(query, vectorized)
+    if runtime != "vectorized_sem":
+        return "unwindowed" if runtime == "dpc" else "not_vectorized"
     attributes = partition_attributes(query)
     if len(attributes) > 1:
         return "composite_key"

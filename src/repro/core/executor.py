@@ -25,16 +25,27 @@ from typing import Any
 from repro.events.event import Event
 from repro.core.aggregates import PatternLayout
 from repro.core.columnar import decline_reason, plan_for
-from repro.core.dpc import DPCEngine
-from repro.core.hpc import HPCEngine, partition_attributes
-from repro.core.sem import SemEngine
-from repro.core.vectorized import VectorizedSemEngine
+from repro.core.hpc import HPCEngine, flat_runtime, partition_attributes
 from repro.obs.funnel import FunnelRecorder, resolve_funnel
 from repro.obs.registry import MetricsRegistry, resolve_registry
 from repro.obs.tracing import Stage, TraceRecorder, resolve_tracer
 from repro.query.ast import Query
 from repro.query.predicates import local_filter
 from repro.query.validate import validate_query
+
+
+def process_each(
+    executor: Any, events: list[Event]
+) -> list[tuple[Event, Any]]:
+    """``executor.process`` over a batch: the ``(event, fresh)`` pairs of
+    its TRIG arrivals, in stream order — the batch surface of anything
+    that only has a per-event one."""
+    process = executor.process
+    return [
+        (event, fresh)
+        for event in events
+        if (fresh := process(event)) is not None
+    ]
 
 
 class ASeqEngine:
@@ -101,48 +112,21 @@ class ASeqEngine:
         if partition_attributes(query):
             return HPCEngine(
                 query,
-                engine_factory=self._partition_factory(),
+                engine_factory=self._flat_runtime,
                 registry=self.obs_registry,
                 trace=self._trace,
                 funnel=self._funnel,
             )
-        return self._flat_engine(query)
+        return self._flat_runtime(query)
 
-    def _partition_factory(self):
-        layout = self.layout
-        vectorized = self._vectorized
-        registry = self.obs_registry
-        trace = self._trace
-        funnel = self._funnel
-
-        def factory(query: Query) -> Any:
-            if query.window is None:
-                return DPCEngine(query, layout, funnel=funnel)
-            if vectorized:
-                return VectorizedSemEngine(
-                    query, layout, registry=registry, trace=trace,
-                    funnel=funnel,
-                )
-            return SemEngine(
-                query, layout, registry=registry, trace=trace, funnel=funnel
-            )
-
-        return factory
-
-    def _flat_engine(self, query: Query) -> Any:
-        if query.window is None:
-            return DPCEngine(query, self.layout, funnel=self._funnel)
-        if self._vectorized:
-            return VectorizedSemEngine(
-                query,
-                self.layout,
-                registry=self.obs_registry,
-                trace=self._trace,
-                funnel=self._funnel,
-            )
-        return SemEngine(
-            query, self.layout, registry=self.obs_registry,
-            trace=self._trace, funnel=self._funnel,
+    def _flat_runtime(self, query: Query) -> Any:
+        return flat_runtime(
+            query,
+            self.layout,
+            vectorized=self._vectorized,
+            registry=self.obs_registry,
+            trace=self._trace,
+            funnel=self._funnel,
         )
 
     # ----- ingestion -------------------------------------------------------
@@ -257,37 +241,33 @@ class ASeqEngine:
             self._m_events.inc(count)
             if len(kept) < count:
                 self._m_filtered.inc(count - len(kept))
-        if kept:
-            batch = getattr(runtime, "process_batch", None)
-            if batch is not None:
-                emitted = batch(kept)
-            else:
-                process = runtime.process
-                emitted = [
-                    (event, fresh)
-                    for event in kept
-                    if (fresh := process(event)) is not None
-                ]
-        else:
-            emitted = []
-        # The last arrival still moves the clock even when filtered:
-        # windows slide on every event (paper Sec. 2.1).
-        runtime.advance_time(events[-1].ts)
+        emitted = process_each(runtime, kept)
+        self._finish_batch(events[-1].ts, len(emitted))
+        if emitted and self._trace_on:
+            event, fresh = emitted[-1]
+            self._trace.record(
+                Stage.EMIT, event.ts, event.event_type,
+                f"batch_outputs={len(emitted)} last={fresh!r}",
+            )
+        return emitted
+
+    def _finish_batch(self, horizon: int, emits: int) -> None:
+        """What both batch lanes do after the runtime saw the kept rows.
+
+        The last offered arrival moves the clock even when it was
+        filtered — windows slide on every event (paper Sec. 2.1) — then
+        the memory peak is sampled and the emits are counted.
+        """
+        runtime = self._runtime
+        runtime.advance_time(horizon)
         current = runtime.current_objects()
         if current > self.peak_objects:
             self.peak_objects = current
-        if emitted:
+        if emits:
             if self._funnel_on:
-                self._fq.emitted.inc(len(emitted))
+                self._fq.emitted.inc(emits)
             if self._obs_on:
-                self._m_emits.inc(len(emitted))
-            if self._trace_on:
-                event, fresh = emitted[-1]
-                self._trace.record(
-                    Stage.EMIT, event.ts, event.event_type,
-                    f"batch_outputs={len(emitted)} last={fresh!r}",
-                )
-        return emitted
+                self._m_emits.inc(emits)
 
     # ----- columnar lane ---------------------------------------------------
 
@@ -343,23 +323,12 @@ class ASeqEngine:
             self._m_events.inc(offered)
             if kept_count < offered:
                 self._m_filtered.inc(offered - kept_count)
-        runtime = self._runtime
         emitted = (
-            runtime.process_batch_columns(batch, kept_idx, plan)
+            self._runtime.process_batch_columns(batch, kept_idx, plan)
             if kept_count
             else []
         )
-        # The last offered arrival still moves the clock even when
-        # filtered: windows slide on every event (paper Sec. 2.1).
-        runtime.advance_time(horizon)
-        current = runtime.current_objects()
-        if current > self.peak_objects:
-            self.peak_objects = current
-        if emitted:
-            if self._funnel_on:
-                self._fq.emitted.inc(len(emitted))
-            if self._obs_on:
-                self._m_emits.inc(len(emitted))
+        self._finish_batch(horizon, len(emitted))
         return emitted, offered
 
     def result(self) -> Any:

@@ -26,6 +26,7 @@ from repro.events.event import Event
 from repro.core.aggregates import PatternLayout
 from repro.core.dpc import DPCEngine
 from repro.core.sem import SemEngine
+from repro.core.vectorized import VectorizedSemEngine
 from repro.obs.funnel import FunnelRecorder, resolve_funnel
 from repro.obs.registry import MetricsRegistry, resolve_registry
 from repro.obs.tracing import Stage, TraceRecorder, resolve_tracer
@@ -94,6 +95,37 @@ def partition_attribute(query: Query) -> str | None:
     return attributes[0]
 
 
+def flat_runtime_kind(query: Query, vectorized: bool = False) -> str:
+    """Which counting runtime one partition of ``query`` — or all of an
+    unpartitioned query — compiles onto: ``dpc`` (unwindowed: O(1) per
+    event, nothing to vectorize), else ``vectorized_sem`` or ``sem``.
+
+    The one place this is decided; the executor, :class:`HPCEngine`,
+    EXPLAIN and the columnar decline slugs all read it.
+    """
+    if query.window is None:
+        return "dpc"
+    return "vectorized_sem" if vectorized else "sem"
+
+
+def flat_runtime(
+    query: Query,
+    layout: PatternLayout,
+    vectorized: bool = False,
+    registry: MetricsRegistry | None = None,
+    trace: TraceRecorder | None = None,
+    funnel: FunnelRecorder | None = None,
+) -> Any:
+    """Build the runtime :func:`flat_runtime_kind` names."""
+    kind = flat_runtime_kind(query, vectorized)
+    if kind == "dpc":
+        return DPCEngine(query, layout, funnel=funnel)
+    runtime = VectorizedSemEngine if kind == "vectorized_sem" else SemEngine
+    return runtime(
+        query, layout, registry=registry, trace=trace, funnel=funnel
+    )
+
+
 class HPCEngine:
     """Partitioned A-Seq evaluation (equivalence predicates / GROUP BY)."""
 
@@ -120,16 +152,11 @@ class HPCEngine:
         # naturally across partitions.
         self._funnel = resolve_funnel(funnel)
         if engine_factory is None:
-            layout = self.layout
-            if query.window is not None:
-                def engine_factory(q: Query) -> SemEngine:
-                    return SemEngine(
-                        q, layout, registry=self.obs_registry,
-                        trace=self._trace, funnel=self._funnel,
-                    )
-            else:
-                def engine_factory(q: Query) -> DPCEngine:
-                    return DPCEngine(q, layout, funnel=self._funnel)
+            def engine_factory(q: Query) -> Any:
+                return flat_runtime(
+                    q, self.layout, registry=self.obs_registry,
+                    trace=self._trace, funnel=self._funnel,
+                )
         self._engine_factory = engine_factory
         self._partitions: dict[Any, Any] = {}
         #: GROUP BY value (the leading key component) -> its engines.

@@ -197,22 +197,6 @@ class VectorizedSemEngine:
             return self.result()
         return None
 
-    def process_batch(
-        self, events: list[Event]
-    ) -> list[tuple[Event, Any]]:
-        """Ingest a pre-filtered micro-batch; returns ``(event, fresh)``
-        pairs for the TRIG arrivals. Equivalent to per-event
-        :meth:`process` on in-order streams — expiry inside the batch
-        still happens at each event's own timestamp via the binary
-        search in :meth:`_expire`, so window semantics are unchanged.
-        """
-        process = self.process
-        return [
-            (event, fresh)
-            for event in events
-            if (fresh := process(event)) is not None
-        ]
-
     def process_batch_columns(
         self, batch: Any, kept_idx: np.ndarray, plan: Any
     ) -> list[tuple[int, Any]]:

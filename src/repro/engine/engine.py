@@ -23,13 +23,13 @@ from __future__ import annotations
 import os
 import random
 import time
-from itertools import chain, islice
+from itertools import chain, islice, repeat
 from typing import Any, Iterable, Sequence
 
 from repro.errors import EngineError
 from repro.events.batch import EventBatch
 from repro.events.event import Event
-from repro.core.executor import ASeqEngine
+from repro.core.executor import ASeqEngine, process_each
 from repro.engine.metrics import EngineMetrics
 from repro.engine.sinks import Output, ResultSink
 from repro.obs.funnel import FunnelRecorder, resolve_funnel
@@ -70,7 +70,7 @@ def relevant_types_of(executor: Any) -> frozenset[str] | None:
 class _Registration:
     __slots__ = (
         "name", "executor", "sinks", "types",
-        "m_events", "m_outputs", "m_latency", "columnar",
+        "m_events", "m_outputs", "m_latency", "columnar", "health",
     )
 
     def __init__(
@@ -96,6 +96,10 @@ class _Registration:
         #: generator's batches, so one entry covers the steady state;
         #: a None plan means "materialize", the reason says why.
         self.columnar: tuple[Any, Any, str | None] | None = None
+        #: Failure-tracking record a supervising engine attaches (see
+        #: "supervision hooks" on :class:`StreamEngine`); None on a
+        #: plain engine, whose executors' exceptions propagate.
+        self.health: Any = None
 
 
 class StreamEngine:
@@ -207,6 +211,9 @@ class StreamEngine:
         tracer = resolve_tracer(trace)
         self._trace = tracer
         self._trace_on = tracer.enabled
+        #: Nothing to count, trace or guard: process() may take its
+        #: dispatch-only fast path.
+        self._bare = not (self._obs_on or self._trace_on or self._guarded)
         funnel = resolve_funnel(funnel)
         self.funnel = funnel
         self._funnel_on = funnel.enabled
@@ -309,12 +316,43 @@ class StreamEngine:
 
     # ----- event loop -------------------------------------------------------
 
-    def process(self, event: Event) -> None:
+    # ----- supervision hooks ------------------------------------------------
+    #
+    # Routing, executor invocation and sink delivery live in this class
+    # alone. A supervising subclass (1) writes ahead: journals, then
+    # calls the entry point with the sequence numbers; (2) guards: sets
+    # ``_guarded`` and gives each registration a health record, so the
+    # loops below skip it while quarantined and hand its exceptions to
+    # ``_executor_failed`` instead of raising; (3) ticks its checkpoint
+    # schedule once the entry point returns.
+
+    _guarded = False
+
+    def _readmit(self, registration: _Registration, events_seen: int) -> bool:
+        """Whether a quarantined registration may see the arrival that
+        brought the stream to ``events_seen`` events."""
+        return False
+
+    def _executor_failed(
+        self,
+        registration: _Registration,
+        event: Event,
+        error: Exception,
+        journal_seq: int,
+        events_seen: int,
+    ) -> None:
+        """``registration``'s executor raised ``error`` on ``event``;
+        returning isolates it (the loop moves to the next registration)."""
+        raise error
+
+    def process(self, event: Event, journal_seq: int = -1) -> None:
         """Push one event through every registered executor.
 
         A sink that raises does not abort the loop: the error is counted
         (``sink_errors_total``) and the remaining sinks and registrations
-        keep receiving the event.
+        keep receiving the event. ``journal_seq`` is the sequence number
+        a write-ahead log gave the event (-1: not journaled); it rides
+        into any dead letter the event causes.
         """
         if self._routed:
             ts = event.ts
@@ -326,8 +364,7 @@ class StreamEngine:
         else:
             targets = self._all
         self.metrics.events += 1
-        obs_on = self._obs_on
-        if not obs_on and not self._trace_on:
+        if self._bare:
             # Fast path: no clock reads, no counter bumps, no sampling
             # arithmetic — just dispatch.
             for registration in targets:
@@ -343,22 +380,39 @@ class StreamEngine:
                         event=event,
                     )
             return
+        obs_on = self._obs_on
         if obs_on:
             started = time.perf_counter()
             self._m_events.inc()
+        events_seen = self.metrics.events
         sample = self._cost_sample_every
-        timed = obs_on and sample and self.metrics.events % sample == 0
+        timed = obs_on and sample and events_seen % sample == 0
         for registration in targets:
+            health = registration.health
+            if (
+                health is not None
+                and health.quarantined
+                and not self._readmit(registration, events_seen)
+            ):
+                continue
             if obs_on:
                 registration.m_events.inc()
-            if timed:
-                t0 = time.perf_counter()
-                fresh = registration.executor.process(event)
-                registration.m_latency.observe(
-                    (time.perf_counter() - t0) * 1e6
+            try:
+                if timed:
+                    t0 = time.perf_counter()
+                    fresh = registration.executor.process(event)
+                    registration.m_latency.observe(
+                        (time.perf_counter() - t0) * 1e6
+                    )
+                else:
+                    fresh = registration.executor.process(event)
+            except Exception as error:
+                self._executor_failed(
+                    registration, event, error, journal_seq, events_seen
                 )
-            else:
-                fresh = registration.executor.process(event)
+                continue
+            if health is not None and health.consecutive_failures:
+                health.consecutive_failures = 0
             if fresh is None:
                 continue
             self.metrics.outputs += 1
@@ -376,13 +430,16 @@ class StreamEngine:
                     registration.sinks,
                     Output(registration.name, event.ts, fresh),
                     event=event,
+                    journal_seq=journal_seq,
                 )
         if obs_on:
             finished = time.perf_counter()
             self._m_latency.observe((finished - started) * 1e6)
             self._note_event_time(event.ts, finished)
 
-    def process_batch(self, events: Sequence[Event]) -> int:
+    def process_batch(
+        self, events: Sequence[Event], first_seq: int = -1
+    ) -> int:
         """Push a micro-batch through the registrations; returns its size.
 
         Semantically equivalent to calling :meth:`process` per event on
@@ -390,7 +447,9 @@ class StreamEngine:
         engine-level bookkeeping — ingest counters, latency histogram,
         watermark, trace — is flushed once per batch, and each
         registration receives its events through the executor's own
-        ``process_batch`` when it has one.
+        ``process_batch`` when it has one. ``first_seq`` is the journal
+        sequence of ``events[0]`` when a write-ahead log holds the batch
+        (event *i* is ``first_seq + i``; -1: not journaled).
         """
         if not isinstance(events, list):
             events = list(events)
@@ -409,7 +468,7 @@ class StreamEngine:
         if obs_on:
             started = time.perf_counter()
             self._m_events.inc(count)
-        if self._routed:
+        if self._routed and not self._guarded:
             # One pass over the batch splits it per registration through
             # the route index — O(batch x reacting queries), independent
             # of how many registrations the engine carries.
@@ -427,13 +486,38 @@ class StreamEngine:
                 if sub is not None:
                     self._drive_batch(registration, sub, obs_on)
         else:
+            # Unrouted — or guarded, where every registration walks the
+            # whole batch (routing by its own types) so that each event
+            # keeps its position: its journal sequence and its ordinal
+            # in the stream.
             for registration in self._all:
-                self._drive_batch(registration, events, obs_on)
+                self._drive_batch(registration, events, obs_on, first_seq)
         if obs_on:
             finished = time.perf_counter()
             self._m_latency.observe((finished - started) * 1e6 / count)
             self._note_event_time(last_ts, finished)
         return count
+
+    def _check_batch_order(
+        self, batch: EventBatch, enforce_order: bool
+    ) -> int:
+        """The columnar lane's order gate; returns the batch's last
+        timestamp. Nothing of a rejected batch has been ingested."""
+        if enforce_order:
+            batch.ensure_in_order(self._batch_last_ts)
+        last_ts = batch.last_ts()
+        if self._batch_last_ts is None or last_ts > self._batch_last_ts:
+            self._batch_last_ts = last_ts
+        return last_ts
+
+    def _count_decline(self, registration: _Registration, reason: str) -> None:
+        self.obs_registry.counter(
+            "repro_columnar_declined_total",
+            "batches a registration took through the batch→Event "
+            "materializer instead of the columnar kernel, by reason",
+            query=registration.name,
+            reason=reason,
+        ).inc()
 
     def process_event_batch(
         self, batch: EventBatch, enforce_order: bool = True
@@ -467,11 +551,7 @@ class StreamEngine:
         count = len(batch)
         if not count:
             return 0
-        if enforce_order:
-            batch.ensure_in_order(self._batch_last_ts)
-        last_ts = batch.last_ts()
-        if self._batch_last_ts is None or last_ts > self._batch_last_ts:
-            self._batch_last_ts = last_ts
+        last_ts = self._check_batch_order(batch, enforce_order)
         self.metrics.events += count
         if self._clock_ms is None or last_ts > self._clock_ms:
             self._clock_ms = last_ts
@@ -495,14 +575,7 @@ class StreamEngine:
                 # way routed process_batch buckets (materialized once,
                 # shared across every fallback registration).
                 if obs_on:
-                    self.obs_registry.counter(
-                        "repro_columnar_declined_total",
-                        "batches a registration took through the "
-                        "batch→Event materializer instead of the "
-                        "columnar kernel, by reason",
-                        query=registration.name,
-                        reason=reason,
-                    ).inc()
+                    self._count_decline(registration, reason)
                 if materialized is None:
                     materialized = batch.to_events()
                 if not routed or registration.types is None:
@@ -566,21 +639,66 @@ class StreamEngine:
         registration: _Registration,
         events: list[Event],
         obs_on: bool,
+        first_seq: int = -1,
     ) -> None:
-        """Feed one registration its slice of a batch and fan out sinks."""
-        executor = registration.executor
-        batch = getattr(executor, "process_batch", None)
-        if batch is not None:
-            emitted = batch(events)
+        """Feed one registration its slice of a batch and fan out sinks.
+
+        A registration with a health record takes the guarded branch:
+        ``events`` is then the whole batch :meth:`process_batch` was
+        given, offered one event at a time so that a raising executor
+        dead-letters exactly the poison event under its own journal
+        sequence, and nothing more is offered once it is quarantined.
+        """
+        health = registration.health
+        if health is None:
+            executor = registration.executor
+            batch = getattr(executor, "process_batch", None)
+            emitted = (
+                batch(events)
+                if batch is not None
+                else process_each(executor, events)
+            )
+            offered = len(events)
+            emitted_seqs: Iterable[int] = repeat(-1)
         else:
-            process = executor.process
-            emitted = [
-                (event, fresh)
-                for event in events
-                if (fresh := process(event)) is not None
-            ]
+            types = registration.types if self._routed else None
+            first_seen = self.metrics.events - len(events) + 1
+            emitted = []
+            rows = []
+            offered = 0
+            for row, event in enumerate(events):
+                if types is not None and event.event_type not in types:
+                    continue
+                if health.quarantined and not self._readmit(
+                    registration, first_seen + row
+                ):
+                    continue
+                offered += 1
+                try:
+                    # Looked up per event: a readmission may have
+                    # swapped in an executor restored from a checkpoint.
+                    fresh = registration.executor.process(event)
+                except Exception as error:
+                    self._executor_failed(
+                        registration,
+                        event,
+                        error,
+                        first_seq + row if first_seq >= 0 else -1,
+                        first_seen + row,
+                    )
+                    continue
+                if health.consecutive_failures:
+                    health.consecutive_failures = 0
+                if fresh is not None:
+                    emitted.append((event, fresh))
+                    rows.append(row)
+            emitted_seqs = (
+                [first_seq + row for row in rows]
+                if first_seq >= 0
+                else repeat(-1)
+            )
         if obs_on:
-            registration.m_events.inc(len(events))
+            registration.m_events.inc(offered)
         count = len(emitted)
         if not count:
             return
@@ -589,18 +707,20 @@ class StreamEngine:
             self._m_outputs.inc(count)
             registration.m_outputs.inc(count)
         if self._trace_on:
+            last = emitted[-1][0]
             self._trace.record(
-                Stage.EMIT, events[-1].ts, events[-1].event_type,
+                Stage.EMIT, last.ts, last.event_type,
                 f"query={registration.name} batch_outputs={count}",
             )
         if registration.sinks:
             name = registration.name
-            for event, fresh in emitted:
+            for (event, fresh), seq in zip(emitted, emitted_seqs):
                 self._deliver(
                     name,
                     registration.sinks,
                     Output(name, event.ts, fresh),
                     event=event,
+                    journal_seq=seq,
                 )
 
     def _deliver(

@@ -130,7 +130,6 @@ from repro.errors import (
 )
 from repro.events.batch import EventBatch
 from repro.events.event import Event
-from repro.core.checkpoint import restore as _executor_restore
 from repro.core.hpc import partition_attributes
 from repro.engine.engine import StreamEngine
 from repro.engine.metrics import EngineMetrics
@@ -166,6 +165,7 @@ from repro.obs.tracing import (
 from repro.query.ast import AggKind, Query
 from repro.query.parser import parse_query
 from repro.resilience.checkpointer import (
+    apply_engine_state,
     engine_state,
     load_latest_checkpoint,
 )
@@ -196,22 +196,6 @@ _NON_ADDITIVE_ROW_KEYS = frozenset(
 def shard_of(key: Any, shards: int) -> int:
     """Deterministic cross-process shard assignment for one key."""
     return zlib.crc32(repr(key).encode("utf-8")) % shards
-
-
-def _apply_seed(engine: StreamEngine, state: dict[str, Any]) -> None:
-    """Restore every registration's executor from an engine checkpoint
-    document in place (the registrations already exist; routing keeps
-    pointing at the registration objects, whose ``executor`` attribute
-    is looked up at dispatch time)."""
-    for entry in state.get("registrations", []):
-        registration = engine._registrations.get(entry["name"])
-        if registration is None:
-            continue
-        registration.executor = _executor_restore(
-            registration.executor.query,
-            entry["state"],
-            vectorized=bool(entry.get("vectorized", False)),
-        )
 
 
 class _SpanOutbox:
@@ -620,7 +604,7 @@ def _worker_loop(
             )
         elif command == "seed":
             try:
-                _apply_seed(engine, payload)
+                apply_engine_state(engine, payload)
                 executors = {
                     name: engine._registrations[name].executor
                     for name in spec_names
@@ -1701,7 +1685,7 @@ class ShardedStreamEngine:
             fold.register(query, name=name)
         start_seq = worker.replay_base
         if worker.checkpoint is not None:
-            _apply_seed(fold, worker.checkpoint)
+            apply_engine_state(fold, worker.checkpoint)
             start_seq = max(
                 start_seq, int(worker.checkpoint.get("journal_seq", 0))
             )

@@ -40,21 +40,18 @@ DEFAULT_RATE_PER_TYPE = 16.0
 
 
 def runtime_of(query: Query, vectorized: bool = False) -> dict[str, Any]:
-    """Mirror :meth:`repro.core.executor.ASeqEngine._compile`'s choice."""
-    from repro.core.hpc import partition_attributes
+    """The runtime :class:`repro.core.executor.ASeqEngine` compiles
+    ``query`` onto, as :func:`repro.core.hpc.flat_runtime_kind` and
+    :func:`~repro.core.hpc.partition_attributes` decide it."""
+    from repro.core.hpc import flat_runtime_kind, partition_attributes
 
     attributes = partition_attributes(query)
-    if query.window is None:
-        inner = "dpc"
-    elif vectorized:
-        inner = "vectorized_sem"
-    else:
-        inner = "sem"
+    inner = flat_runtime_kind(query, vectorized)
     return {
         "kind": "hpc" if attributes else inner,
         "inner": inner if attributes else None,
         "partition_attribute": attributes[0] if attributes else None,
-        "vectorized": bool(vectorized and query.window is not None),
+        "vectorized": inner == "vectorized_sem",
     }
 
 

@@ -29,6 +29,7 @@ from pathlib import Path
 from typing import Any
 
 from repro.core.checkpoint import checkpoint as executor_checkpoint
+from repro.core.checkpoint import restore as executor_restore
 from repro.errors import CheckpointError
 from repro.obs.registry import MetricsRegistry, resolve_registry
 
@@ -105,6 +106,38 @@ def engine_state(engine: Any, journal_seq: int = 0) -> dict[str, Any]:
         },
         "registrations": registrations,
     }
+
+
+def apply_engine_state(
+    engine: Any, state: dict[str, Any], only: str | None = None
+) -> None:
+    """The inverse of :func:`engine_state`: restore the executors of
+    ``engine``'s registrations from a checkpoint document, in place.
+
+    The registrations must already exist (routing keeps pointing at the
+    registration objects, whose ``executor`` is looked up at dispatch
+    time); entries naming none are skipped. ``only`` restores that one
+    registration and raises :class:`~repro.errors.CheckpointError` when
+    the document does not hold it.
+    """
+    found = False
+    for entry in state.get("registrations", []):
+        name = entry["name"]
+        if only is not None and name != only:
+            continue
+        registration = engine._registrations.get(name)
+        if registration is None:
+            continue
+        found = True
+        registration.executor = executor_restore(
+            registration.executor.query,
+            entry["state"],
+            vectorized=bool(entry.get("vectorized", False)),
+        )
+    if only is not None and not found:
+        raise CheckpointError(
+            f"checkpoint holds no registration named {only!r}"
+        )
 
 
 def validate_engine_state(state: Any) -> dict[str, Any]:

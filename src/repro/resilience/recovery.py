@@ -15,8 +15,8 @@ negation, value aggregates). The pieces:
    with no loadable checkpoint at all, recovery degrades to a full
    journal replay from offset 0 (queries must then be re-supplied);
 2. rebuild the :class:`SupervisedStreamEngine`: each registration's
-   query text is re-parsed and its executor state restored through the
-   per-runtime serializers of :mod:`repro.core.checkpoint`;
+   query text is re-parsed and registered, then the document is applied
+   (:func:`repro.resilience.checkpointer.apply_engine_state`);
 3. replay the journal suffix (``seq >= checkpoint.journal_seq``)
    through the restored engine — the journal reader tolerates a torn
    final record, so a crash mid-append loses at most the event whose
@@ -36,14 +36,17 @@ from __future__ import annotations
 from pathlib import Path
 from typing import Mapping, Sequence
 
-from repro.core.checkpoint import restore as executor_restore
 from repro.errors import CheckpointError
 from repro.engine.sinks import ResultSink
 from repro.obs.registry import MetricsRegistry, resolve_registry
 from repro.obs.tracing import Stage, TraceRecorder, resolve_tracer
 from repro.query.ast import Query
 from repro.query.parser import parse_query
-from repro.resilience.checkpointer import Checkpointer, load_latest_checkpoint
+from repro.resilience.checkpointer import (
+    Checkpointer,
+    apply_engine_state,
+    load_latest_checkpoint,
+)
 from repro.resilience.journal import EventJournal, read_journal
 from repro.resilience.supervisor import SupervisedStreamEngine
 
@@ -96,13 +99,12 @@ def recover(
         engine.metrics.sink_errors = metrics.get("sink_errors", 0)
         for entry in state["registrations"]:
             name = entry["name"]
-            query = parse_query(entry["state"]["query"], name=name)
-            executor = executor_restore(
-                query,
-                entry["state"],
-                vectorized=bool(entry.get("vectorized", False)),
+            engine.register(
+                parse_query(entry["state"]["query"], name=name),
+                *sinks.get(name, ()),
+                name=name,
             )
-            engine.register_executor(name, executor, *sinks.get(name, ()))
+        apply_engine_state(engine, state)
     elif queries is not None:
         for index, query in enumerate(queries):
             name = query.name or f"q{index}"

@@ -59,6 +59,7 @@ from repro.events.event import Event
 from repro.obs.logging import get_logger
 from repro.obs.registry import MetricsRegistry, resolve_registry
 from repro.resilience.checkpointer import (
+    apply_engine_state,
     load_latest_checkpoint,
     write_checkpoint,
 )
@@ -460,7 +461,7 @@ def recover_router(
        do not already hold — anything redelivered anyway (conservative
        overlap) is dropped by the worker's own dedup cursor.
     """
-    from repro.engine.sharded import ShardedStreamEngine, _apply_seed
+    from repro.engine.sharded import ShardedStreamEngine
 
     directory = Path(directory)
     registry = resolve_registry(registry)
@@ -563,7 +564,7 @@ def recover_router(
         engine._clock_ms = router["clock_ms"]
         engine._route_seq = int(router["route_seq"])
         engine.shed_events = int(router.get("shed_events", 0))
-        _apply_seed(engine._local, state)
+        apply_engine_state(engine._local, state)
         metrics = state.get("metrics", {})
         local = engine._local.metrics
         local.events = metrics.get("events", 0)

@@ -11,7 +11,7 @@ places where batching *changes* bookkeeping granularity on purpose
 import random
 
 from conftest import random_events
-from repro.core.executor import ASeqEngine
+from repro.core.executor import ASeqEngine, process_each
 from repro.core.vectorized import VectorizedSemEngine
 from repro.engine.engine import StreamEngine
 from repro.engine.sinks import CollectSink
@@ -131,7 +131,7 @@ def test_vectorized_batch_and_searchsorted_expiry():
     for event in events:
         reference.process(event)
     for start in range(0, len(events), 33):
-        batched.process_batch(events[start:start + 33])
+        process_each(batched, events[start:start + 33])
     assert reference.result() == batched.result()
     assert reference.active_counters == batched.active_counters
     assert reference.counter_updates == batched.counter_updates

@@ -2,9 +2,11 @@
 
 import pytest
 
+from repro.engine.engine import StreamEngine
 from repro.engine.sinks import CollectSink
-from repro.errors import EngineError, OverloadError
+from repro.errors import EngineError, OutOfOrderError, OverloadError
 from repro.events import Event
+from repro.events.batch import EventBatch
 from repro.obs.registry import MetricsRegistry
 from repro.query import seq
 from repro.resilience import (
@@ -15,8 +17,11 @@ from repro.resilience import (
     FaultPlan,
     InjectedFault,
     SupervisedStreamEngine,
+    recover,
 )
+from repro.resilience.checkpointer import list_checkpoints
 from repro.resilience.faults import FaultyExecutor
+from repro.resilience.journal import read_journal
 
 from repro.core.executor import ASeqEngine
 
@@ -255,6 +260,217 @@ def test_engine_overload_policy_flows_through():
     with pytest.raises(OverloadError):
         for event in events:
             engine.process(event)
+
+
+# ----- one dispatch spine: supervision through every entry point -------------
+
+LANES = ("process", "process_batch", "process_event_batch", "run_batches")
+CHUNK = 16
+
+
+def feed(engine, events, lane):
+    """Push ``events`` through one of the engine's ingest entry points."""
+    if lane == "process":
+        for event in events:
+            engine.process(event)
+        return
+    chunks = [events[i:i + CHUNK] for i in range(0, len(events), CHUNK)]
+    if lane == "process_batch":
+        for chunk in chunks:
+            engine.process_batch(chunk)
+    elif lane == "process_event_batch":
+        for chunk in chunks:
+            engine.process_event_batch(EventBatch.from_events(chunk))
+    else:
+        engine.run(EventBatch.from_events(chunk) for chunk in chunks)
+
+
+def abz_stream(n=96):
+    return [Event("ABZ"[i % 3], i + 1) for i in range(n)]
+
+
+class WalProbe:
+    """Catch-all executor noting how far the journal had got each time
+    it was offered an event."""
+
+    layout = None
+
+    def __init__(self, journal):
+        self.journal = journal
+        self.seen = []
+
+    def process(self, event):
+        self.seen.append((event.ts, self.journal.next_seq))
+        return None
+
+    def result(self):
+        return len(self.seen)
+
+
+def supervised_run(directory, lane, routed, events):
+    registry = MetricsRegistry()
+    journal = EventJournal(directory)
+    engine = SupervisedStreamEngine(
+        registry=registry, routed=routed, quarantine_after=3,
+        journal=journal,
+    )
+    sinks = {"healthy": CollectSink(), "flaky": CollectSink()}
+    engine.register(ab_query("healthy"), sinks["healthy"])
+    engine.register_executor(
+        "flaky",
+        FaultyExecutor(ASeqEngine(ab_query("flaky")), fail_at=range(0, 96, 4)),
+        sinks["flaky"],
+    )
+    engine.register_executor(
+        "poison", FaultyExecutor(ASeqEngine(ab_query("poison")), poison=True)
+    )
+    engine.register_executor("probe", WalProbe(journal))
+    feed(engine, events, lane)
+    journal.close()
+    return engine, registry, sinks
+
+
+def letters_of(engine):
+    return sorted(
+        (letter.journal_seq, letter.query_name, letter.event)
+        for letter in engine.dlq
+    )
+
+
+@pytest.mark.parametrize("routed", [False, True])
+@pytest.mark.parametrize("lane", LANES)
+def test_every_entry_point_is_supervised_alike(tmp_path, lane, routed):
+    events = abz_stream()
+    engine, registry, sinks = supervised_run(
+        tmp_path / "lane", lane, routed, events
+    )
+
+    # WAL: every row journaled, and journaled before any executor saw it
+    # (event ts i+1 holds sequence i).
+    assert list(read_journal(tmp_path / "lane")) == list(enumerate(events))
+    probe = engine.executor_of("probe")
+    assert [ts for ts, _ in probe.seen] == [event.ts for event in events]
+    assert all(next_seq >= ts for ts, next_seq in probe.seen)
+
+    # Isolation: a dead letter is the poison row under its own sequence;
+    # the siblings' outputs are what an unsupervised engine produces.
+    letters = letters_of(engine)
+    assert letters and all(
+        seq == event.ts - 1 for seq, _, event in letters
+    )
+    oracle = StreamEngine(routed=routed)
+    oracle_sink = CollectSink()
+    oracle.register(ab_query("healthy"), oracle_sink)
+    oracle.run(events)
+    assert sinks["healthy"].values() == oracle_sink.values()
+    assert engine.result("healthy") == oracle.result("healthy")
+
+    # Quarantine after K in a row stops the rest of the slice.
+    assert engine.quarantined() == ["poison"]
+    assert engine.executor_of("poison").offered == 3
+    flaky = engine.executor_of("flaky")
+    assert flaky.failures == engine.health_of("flaky")["failures_total"] > 3
+
+    # Outputs, letters and health agree with process_batch exactly.
+    reference, _, reference_sinks = supervised_run(
+        tmp_path / "reference", "process_batch", routed, events
+    )
+    assert letters == letters_of(reference)
+    for name in engine.query_names:
+        assert engine.health_of(name) == reference.health_of(name)
+    assert engine.results() == reference.results()
+    for name, sink in sinks.items():
+        assert sink.values() == reference_sinks[name].values()
+    assert engine.metrics.events == reference.metrics.events == len(events)
+    assert engine.metrics.outputs == reference.metrics.outputs
+
+    # The batch lanes say they materialised: one tick per registration
+    # per batch.
+    batches = len(events) // CHUNK if lane in LANES[2:] else 0
+    for name in engine.query_names:
+        assert registry.value(
+            "repro_columnar_declined_total", query=name, reason="supervised"
+        ) == batches
+
+
+@pytest.mark.parametrize("lane", LANES)
+def test_auto_restart_backoff_counts_events_not_batches(lane):
+    engine = SupervisedStreamEngine(
+        quarantine_after=2, auto_restart_events=10
+    )
+    flaky = FaultyExecutor(ASeqEngine(ab_query("flaky")), fail_at=range(6))
+    engine.register_executor("flaky", flaky)
+    feed(engine, stream(120), lane)
+    # Events 1-2 fail: quarantined, retry at 12. 12-13 fail: retry at
+    # 33. 33-34 fail: retry at 74, from where it stays healthy.
+    assert flaky.offered == 6 + (120 - 74 + 1)
+    assert engine.health_of("flaky") == {
+        "quarantined": False,
+        "consecutive_failures": 0,
+        "failures_total": 6,
+        "retry_at_event": None,
+    }
+
+
+@pytest.mark.parametrize("lane", LANES)
+def test_dlq_overload_policies_through_every_entry_point(lane):
+    engine, _ = poison_engine(
+        quarantine_after=100, dlq_capacity=4, overload_policy="raise"
+    )
+    with pytest.raises(OverloadError):
+        feed(engine, stream(20), lane)
+    engine, _ = poison_engine(quarantine_after=100, dlq_capacity=4)
+    feed(engine, stream(20), lane)
+    assert len(engine.dlq) == 4
+    assert engine.dlq.shed == 16
+
+
+@pytest.mark.parametrize("lane", LANES)
+def test_checkpoint_cadence_and_recovery_from_every_entry_point(
+    tmp_path, lane
+):
+    events = abz_stream(112)
+    queries = [
+        ab_query("ab"),
+        seq("A", "B").count().within(ms=40).named("wide").build(),
+    ]
+    journal = EventJournal(tmp_path)
+    engine = SupervisedStreamEngine(journal=journal)
+    checkpointer = Checkpointer(
+        tmp_path, engine, journal=journal, every_events=100
+    )
+    engine.attach_checkpointer(checkpointer)
+    for query in queries:
+        engine.register(query)
+    feed(engine, events[:96], lane)
+    assert checkpointer.last_path is None
+    feed(engine, events[96:], lane)
+    assert checkpointer.last_path is not None
+    journal.close()
+
+    oracle = StreamEngine()
+    for query in queries:
+        oracle.register(query)
+    oracle.run(events)
+    recovered = recover(tmp_path, reattach_journal=False)
+    assert recovered.results() == oracle.results() == engine.results()
+    assert recovered.events_replayed <= 12
+    # With the checkpoints gone, the journal alone replays to the same.
+    for path in list_checkpoints(tmp_path):
+        path.unlink()
+    replayed = recover(tmp_path, queries=queries, reattach_journal=False)
+    assert replayed.events_replayed == len(events)
+    assert replayed.results() == oracle.results()
+
+
+def test_rejected_batch_reaches_neither_journal_nor_executors(tmp_path):
+    engine = SupervisedStreamEngine(journal=EventJournal(tmp_path))
+    engine.register(ab_query())
+    engine.process_event_batch(EventBatch.from_events(stream(4)))
+    with pytest.raises(OutOfOrderError):
+        engine.process_event_batch(EventBatch.from_events(stream(2)))
+    assert engine.journal.next_seq == 4
+    assert engine.metrics.events == 4
 
 
 # ----- journal backlog bound -------------------------------------------------

@@ -15,7 +15,11 @@ from repro.engine import CollectSink, StreamEngine
 from repro.engine.sinks import Output, ResultSink
 from repro.events.event import Event
 from repro.query import seq
-from repro.resilience import DeadLetterQueue, SupervisedStreamEngine
+from repro.resilience import (
+    DeadLetterQueue,
+    EventJournal,
+    SupervisedStreamEngine,
+)
 from repro.resilience.faults import BurstySink, InjectedFault
 
 
@@ -88,14 +92,21 @@ def test_sibling_sinks_unaffected_by_failing_sink():
     assert len(good.values()) == 4
 
 
-def test_supervised_engine_wires_sink_dlq_to_its_own_dlq():
-    engine = SupervisedStreamEngine(sink_retries=1, sink_retry_backoff_s=0.0)
-    assert engine.sink_dlq is engine.dlq
-    sink = AlwaysFailingSink()
-    engine.register(_ab_query(), sink)
-    engine.run(_ab_events(3))
-    letters = [letter for letter in engine.dlq.drain() if letter.output]
-    assert len(letters) == 3
+def test_supervised_engine_wires_sink_dlq_to_its_own_dlq(tmp_path):
+    for batch_size in (0, 4):
+        engine = SupervisedStreamEngine(
+            sink_retries=1, sink_retry_backoff_s=0.0, batch_size=batch_size
+        )
+        engine.attach_journal(EventJournal(tmp_path / str(batch_size)))
+        assert engine.sink_dlq is engine.dlq
+        sink = AlwaysFailingSink()
+        engine.register(_ab_query(), sink)
+        engine.run(_ab_events(3))
+        letters = [letter for letter in engine.dlq.drain() if letter.output]
+        assert len(letters) == 3
+        # Each undelivered output names the B event that triggered it,
+        # per event and per batch alike.
+        assert [letter.journal_seq for letter in letters] == [1, 3, 5]
 
 
 def test_zero_backoff_does_not_sleep():
