@@ -22,7 +22,8 @@ import json
 import os
 import sys
 import time
-from typing import Any, Iterable, Iterator
+from dataclasses import dataclass
+from typing import Any, Callable, Iterable, Iterator
 
 from repro.baseline.twostep import TwoStepEngine
 from repro.core.executor import ASeqEngine
@@ -30,6 +31,8 @@ from repro.datagen.clicks import ClickStreamGenerator
 from repro.datagen.security import LoginStreamGenerator
 from repro.datagen.stock import StockTradeGenerator
 from repro.datagen.tracefile import read_trace, read_trace_batches
+from repro.engine.engine import StreamEngine
+from repro.engine.sinks import CallbackSink
 from repro.errors import ReproError
 from repro.events.batch import EventBatch, batches_from_events
 from repro.events.event import Event
@@ -373,13 +376,97 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_queries(args: argparse.Namespace) -> list:
-    sources = [args.query, args.query_file, args.workload_file]
-    if sum(s is not None for s in sources) != 1:
-        raise SystemExit(
+def _check_flags(args: argparse.Namespace) -> None:
+    """The one flag-compatibility table: refuse, with the first message
+    that applies, before any source is opened or thread started."""
+    sharded = args.shards > 0
+    supervised = not sharded and bool(args.journal or args.recover)
+    baseline = args.engine in ("twostep", "both")
+    fleet = args.workers_file or args.membership_listen
+    query_sources = (args.query, args.query_file, args.workload_file)
+    refusals = (
+        (
+            sum(s is not None for s in query_sources) != 1,
             "exactly one of --query / --query-file / --workload-file "
-            "is required"
-        )
+            "is required",
+        ),
+        (
+            (args.trace is None) == (args.generate is None),
+            "exactly one of --trace / --generate is required",
+        ),
+        (
+            sharded and args.journal,
+            "--shards cannot be combined with --journal; the supervised "
+            "engine is single-process (use --router-journal for a "
+            "crash-safe router)",
+        ),
+        (
+            sharded and args.recover and not args.router_journal,
+            "--shards --recover needs --router-journal DIR (the router "
+            "WAL to resume from)",
+        ),
+        (
+            sharded and baseline,
+            "--shards runs A-Seq executors; --engine twostep/both is "
+            "not supported here",
+        ),
+        (
+            sharded and args.shared,
+            "--shards and --shared are mutually exclusive",
+        ),
+        (sharded and args.ingest_lanes < 1, "--ingest-lanes must be >= 1"),
+        (
+            sharded and fleet and args.heartbeat_interval <= 0,
+            "--workers-file/--membership-listen need shard supervision "
+            "(--heartbeat-interval > 0)",
+        ),
+        (
+            not sharded and args.shard_journal,
+            "--shard-journal requires --shards N",
+        ),
+        (
+            not sharded and args.router_journal,
+            "--router-journal requires --shards N",
+        ),
+        (
+            not sharded and (args.transport != "pipe" or args.shard_worker),
+            "--transport/--shard-worker require --shards N",
+        ),
+        (
+            not sharded and fleet,
+            "--workers-file/--membership-listen require --shards N",
+        ),
+        (
+            supervised and args.columnar,
+            "--columnar is not supported with --journal/--recover (the "
+            "supervised engine journals per-event)",
+        ),
+        (
+            supervised and args.journal is None,
+            "--recover requires --journal DIR",
+        ),
+        (
+            supervised and baseline,
+            "--journal needs checkpointable executors; --engine "
+            "twostep/both is not supported here",
+        ),
+        (
+            args.columnar and baseline,
+            "--columnar runs A-Seq executors; --engine twostep/both is "
+            "not supported here",
+        ),
+        (
+            args.columnar and args.shared,
+            "--columnar and --shared are mutually exclusive (shared "
+            "plans consume events per-TRIG)",
+        ),
+    )
+    for refused, message in refusals:
+        if refused:
+            raise SystemExit(message)
+
+
+def _load_queries(args: argparse.Namespace) -> list:
     if args.query is not None:
         return [parse_query(args.query, name="q")]
     if args.query_file is not None:
@@ -389,10 +476,24 @@ def _load_queries(args: argparse.Namespace) -> list:
         return parse_workload(handle.read())
 
 
-def _load_events(args: argparse.Namespace) -> Iterable[Event]:
-    if (args.trace is None) == (args.generate is None):
-        raise SystemExit("exactly one of --trace / --generate is required")
+def _columnar_batch_size(args: argparse.Namespace) -> int:
+    return args.batch_size if args.batch_size > 1 else 4096
+
+
+def _load_source(
+    args: argparse.Namespace,
+) -> Iterable[Event] | Iterator[EventBatch]:
+    """The event source: ``Event``s, or ``EventBatch``es under
+    ``--columnar``.
+
+    A ``--columnar`` trace file is parsed straight into columns — no
+    ``Event`` and no ``EventStream``; the engine's vectorised per-batch
+    check enforces stream order instead. The reorder buffer and the
+    generators produce events, so those are columnarized from events.
+    """
     if args.trace is not None:
+        if args.columnar and not args.reorder_slack_ms:
+            return read_trace_batches(args.trace, _columnar_batch_size(args))
         events: Iterable[Event] = read_trace(
             args.trace, enforce_order=args.reorder_slack_ms == 0
         )
@@ -401,46 +502,22 @@ def _load_events(args: argparse.Namespace) -> Iterable[Event]:
         events = generator.events(args.events)
     if args.reorder_slack_ms:
         events = reordered(events, slack_ms=args.reorder_slack_ms)
+    if args.columnar:
+        return batches_from_events(events, _columnar_batch_size(args))
     return events
 
 
-def _columnar_batch_size(args: argparse.Namespace) -> int:
-    return args.batch_size if args.batch_size > 1 else 4096
-
-
-def _load_batches(args: argparse.Namespace) -> Iterator[EventBatch]:
-    """The ``--columnar`` event source.
-
-    A trace file is parsed straight into columns — no ``Event`` and no
-    ``EventStream``; the engine's vectorised per-batch check enforces
-    stream order instead. The reorder buffer and the generators produce
-    events, so those are columnarized from events as before.
-    """
-    batch_size = _columnar_batch_size(args)
-    if (
-        args.trace is not None
-        and args.generate is None
-        and not args.reorder_slack_ms
-    ):
-        return read_trace_batches(args.trace, batch_size)
-    return batches_from_events(_load_events(args), batch_size)
-
-
-def _build_engine(
+def _build_executor(
     args: argparse.Namespace,
     queries: list,
-    registry: MetricsRegistry,
-    trace: TraceRecorder,
+    registry: MetricsRegistry | None = None,
+    trace: TraceRecorder | None = None,
 ) -> Any:
+    """The executor the default lane hosts and offline ``explain`` plans
+    for (reads ``workload_file`` / ``shared`` / ``engine`` only)."""
     if len(queries) > 1 or args.workload_file is not None:
         if args.shared:
-            engine = WorkloadEngine(queries, registry=registry)
-            _log.info(
-                "workload_plan",
-                message=engine.describe().replace("\n", "\n# "),
-                queries=len(queries),
-            )
-            return engine
+            return WorkloadEngine(queries, registry=registry)
         return UnsharedEngine(queries, registry=registry)
     (query,) = queries
     if args.engine == "twostep":
@@ -450,140 +527,114 @@ def _build_engine(
     return ASeqEngine(query, registry=registry, trace=trace)
 
 
-def _explain_plan(engine: Any) -> dict[str, Any]:
-    hook = getattr(engine, "explain", None)
-    return hook() if callable(hook) else explain_engine(engine)
+@dataclass
+class _Lane:
+    """What a lane adds to the run spine besides its engine: how its
+    lines read and what it must close — data, not a code path."""
+
+    engine: Any
+    #: Finishes the ``run_complete`` sentence; read once ingest is over.
+    detail: Callable[[], str]
+    #: ``result`` line shape (the default lane's carries no name).
+    result_line: str = "result\t{name}\t{value}"
+    #: Success-only duties between ingest and the final aggregates
+    #: (last checkpoint, journal close), returning those aggregates.
+    settle: Callable[[], dict[str, Any]] | None = None
+    #: Suffix of the "wrote metrics" line (None: the lane logs none).
+    written: str | None = None
+    #: What ``--explain`` plans (None: the engine).
+    explained: Any = None
+    #: Registration that cross-checks the other one (``--engine both``).
+    cross_check: str | None = None
+    #: Extra ``run_complete`` / snapshot fields (None: the output count).
+    fields: dict[str, Any] | None = None
+    #: The fleet's ``--profile-out`` text (the sharded engine owns its
+    #: profilers, one per process).
+    fleet_profile: Callable[[], str] | None = None
+    #: Run after the admin endpoint stops, however the run ended.
+    closers: tuple[Callable[[], None], ...] = ()
 
 
-def _print_explain(engine: Any) -> None:
-    """``--explain`` in run mode: plan to stderr, results stay clean."""
-    print(render_explain(_explain_plan(engine)), file=sys.stderr, end="")
+def _names(queries: list) -> list[str]:
+    return [query.name or f"q{index}" for index, query in enumerate(queries)]
 
 
-def _open_run(
-    args: argparse.Namespace,
-    engine: Any,
-    registry: MetricsRegistry,
-    trace: TraceRecorder,
-    history: HistoryRecorder | None,
-    profiler: SamplingProfiler | None = None,
-) -> AdminServer | None:
-    """What every lane does between building its engine and ingesting:
-    ``--explain`` to stderr, the history recorder's cost refresher, the
-    admin endpoint (returned for :func:`_stop_admin`)."""
-    if args.explain:
-        _print_explain(engine)
-    if history is not None:
-        refresh = getattr(engine, "refresh_cost_metrics", None)
-        if callable(refresh):
-            history.set_refresher(refresh)
-    if args.admin_port is None:
-        return None
-    admin = AdminServer(
-        engine,
-        registry=registry,
-        trace=trace,
-        history=history,
-        profiler=profiler,
-        port=args.admin_port,
-    )
-    admin.start()
-    return admin
-
-
-def _finish_run(
-    args: argparse.Namespace,
-    engine: Any,
-    registry: MetricsRegistry,
-    trace: TraceRecorder,
-    processed: int,
-    elapsed: float,
-    detail: str,
-    results: dict[str, Any] | None = None,
-    written: str | None = None,
-    **fields: Any,
-) -> None:
-    """What every lane does once ingest is over: print the final
-    aggregates, log ``run_complete``, write ``--metrics-out`` (Prometheus
-    text and JSON snapshot), ``--dump-trace`` and the workload profile.
-
-    ``detail`` finishes the ``run_complete`` sentence; ``fields`` ride in
-    that record and in the snapshot's ``run`` section; ``written`` is
-    what the lane appends to its "wrote metrics" line (None: it logs
-    none).
-    """
-    if results is not None and args.emit != "none":
-        for name, value in results.items():
-            print(f"result\t{name}\t{value}")
-    rate = processed / elapsed if elapsed else 0.0
-    _log.info(
-        "run_complete",
-        message=f"{processed:,} events in {elapsed:.2f}s "
-        f"({rate:,.0f} ev/s){detail}",
-        events=processed,
-        **fields,
-        elapsed_s=round(elapsed, 3),
-    )
-    if args.metrics_out:
-        write_prometheus(registry, args.metrics_out)
-        write_json_snapshot(
-            registry,
-            args.metrics_out + ".json",
-            run={
-                "events": processed,
-                **fields,
-                "elapsed_s": elapsed,
-                "events_per_s": rate,
-            },
-        )
-        if written is not None:
-            _log.info(
-                "metrics_written",
-                message=f"wrote metrics to {args.metrics_out}{written}",
-                path=args.metrics_out,
-            )
-    if args.dump_trace:
-        print(trace.format(), file=sys.stderr)
-    if args.workload_profile:
-        refresh = getattr(engine, "refresh_cost_metrics", None)
-        if callable(refresh):
-            try:
-                refresh()  # pull-based gauges (drift, watermarks) go stale
-            except Exception:
-                pass
-        write_workload_profile(engine, args.workload_profile)
-        _log.info(
-            "workload_profile_written",
-            message=f"wrote workload profile to {args.workload_profile}",
-            path=args.workload_profile,
-        )
-
-
-def _stop_admin(admin: AdminServer | None, linger: float) -> None:
-    if admin is None:
-        return
-    if linger > 0:
-        _log.info(
-            "admin_linger",
-            message=f"admin endpoint lingering {linger:g}s at "
-            f"{admin.url()}",
-            seconds=linger,
-        )
-        time.sleep(linger)
-    admin.stop()
-
-
-def _run_resilient(
+def _build_engine(
     args: argparse.Namespace,
     queries: list,
-    events: Iterable[Event],
     registry: MetricsRegistry,
     trace: TraceRecorder,
-    history: HistoryRecorder | None = None,
-    profiler: SamplingProfiler | None = None,
-) -> int:
-    """The ``--journal``/``--recover`` path: supervised engine run."""
-    from repro.engine.sinks import CallbackSink
+) -> _Lane:
+    """Flags to a ``StreamEngine``-family engine plus its lane record."""
+    supervised = bool(args.journal or args.recover)
+    sinks: tuple = ()
+    if args.emit == "every":
+        # ledger/check.py and the paced driver parse both line shapes.
+        sinks = (
+            CallbackSink(
+                (lambda o: print(f"{o.ts}\t{o.query_name}\t{o.value}"))
+                if args.shards > 0 or supervised
+                else (lambda o: print(f"{o.ts}\t{o.value}"))
+            ),
+        )
+    if args.shards > 0:
+        return _build_sharded(args, queries, sinks, registry, trace)
+    if supervised:
+        return _build_supervised(args, queries, sinks, registry, trace)
+    if args.columnar:
+        engine = StreamEngine(
+            routed=True,
+            vectorized=True,
+            registry=registry,
+            trace=trace if trace.enabled else None,
+            stream_name="columnar",
+        )
+        for name, query in zip(_names(queries), queries):
+            engine.register(query, *sinks, name=name)
+        return _Lane(
+            engine,
+            lambda: f" through the columnar lane "
+            f"(batch size {_columnar_batch_size(args)})",
+        )
+    executor = _build_executor(args, queries, registry, trace)
+    if isinstance(executor, WorkloadEngine):
+        _log.info(
+            "workload_plan",
+            message=executor.describe().replace("\n", "\n# "),
+            queries=len(queries),
+        )
+    # The reference per-event path (chunked under --batch-size); the
+    # hosted executor records its own trace spans.
+    engine = StreamEngine(
+        registry=registry, batch_size=max(0, args.batch_size)
+    )
+    engine.register_executor(
+        "q" if args.workload_file is None else "workload", executor, *sinks
+    )
+    cross_check = None
+    if args.engine == "both" and len(queries) == 1:
+        cross_check = "cross_check"
+        engine.register_executor(
+            cross_check, TwoStepEngine(queries[0], registry=NULL_REGISTRY)
+        )
+    return _Lane(
+        engine,
+        lambda: f", {engine.metrics.outputs:,} outputs",
+        result_line="result\t{value}",
+        written=f" (+ {args.metrics_out}.json)",
+        explained=executor,
+        cross_check=cross_check,
+    )
+
+
+def _build_supervised(
+    args: argparse.Namespace,
+    queries: list,
+    sinks: tuple,
+    registry: MetricsRegistry,
+    trace: TraceRecorder,
+) -> _Lane:
+    """The ``--journal``/``--recover`` lane: the supervised engine."""
     from repro.resilience import (
         Checkpointer,
         EventJournal,
@@ -591,35 +642,19 @@ def _run_resilient(
         recover,
     )
 
-    if args.journal is None:
-        raise SystemExit("--recover requires --journal DIR")
-    if args.engine in ("twostep", "both"):
-        raise SystemExit(
-            "--journal needs checkpointable executors; "
-            "--engine twostep/both is not supported here"
-        )
-    sinks: dict[str, list] = {}
-    if args.emit == "every":
-        printer = CallbackSink(
-            lambda output: print(
-                f"{output.ts}\t{output.query_name}\t{output.value}"
-            )
-        )
-        sinks = {
-            (query.name or f"q{index}"): [printer]
-            for index, query in enumerate(queries)
-        }
+    names = _names(queries)
     checkpoint_every = args.checkpoint_every or None
     if args.recover:
         engine = recover(
             args.journal,
-            sinks=sinks,
+            sinks={name: list(sinks) for name in names},
             queries=queries,
             registry=registry,
             trace=trace,
             checkpoint_every_events=checkpoint_every,
             fsync=args.fsync,
             quarantine_after=args.quarantine_after,
+            batch_size=max(0, args.batch_size),
         )
         _log.info(
             "recovered",
@@ -652,21 +687,14 @@ def _run_resilient(
                     registry=registry,
                 )
             )
-        for index, query in enumerate(queries):
-            name = query.name or f"q{index}"
-            engine.register(query, *sinks.get(name, ()), name=name)
+        for name, query in zip(names, queries):
+            engine.register(query, *sinks, name=name)
 
-    admin = _open_run(args, engine, registry, trace, history, profiler)
-    try:
-        started = time.perf_counter()
-        processed = engine.run(events, batch_size=args.batch_size or None)
-        elapsed = time.perf_counter() - started
-
+    def settle() -> dict[str, Any]:
         if engine.checkpointer is not None:
             engine.checkpointer.checkpoint_now()
         if engine.journal is not None:
             engine.journal.close()
-
         quarantined = engine.quarantined()
         if quarantined or len(engine.dlq):
             _log.warning(
@@ -676,51 +704,29 @@ def _run_resilient(
                 quarantined=quarantined,
                 dead_letters=len(engine.dlq),
             )
-        _finish_run(
-            args, engine, registry, trace, processed, elapsed,
-            f", {engine.metrics.outputs:,} outputs "
-            f"(lifetime {engine.metrics.events:,} events)",
-            results=engine.results(),
-            written="",
-            outputs=engine.metrics.outputs,
-        )
-        return 0
-    finally:
-        _stop_admin(admin, args.admin_linger)
+        return engine.results()
+
+    return _Lane(
+        engine,
+        lambda: f", {engine.metrics.outputs:,} outputs "
+        f"(lifetime {engine.metrics.events:,} events)",
+        settle=settle,
+        written="",
+    )
 
 
-def _run_sharded(
+def _build_sharded(
     args: argparse.Namespace,
     queries: list,
-    events: Iterable[Event] | Iterable[EventBatch],
+    sinks: tuple,
     registry: MetricsRegistry,
     trace: TraceRecorder,
-    history: HistoryRecorder | None = None,
-) -> int:
-    """The ``--shards N`` path: hash-partitioned worker processes."""
+) -> _Lane:
+    """The ``--shards N`` lane: hash-partitioned worker processes. With
+    ``--columnar`` its run loop takes the batches natively and ships
+    each worker its partition as a flat buffer."""
     from repro.engine.sharded import ShardedStreamEngine
-    from repro.engine.sinks import CallbackSink
 
-    if args.journal:
-        raise SystemExit(
-            "--shards cannot be combined with --journal; the supervised "
-            "engine is single-process (use --router-journal for a "
-            "crash-safe router)"
-        )
-    if args.recover and not args.router_journal:
-        raise SystemExit(
-            "--shards --recover needs --router-journal DIR (the router "
-            "WAL to resume from)"
-        )
-    if args.engine in ("twostep", "both"):
-        raise SystemExit(
-            "--shards runs A-Seq executors; --engine twostep/both is "
-            "not supported here"
-        )
-    if args.shared:
-        raise SystemExit("--shards and --shared are mutually exclusive")
-    if args.ingest_lanes < 1:
-        raise SystemExit("--ingest-lanes must be >= 1")
     supervise = args.heartbeat_interval > 0
     transport = args.transport
     if args.shard_worker:
@@ -732,11 +738,6 @@ def _run_sharded(
             registry_from_cli,
         )
 
-        if not supervise:
-            raise SystemExit(
-                "--workers-file/--membership-listen need shard "
-                "supervision (--heartbeat-interval > 0)"
-            )
         if args.workers_file:
             membership = registry_from_cli(
                 args.workers_file, metrics=registry
@@ -765,15 +766,7 @@ def _run_sharded(
         from pathlib import Path
 
         shard_journal = str(Path(args.router_journal) / "shards")
-    sinks: tuple = ()
-    if args.emit == "every":
-        sinks = (
-            CallbackSink(
-                lambda output: print(
-                    f"{output.ts}\t{output.query_name}\t{output.value}"
-                )
-            ),
-        )
+    names = _names(queries)
     engine_kwargs = dict(
         batch_size=args.batch_size if args.batch_size > 1 else 256,
         vectorized=args.engine == "vectorized",
@@ -792,14 +785,10 @@ def _run_sharded(
     if args.recover:
         from repro.resilience.router_recovery import recover_router
 
-        named_sinks = {
-            (query.name or f"q{index}"): list(sinks)
-            for index, query in enumerate(queries)
-        }
         engine = recover_router(
             args.router_journal,
             queries=queries,
-            sinks=named_sinks,
+            sinks={name: list(sinks) for name in names},
             shards=args.shards,
             journal_dir=shard_journal,
             lanes=args.ingest_lanes if args.ingest_lanes > 1 else None,
@@ -818,8 +807,8 @@ def _run_sharded(
             journal_dir=shard_journal,
             **engine_kwargs,
         )
-        for index, query in enumerate(queries):
-            engine.register(query, *sinks, name=query.name or f"q{index}")
+        for name, query in zip(names, queries):
+            engine.register(query, *sinks, name=name)
         if args.router_journal:
             from repro.resilience.router_recovery import RouterLog
 
@@ -831,16 +820,9 @@ def _run_sharded(
                     registry=registry,
                 )
             )
-    admin = _open_run(args, engine, registry, trace, history)
-    try:
-        started = time.perf_counter()
-        # With --columnar the items are EventBatches: the run loop takes
-        # them natively and ships each worker its partition as a flat
-        # buffer.
-        processed = engine.run(events)
-        elapsed = time.perf_counter() - started
+
+    def settle() -> dict[str, Any]:
         results = engine.results()
-        state = engine.inspect()
         if engine.degraded_shards or engine.shed_events:
             _log.warning(
                 "shard_summary",
@@ -849,138 +831,188 @@ def _run_sharded(
                 degraded_shards=sorted(engine.degraded_shards),
                 shed_events=engine.shed_events,
             )
-        _finish_run(
-            args, engine, registry, trace, processed, elapsed,
+        return results
+
+    def detail() -> str:
+        state = engine.inspect()
+        return (
             f" across {args.shards} shards "
             f"(sharded={state['sharded_queries']} "
-            f"local={state['local_queries']})",
-            results=results,
-            shards=args.shards,
+            f"local={state['local_queries']})"
         )
-        if args.profile_out:
-            profile = engine.collapsed_profile() or ""
-            with open(args.profile_out, "w", encoding="utf-8") as handle:
-                handle.write(profile)
-            _log.info(
-                "profile_written",
-                message=f"wrote fleet profile to {args.profile_out}",
-                path=args.profile_out,
-            )
-        return 0
-    finally:
-        # Workers stay up through the linger so /queries and
-        # /queries/<id>/state can still reach them.
-        _stop_admin(admin, args.admin_linger)
-        engine.close()
-        if membership is not None:
-            membership.close()
+
+    # Closed after the admin linger, so /queries and /queries/<id>/state
+    # can still reach the workers through it.
+    closers = [engine.close]
+    if membership is not None:
+        closers.append(membership.close)
+    return _Lane(
+        engine,
+        detail,
+        settle=settle,
+        fields={"shards": args.shards},
+        fleet_profile=lambda: engine.collapsed_profile() or "",
+        closers=tuple(closers),
+    )
 
 
-def _run_columnar(
+def _explain_plan(engine: Any) -> dict[str, Any]:
+    hook = getattr(engine, "explain", None)
+    return hook() if callable(hook) else explain_engine(engine)
+
+
+def _open_run(
     args: argparse.Namespace,
-    queries: list,
-    batches: Iterator[EventBatch],
+    lane: _Lane,
     registry: MetricsRegistry,
     trace: TraceRecorder,
-    history: HistoryRecorder | None = None,
-    profiler: SamplingProfiler | None = None,
-) -> int:
-    """The ``--columnar`` path: struct-of-arrays batches through the
-    routed vectorized engine's zero-object lane."""
-    from repro.engine.engine import StreamEngine
-    from repro.engine.sinks import CallbackSink
-
-    if args.engine in ("twostep", "both"):
-        raise SystemExit(
-            "--columnar runs A-Seq executors; --engine twostep/both is "
-            "not supported here"
-        )
-    if args.shared:
-        raise SystemExit(
-            "--columnar and --shared are mutually exclusive (shared "
-            "plans consume events per-TRIG)"
-        )
-    engine = StreamEngine(
-        routed=True,
-        vectorized=True,
+    history: HistoryRecorder | None,
+    profiler: SamplingProfiler | None,
+) -> AdminServer | None:
+    """Between building the engine and ingesting: ``--explain`` to
+    stderr (results stay clean), the history recorder's cost refresher,
+    the admin endpoint (returned for :func:`_stop_admin`)."""
+    engine = lane.engine
+    if args.explain:
+        plan = _explain_plan(lane.explained or engine)
+        print(render_explain(plan), file=sys.stderr, end="")
+    if history is not None:
+        history.set_refresher(engine.refresh_cost_metrics)
+    if args.admin_port is None:
+        return None
+    admin = AdminServer(
+        engine,
         registry=registry,
-        trace=trace if trace.enabled else None,
-        stream_name="columnar",
+        trace=trace,
+        history=history,
+        profiler=profiler,
+        port=args.admin_port,
     )
-    sinks: tuple = ()
-    if args.emit == "every":
-        sinks = (
-            CallbackSink(
-                lambda output: print(f"{output.ts}\t{output.value}")
-            ),
-        )
-    for index, query in enumerate(queries):
-        engine.register(query, *sinks, name=query.name or f"q{index}")
-    admin = _open_run(args, engine, registry, trace, history, profiler)
-    try:
-        started = time.perf_counter()
-        if args.stats_every > 0:
-            batches = _stats_between_batches(
-                batches, args.stats_every, started, engine, registry
-            )
-        processed = engine.run(batches)
-        elapsed = time.perf_counter() - started
-        _finish_run(
-            args, engine, registry, trace, processed, elapsed,
-            f" through the columnar lane "
-            f"(batch size {_columnar_batch_size(args)})",
-            results=engine.results(),
-            outputs=engine.metrics.outputs,
-        )
-        return 0
-    finally:
-        _stop_admin(admin, args.admin_linger)
+    admin.start()
+    return admin
 
 
-def _stats_between_batches(
-    batches: Iterator[EventBatch],
-    stats_every: int,
-    started: float,
-    engine: Any,
+def _finish_run(
+    args: argparse.Namespace,
+    lane: _Lane,
     registry: MetricsRegistry,
-) -> Iterator[EventBatch]:
-    """Pass batches through, logging a stats line whenever one carried
-    the event count across a multiple of ``stats_every`` (the rule of
-    the ``--batch-size`` loop in :func:`main`)."""
-    processed = 0
-    for batch in batches:
-        yield batch
-        # Resumed when the engine asks for the next batch, i.e. after
-        # it has consumed this one.
-        previous = processed
-        processed += len(batch)
-        if processed // stats_every != previous // stats_every:
-            _log.info(
-                "stats",
-                message=_stats_line(
-                    processed, engine.metrics.outputs,
-                    time.perf_counter() - started, engine, registry,
-                ),
-            )
-
-
-def _stats_line(
+    trace: TraceRecorder,
     processed: int,
-    outputs: int,
     elapsed: float,
-    engine: Any,
-    registry: MetricsRegistry,
-) -> str:
+) -> int:
+    """Once ingest is over: settle the lane, print the final aggregates,
+    give the cross-check's verdict (exit code 2 on a disagreement, and
+    nothing further), log ``run_complete``, write ``--metrics-out``
+    (Prometheus text and JSON snapshot), ``--dump-trace``, the workload
+    profile and the fleet profile."""
+    engine = lane.engine
+    results = (lane.settle or engine.results)()
+    baseline = results.pop(lane.cross_check, None)
+    if args.emit != "none":
+        for name, value in results.items():
+            print(lane.result_line.format(name=name, value=value))
+    if lane.cross_check is not None:
+        (final,) = results.values()
+        status = "AGREE" if baseline == final else "DISAGREE"
+        _log.info(
+            "cross_check",
+            message=f"cross-check (two-step)\t{baseline}\t{status}",
+            baseline=str(baseline),
+            status=status,
+        )
+        if baseline != final:
+            return 2
+    fields = lane.fields or {"outputs": engine.metrics.outputs}
     rate = processed / elapsed if elapsed else 0.0
-    parts = [
-        f"events={processed:,}",
-        f"outputs={outputs:,}",
-        f"rate={rate:,.0f}/s",
-    ]
-    probe = getattr(engine, "current_objects", None)
-    if probe is not None:
-        parts.append(f"live_objects={probe():,}")
-    if registry.enabled:
+    _log.info(
+        "run_complete",
+        message=f"{processed:,} events in {elapsed:.2f}s "
+        f"({rate:,.0f} ev/s){lane.detail()}",
+        events=processed,
+        **fields,
+        elapsed_s=round(elapsed, 3),
+    )
+    if args.metrics_out:
+        write_prometheus(registry, args.metrics_out)
+        write_json_snapshot(
+            registry,
+            args.metrics_out + ".json",
+            run={
+                "events": processed,
+                **fields,
+                "elapsed_s": elapsed,
+                "events_per_s": rate,
+            },
+        )
+        if lane.written is not None:
+            _log.info(
+                "metrics_written",
+                message=f"wrote metrics to {args.metrics_out}{lane.written}",
+                path=args.metrics_out,
+            )
+    if args.dump_trace:
+        print(trace.format(), file=sys.stderr)
+    if args.workload_profile:
+        try:
+            # Pull-based gauges (drift, watermarks) go stale.
+            engine.refresh_cost_metrics()
+        except Exception:
+            pass
+        write_workload_profile(engine, args.workload_profile)
+        _log.info(
+            "workload_profile_written",
+            message=f"wrote workload profile to {args.workload_profile}",
+            path=args.workload_profile,
+        )
+    if args.profile_out and lane.fleet_profile is not None:
+        _write_profile(args.profile_out, lane.fleet_profile(), "fleet profile")
+    return 0
+
+
+def _write_profile(path: str, text: str, what: str) -> None:
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.write(text)
+    _log.info("profile_written", message=f"wrote {what} to {path}", path=path)
+
+
+def _stop_admin(admin: AdminServer | None, linger: float) -> None:
+    if admin is None:
+        return
+    if linger > 0:
+        _log.info(
+            "admin_linger",
+            message=f"admin endpoint lingering {linger:g}s at "
+            f"{admin.url()}",
+            seconds=linger,
+        )
+        time.sleep(linger)
+    admin.stop()
+
+
+def _stats_ticker(
+    stats_every: int, started: float, engine: Any, registry: MetricsRegistry
+) -> Callable[[], None]:
+    """``--stats-every``: a ``tick()`` that logs a stats line whenever
+    the engine's ingest count has crossed a multiple of ``stats_every``
+    since the previous tick — at every event on a per-event lane, at
+    the batch that carried it across on a batch lane."""
+    base = engine.metrics.events  # a recovered engine starts above zero
+    seen = 0
+
+    def tick() -> None:
+        nonlocal seen
+        previous, seen = seen, engine.metrics.events - base
+        if seen // stats_every == previous // stats_every:
+            return
+        elapsed = time.perf_counter() - started
+        parts = [
+            f"events={seen:,}",
+            f"outputs={engine.metrics.outputs:,}",
+            f"rate={seen / elapsed if elapsed else 0.0:,.0f}/s",
+        ]
+        probe = getattr(engine, "current_objects", None)
+        if probe is not None:
+            parts.append(f"live_objects={probe():,}")
         for name, short in (
             ("sem_counters_created_total", "counters_created"),
             ("sem_counters_expired_total", "counters_expired"),
@@ -990,7 +1022,22 @@ def _stats_line(
             value = registry.value(name)
             if value:
                 parts.append(f"{short}={value:,.0f}")
-    return "stats " + " ".join(parts)
+        _log.info("stats", message="stats " + " ".join(parts))
+
+    return tick
+
+
+def _stats_between_batches(
+    source: Iterable[Any], tick: Callable[[], None]
+) -> Iterator[Any]:
+    """Pass events or batches through, ticking between them."""
+    for item in source:
+        yield item
+        # Resumed when the engine asks for the next item, i.e. after it
+        # has consumed this one — or, chunking events under
+        # --batch-size, the chunks before this one; main() ticks once
+        # more for the last chunk.
+        tick()
 
 
 def _explain_main(argv: list[str]) -> int:
@@ -1007,7 +1054,7 @@ def _explain_main(argv: list[str]) -> int:
         "running any events.",
     )
     parser.add_argument(
-        "query_text",
+        "query",
         nargs="?",
         metavar="QUERY",
         help="query text (or use --query-file / --workload-file)",
@@ -1034,34 +1081,14 @@ def _explain_main(argv: list[str]) -> int:
         help="emit the structured plan as JSON instead of text",
     )
     args = parser.parse_args(argv)
-    sources = [args.query_text, args.query_file, args.workload_file]
+    sources = [args.query, args.query_file, args.workload_file]
     if sum(s is not None for s in sources) != 1:
         parser.error(
             "exactly one of QUERY / --query-file / --workload-file "
             "is required"
         )
     try:
-        if args.query_text is not None:
-            queries = [parse_query(args.query_text, name="q")]
-        elif args.query_file is not None:
-            with open(args.query_file, "r", encoding="utf-8") as handle:
-                queries = [parse_query(handle.read(), name="q")]
-        else:
-            with open(args.workload_file, "r", encoding="utf-8") as handle:
-                queries = parse_workload(handle.read())
-        if len(queries) > 1 or args.workload_file is not None:
-            engine: Any = (
-                WorkloadEngine(queries)
-                if args.shared
-                else UnsharedEngine(queries)
-            )
-        elif args.engine == "twostep":
-            engine = TwoStepEngine(queries[0])
-        else:
-            engine = ASeqEngine(
-                queries[0], vectorized=args.engine == "vectorized"
-            )
-        plan = _explain_plan(engine)
+        plan = _explain_plan(_build_executor(args, _load_queries(args)))
     except (ReproError, OSError) as error:
         _log.error(
             "explain_failed",
@@ -1088,6 +1115,7 @@ def main(argv: list[str] | None = None) -> int:
     if argv and argv[0] == "explain":
         return _explain_main(argv[1:])
     args = build_parser().parse_args(argv)
+    _check_flags(args)
 
     instrument = (
         bool(args.metrics_out)
@@ -1104,163 +1132,39 @@ def main(argv: list[str] | None = None) -> int:
     )
     previous_default = set_default_registry(registry if instrument else None)
     # Every engine build below resolves the default funnel, so one
-    # install covers the inline, resilient, and sharded paths alike
-    # (the FunnelRecorder brings its own registry when the shared one
-    # is disabled, e.g. --workload-profile without --metrics-out).
+    # install covers every lane (the FunnelRecorder brings its own
+    # registry when the shared one is disabled, e.g. --workload-profile
+    # without --metrics-out).
     previous_funnel = set_default_funnel(
         FunnelRecorder(registry) if funnel_on else None
     )
     previous_log = install_config(LogConfig(json_mode=args.log_json))
     admin = None
+    lane: _Lane | None = None
     history: HistoryRecorder | None = None
     profiler: SamplingProfiler | None = None
-    profile_on = args.profile or bool(args.profile_out)
     try:
         queries = _load_queries(args)
-        events = (
-            _load_batches(args) if args.columnar else _load_events(args)
-        )
+        source = _load_source(args)
         if args.history_every > 0:
             history = default_history(
                 registry, interval_s=args.history_every
             ).start()
-        if args.shards > 0:
-            # The sharded engine owns its profilers (one per process).
-            return _run_sharded(
-                args, queries, events, registry, trace, history
-            )
-        if args.shard_journal:
-            raise SystemExit("--shard-journal requires --shards N")
-        if args.router_journal:
-            raise SystemExit("--router-journal requires --shards N")
-        if args.transport != "pipe" or args.shard_worker:
-            raise SystemExit(
-                "--transport/--shard-worker require --shards N"
-            )
-        if args.workers_file or args.membership_listen:
-            raise SystemExit(
-                "--workers-file/--membership-listen require --shards N"
-            )
-        if profile_on:
+        if (args.profile or args.profile_out) and args.shards <= 0:
             profiler = SamplingProfiler().start()
-        if args.journal or args.recover:
-            if args.columnar:
-                raise SystemExit(
-                    "--columnar is not supported with --journal/"
-                    "--recover (the supervised engine journals "
-                    "per-event)"
-                )
-            return _run_resilient(
-                args, queries, events, registry, trace, history, profiler
-            )
-        if args.columnar:
-            return _run_columnar(
-                args, queries, events, registry, trace, history, profiler
-            )
-        engine = _build_engine(args, queries, registry, trace)
-        admin = _open_run(args, engine, registry, trace, history, profiler)
-
-        cross_check = None
-        if args.engine == "both" and len(queries) == 1:
-            cross_check = TwoStepEngine(queries[0], registry=NULL_REGISTRY)
-
-        stats_every = max(0, args.stats_every)
-        m_ingested = registry.counter(
-            "events_ingested_total", "events pumped through the run loop"
-        )
-        m_latency = registry.histogram(
-            "event_latency_us", "per-event processing latency (µs)"
-        )
-        processed = 0
-        outputs = 0
+        lane = _build_engine(args, queries, registry, trace)
+        engine = lane.engine
+        admin = _open_run(args, lane, registry, trace, history, profiler)
         started = time.perf_counter()
-        batch_size = args.batch_size
-        if batch_size > 1 and hasattr(engine, "process_batch"):
-            from itertools import islice
-
-            iterator = iter(events)
-            while True:
-                chunk = list(islice(iterator, batch_size))
-                if not chunk:
-                    break
-                if instrument:
-                    chunk_started = time.perf_counter()
-                    emitted = engine.process_batch(chunk)
-                    m_latency.observe(
-                        (time.perf_counter() - chunk_started)
-                        * 1e6 / len(chunk)
-                    )
-                    m_ingested.inc(len(chunk))
-                else:
-                    emitted = engine.process_batch(chunk)
-                if cross_check is not None:
-                    for event in chunk:
-                        cross_check.process(event)
-                previous = processed
-                processed += len(chunk)
-                outputs += len(emitted)
-                if args.emit == "every":
-                    for event, fresh in emitted:
-                        print(f"{event.ts}\t{fresh}")
-                if stats_every and (
-                    processed // stats_every != previous // stats_every
-                ):
-                    _log.info(
-                        "stats",
-                        message=_stats_line(
-                            processed, outputs,
-                            time.perf_counter() - started, engine, registry,
-                        ),
-                    )
-        else:
-            for event in events:
-                if instrument:
-                    event_started = time.perf_counter()
-                    fresh = engine.process(event)
-                    m_latency.observe(
-                        (time.perf_counter() - event_started) * 1e6
-                    )
-                    m_ingested.inc()
-                else:
-                    fresh = engine.process(event)
-                if cross_check is not None:
-                    cross_check.process(event)
-                processed += 1
-                if fresh is not None:
-                    outputs += 1
-                    if args.emit == "every":
-                        print(f"{event.ts}\t{fresh}")
-                if stats_every and processed % stats_every == 0:
-                    _log.info(
-                        "stats",
-                        message=_stats_line(
-                            processed, outputs,
-                            time.perf_counter() - started, engine, registry,
-                        ),
-                    )
+        tick = None
+        if args.stats_every > 0:
+            tick = _stats_ticker(args.stats_every, started, engine, registry)
+            source = _stats_between_batches(source, tick)
+        processed = engine.run(source)
+        if tick is not None:
+            tick()
         elapsed = time.perf_counter() - started
-
-        final = engine.result()
-        if args.emit != "none":
-            print(f"result\t{final}")
-        if cross_check is not None:
-            baseline = cross_check.result()
-            status = "AGREE" if baseline == final else "DISAGREE"
-            _log.info(
-                "cross_check",
-                message=f"cross-check (two-step)\t{baseline}\t{status}",
-                baseline=str(baseline),
-                status=status,
-            )
-            if baseline != final:
-                return 2
-        _finish_run(
-            args, engine, registry, trace, processed, elapsed,
-            f", {outputs:,} outputs",
-            written=f" (+ {args.metrics_out}.json)",
-            outputs=outputs,
-        )
-        return 0
+        return _finish_run(args, lane, registry, trace, processed, elapsed)
     except (ReproError, OSError) as error:
         _log.error(
             "run_failed",
@@ -1270,19 +1174,15 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     finally:
         _stop_admin(admin, args.admin_linger)
+        for close in lane.closers if lane is not None else ():
+            close()
         if profiler is not None:
             profiler.stop()
             if args.profile_out:
-                with open(
-                    args.profile_out, "w", encoding="utf-8"
-                ) as handle:
-                    handle.write(
-                        collapsed_text(profiler.counts(), root="main")
-                    )
-                _log.info(
-                    "profile_written",
-                    message=f"wrote profile to {args.profile_out}",
-                    path=args.profile_out,
+                _write_profile(
+                    args.profile_out,
+                    collapsed_text(profiler.counts(), root="main"),
+                    "profile",
                 )
         if history is not None:
             history.stop()

@@ -16,86 +16,48 @@ injection the chaos tests drive it all with
 (:mod:`~repro.resilience.faults`).
 """
 
-from repro.resilience.checkpointer import (
-    Checkpointer,
-    engine_state,
-    list_checkpoints,
-    load_checkpoint,
-    load_latest_checkpoint,
-    write_checkpoint,
-)
-from repro.resilience.faults import (
-    BurstySink,
-    FaultPlan,
-    FaultyExecutor,
-    InjectedFault,
-    ShardKill,
-    corrupt_checkpoint,
-    corrupt_latest_checkpoint,
-    fault_seed,
-    hang_shard_pipe,
-    kill_shard,
-    stall_shard,
-    tear_journal_tail,
-)
-from repro.resilience.journal import (
-    EventJournal,
-    list_segments,
-    prune_segments,
-    read_journal,
-)
-from repro.resilience.recovery import recover
-from repro.resilience.router_recovery import (
-    RouterLog,
-    discover_lanes,
-    recover_router,
-)
-from repro.resilience.shard_supervisor import (
-    DiskShardLog,
-    HeartbeatSupervisor,
-    MemoryShardLog,
-    ShardHealth,
-    open_shard_log,
-)
-from repro.resilience.supervisor import (
-    DeadLetter,
-    DeadLetterQueue,
-    SupervisedStreamEngine,
-)
+from importlib import import_module
 
-__all__ = [
-    "BurstySink",
-    "Checkpointer",
-    "DeadLetter",
-    "DeadLetterQueue",
-    "DiskShardLog",
-    "EventJournal",
-    "FaultPlan",
-    "FaultyExecutor",
-    "HeartbeatSupervisor",
-    "InjectedFault",
-    "MemoryShardLog",
-    "RouterLog",
-    "ShardHealth",
-    "ShardKill",
-    "SupervisedStreamEngine",
-    "corrupt_checkpoint",
-    "corrupt_latest_checkpoint",
-    "discover_lanes",
-    "engine_state",
-    "fault_seed",
-    "hang_shard_pipe",
-    "kill_shard",
-    "list_checkpoints",
-    "list_segments",
-    "load_checkpoint",
-    "load_latest_checkpoint",
-    "open_shard_log",
-    "prune_segments",
-    "read_journal",
-    "recover",
-    "recover_router",
-    "stall_shard",
-    "tear_journal_tail",
-    "write_checkpoint",
-]
+#: Re-exported name -> defining submodule, resolved on first access
+#: (PEP 562): the ``--journal`` lane imports the supervisor, journal,
+#: checkpointer and recovery and must not pay for the shard runtime
+#: that ``router_recovery`` and ``faults`` bring in.
+_EXPORTS = {
+    name: f"repro.resilience.{module}"
+    for module, names in {
+        "checkpointer": (
+            "Checkpointer", "engine_state", "list_checkpoints",
+            "load_checkpoint", "load_latest_checkpoint", "write_checkpoint",
+        ),
+        "faults": (
+            "BurstySink", "FaultPlan", "FaultyExecutor", "InjectedFault",
+            "ShardKill", "corrupt_checkpoint", "corrupt_latest_checkpoint",
+            "fault_seed", "hang_shard_pipe", "kill_shard", "stall_shard",
+            "tear_journal_tail",
+        ),
+        "journal": (
+            "EventJournal", "list_segments", "prune_segments", "read_journal",
+        ),
+        "recovery": ("recover",),
+        "router_recovery": ("RouterLog", "discover_lanes", "recover_router"),
+        "shard_supervisor": (
+            "DiskShardLog", "HeartbeatSupervisor", "MemoryShardLog",
+            "ShardHealth", "open_shard_log",
+        ),
+        "supervisor": (
+            "DeadLetter", "DeadLetterQueue", "SupervisedStreamEngine",
+        ),
+    }.items()
+    for name in names
+}
+
+
+def __getattr__(name: str):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(import_module(module), name)
+    return value
+
+
+__all__ = sorted(_EXPORTS)

@@ -1,5 +1,8 @@
 """The command-line interface (``python -m repro``)."""
 
+import ast
+import json
+
 import pytest
 
 from repro.cli import main
@@ -112,6 +115,10 @@ class TestWorkloads:
         assert unshared_out == shared_out
 
 
+#: A complete invocation over files that do not exist.
+_RUN = ["--query-file", "missing.cep", "--trace", "missing.txt"]
+
+
 class TestErrors:
     def test_no_query_source(self, trace_path, capsys):
         with pytest.raises(SystemExit):
@@ -131,6 +138,58 @@ class TestErrors:
     def test_bad_query_reports_error(self, trace_path, capsys):
         assert main(["--query", "PATTERN OOPS", "--trace", trace_path]) == 1
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--trace", "t"], "exactly one of --query / --query-file"),
+            (_RUN + ["--query", QUERY],
+             "exactly one of --query / --query-file"),
+            (["--query", QUERY], "exactly one of --trace / --generate"),
+            (_RUN + ["--generate", "stock"],
+             "exactly one of --trace / --generate"),
+            (_RUN + ["--shards", "2", "--journal", "d"],
+             "--shards cannot be combined with --journal"),
+            (_RUN + ["--shards", "2", "--recover"],
+             "--shards --recover needs --router-journal DIR"),
+            (_RUN + ["--shards", "2", "--engine", "both"],
+             "--shards runs A-Seq executors"),
+            (_RUN + ["--shards", "2", "--shared"],
+             "--shards and --shared are mutually exclusive"),
+            (_RUN + ["--shards", "2", "--ingest-lanes", "0"],
+             "--ingest-lanes must be >= 1"),
+            (_RUN + ["--shards", "2", "--workers-file", "w",
+                     "--heartbeat-interval", "0"],
+             "--workers-file/--membership-listen need shard supervision"),
+            (_RUN + ["--shard-journal", "d"],
+             "--shard-journal requires --shards N"),
+            (_RUN + ["--router-journal", "d"],
+             "--router-journal requires --shards N"),
+            (_RUN + ["--transport", "tcp"],
+             "--transport/--shard-worker require --shards N"),
+            (_RUN + ["--shard-worker", "h:1"],
+             "--transport/--shard-worker require --shards N"),
+            (_RUN + ["--membership-listen", "h:0"],
+             "--workers-file/--membership-listen require --shards N"),
+            (_RUN + ["--journal", "d", "--columnar"],
+             "--columnar is not supported with --journal/--recover"),
+            (_RUN + ["--recover"], "--recover requires --journal DIR"),
+            (_RUN + ["--journal", "d", "--engine", "twostep"],
+             "--journal needs checkpointable executors"),
+            (_RUN + ["--columnar", "--engine", "both"],
+             "--columnar runs A-Seq executors"),
+            (_RUN + ["--columnar", "--shared"],
+             "--columnar and --shared are mutually exclusive"),
+        ],
+    )
+    def test_incompatible_flags_are_refused_before_anything_opens(
+        self, argv, message
+    ):
+        # Neither file exists: opening one first would make main()
+        # return 1 ("error: ...") and not raise the refusal.
+        with pytest.raises(SystemExit) as refused:
+            main(argv)
+        assert str(refused.value).startswith(message)
 
 
 def _result_values(out):
@@ -214,7 +273,9 @@ class TestColumnarTraceSource:
         assert main(argv + ["--columnar", "--batch-size", "2"]) == 1
         assert _error_lines(capsys.readouterr().err) == expected
 
-    def test_stats_every_prints_under_columnar(self, trace_path, capsys):
+    def test_stats_every_prints_under_columnar(
+        self, trace_path, capsys, tmp_path
+    ):
         # 3 000 events in 512-row batches cross 1 000, 2 000 and 3 000
         # in three different batches: the --batch-size loop's rule.
         flags = ["--stats-every", "1000", "--batch-size", "512"]
@@ -230,6 +291,13 @@ class TestColumnarTraceSource:
         expected = stats_positions([])
         assert expected == ["events=1,024", "events=2,048", "events=3,000"]
         assert stats_positions(["--columnar"]) == expected
+        assert stats_positions(["--journal", str(tmp_path / "j")]) == expected
+        assert stats_positions(["--shards", "2", "--columnar"]) == expected
+        # The event router ingests one event at a time (--batch-size is
+        # its worker flush size), so it reports like the per-event lane.
+        assert stats_positions(["--shards", "2"]) == [
+            "events=1,000", "events=2,000", "events=3,000",
+        ]
 
     def test_reorder_slack_still_columnarizes_from_events(
         self, tmp_path, capsys
@@ -245,3 +313,150 @@ class TestColumnarTraceSource:
         assert expected == ["2"]
         assert main(argv + ["--columnar"]) == 0
         assert _result_values(capsys.readouterr().out) == expected
+
+
+class TestLanes:
+    """Every lane is the same spine — build an engine, ``run(source)``,
+    finish — so one trace and one negation + GROUP BY query must read
+    the same through all of them."""
+
+    QUERY = (
+        "PATTERN SEQ(A, !N, B) AGG SUM(B.price) WITHIN 200 ms "
+        "GROUP BY volume"
+    )
+    EVENTS = 2_400
+
+    @pytest.fixture
+    def trace(self, tmp_path):
+        import random
+
+        rng = random.Random(7)
+        ts, lines = 0, []
+        for _ in range(self.EVENTS):
+            ts += rng.randint(1, 4)
+            # Whole-number prices: the SUMs are exact in any order.
+            lines.append(
+                f"{rng.choice('AABBCN')},{ts},{rng.randint(1, 9)}.0,"
+                f"{rng.randint(1, 3)}\n"
+            )
+        path = tmp_path / "lanes.txt"
+        path.write_text("".join(lines))
+        return path
+
+    def run(self, capsys, trace, *flags, code=0):
+        """Exit code checked; returns ``(finals, every, stderr)`` with
+        the values parsed and the lane's line format stripped."""
+        argv = ["--query", self.QUERY, "--trace", str(trace), *flags]
+        assert main(argv + ["--emit", "every"]) == code
+        captured = capsys.readouterr()
+        finals, every = [], []
+        for line in captured.out.splitlines():
+            fields = line.split("\t")
+            if fields[0] == "result":
+                finals.append(ast.literal_eval(fields[-1]))
+            else:
+                every.append((int(fields[0]), ast.literal_eval(fields[-1])))
+        return finals, every, captured.err
+
+    def test_single_process_lanes_agree_line_for_line(
+        self, trace, tmp_path, capsys
+    ):
+        finals, every, _ = self.run(capsys, trace)
+        assert len(every) > 100 and any(finals[0].values())
+        for flags in (
+            ["--batch-size", "64"],
+            ["--engine", "vectorized"],
+            ["--engine", "vectorized", "--batch-size", "64"],
+            ["--engine", "both"],
+            ["--columnar"],
+            ["--columnar", "--batch-size", "64"],
+            ["--journal", str(tmp_path / "j1")],
+            ["--journal", str(tmp_path / "j2"), "--batch-size", "64"],
+        ):
+            got = self.run(capsys, trace, *flags)
+            assert got[:2] == (finals, every), flags
+
+    def test_sharded_lanes_agree_on_the_finals(self, trace, capsys):
+        finals, _, _ = self.run(capsys, trace)
+        for flags in (["--shards", "2"], ["--shards", "2", "--columnar"]):
+            sharded, every, _ = self.run(capsys, trace, *flags)
+            assert sharded == finals, flags
+            # The sharded engine emits the merged finals, once.
+            assert [value for _, value in every] == finals, flags
+
+    def test_recovery_resumes_where_the_journal_stopped(
+        self, trace, tmp_path, capsys
+    ):
+        finals, every, _ = self.run(capsys, trace)
+        lines = trace.read_text().splitlines(keepends=True)
+        head, tail = tmp_path / "head.txt", tmp_path / "tail.txt"
+        head.write_text("".join(lines[:1_300]))
+        tail.write_text("".join(lines[1_300:]))
+        journal = [
+            "--journal", str(tmp_path / "j"), "--checkpoint-every", "500",
+        ]
+        _, before, _ = self.run(capsys, head, *journal)
+        recovered, after, err = self.run(capsys, tail, *journal, "--recover")
+        assert "# recovered: 1 queries, 0 journal events replayed" in err
+        assert recovered == finals
+        assert before + after == every
+
+    def test_disagreeing_cross_check_exits_2_and_reports_no_run(
+        self, trace, capsys, monkeypatch
+    ):
+        from repro.baseline.twostep import TwoStepEngine
+
+        monkeypatch.setattr(TwoStepEngine, "result", lambda self: "wrong")
+        _, _, err = self.run(capsys, trace, "--engine", "both", code=2)
+        assert "\twrong\tDISAGREE" in err
+        assert "events in" not in err  # no run_complete line
+
+    @pytest.mark.parametrize("lane", ["default", "columnar", "journal"])
+    def test_metrics_out_counts_every_event_once(
+        self, trace, tmp_path, capsys, lane
+    ):
+        lane = {
+            "default": [],
+            "columnar": ["--columnar"],
+            "journal": ["--journal", str(tmp_path / "j")],
+        }[lane]
+        out = tmp_path / "m.prom"
+        self.run(capsys, trace, *lane, "--metrics-out", str(out))
+        snapshot = json.loads((tmp_path / "m.prom.json").read_text())
+        ingested = [
+            counter["value"]
+            for counter in snapshot["counters"]
+            if counter["name"] == "events_ingested_total"
+        ]
+        assert ingested == [self.EVENTS]
+        assert snapshot["run"]["events"] == self.EVENTS
+
+
+def test_single_process_lanes_never_load_the_shard_runtime(tmp_path):
+    """The default and ``--columnar`` lanes import ``StreamEngine`` and
+    nothing of the sharded / supervised runtime behind the package
+    ``__init__``s."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    trace = tmp_path / "ten.txt"
+    trace.write_text("".join(f"DELL,{ts},1.5,9\n" for ts in range(1, 11)))
+    script = (
+        "import sys\n"
+        "from repro.cli import main\n"
+        f"argv = ['--query', {QUERY!r}, '--trace', {str(trace)!r}]\n"
+        "assert main(argv) == 0 and main(argv + ['--columnar']) == 0\n"
+        "print(sorted(set(sys.modules) & {'repro.engine.sharded', "
+        "'repro.engine.transport', 'repro.resilience.router_recovery', "
+        "'multiprocessing'}))\n"
+    )
+    src = Path(__file__).resolve().parents[1] / "src"
+    done = subprocess.run(
+        [sys.executable, "-c", script],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "[]"
