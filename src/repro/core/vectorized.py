@@ -792,14 +792,12 @@ class VectorizedSemEngine:
         if kind is AggKind.COUNT:
             return int(self._counts[last, head:tail].sum())
         if kind is AggKind.SUM:
-            assert self._wsums is not None
-            return float(self._wsums[last, head:tail].sum())
+            return self._live_wsum()
         if kind is AggKind.AVG:
-            assert self._wsums is not None
             count = int(self._counts[last, head:tail].sum())
             if not count:
                 return None
-            return float(self._wsums[last, head:tail].sum()) / count
+            return self._live_wsum() / count
         assert self._extrema is not None
         if head == tail:
             return None
@@ -815,12 +813,17 @@ class VectorizedSemEngine:
         head, tail = self._head, self._tail
         last = self.layout.length - 1
         count = int(self._counts[last, head:tail].sum())
-        wsum = (
-            float(self._wsums[last, head:tail].sum())
-            if self._wsums is not None
-            else 0.0
-        )
-        return count, wsum
+        return count, self._live_wsum() if self._wsums is not None else 0.0
+
+    def _live_wsum(self) -> float:
+        """The live full-match weighted sums, added in column order.
+
+        Left to right like ``SemEngine``, the ``process_columns`` row
+        loop and ``HPCEngine``, so every lane rounds a float SUM / AVG
+        the same way; numpy's pairwise ``.sum()`` differs in the last
+        ulp (the int64 COUNT sum is exact either way)."""
+        column = self._wsums[self.layout.length - 1, self._head:self._tail]
+        return float(sum(column.tolist()))
 
     # ----- introspection -------------------------------------------------------------
 

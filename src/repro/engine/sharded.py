@@ -110,15 +110,15 @@ touching the math that makes merges exact:
 
 from __future__ import annotations
 
-import multiprocessing as mp
 import select
 import signal
 import threading
 import time
 import zlib
 from collections import deque
+from itertools import islice
 from pathlib import Path
-from typing import Any, Iterable, Sequence
+from typing import Any, Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -186,6 +186,9 @@ _log = get_logger("sharded")
 
 OVERLOAD_POLICIES = ("block", "shed_oldest", "raise")
 
+#: Reply deadline of one guarded data-pipe request (see ``_roundtrip``).
+_RECV_TIMEOUT_S = 30.0
+
 #: query_rows() fields that are per-process distributions, not totals —
 #: summing them across shards would be meaningless.
 _NON_ADDITIVE_ROW_KEYS = frozenset(
@@ -249,16 +252,14 @@ def _worker_obs_payload(
     registry: MetricsRegistry,
     tracer: TraceRecorder,
     profiler: SamplingProfiler | None,
-    outbox: _SpanOutbox | None = None,
+    outbox: _SpanOutbox,
 ) -> dict[str, Any]:
     """One observability shipment: metrics snapshot, trace spans,
     cumulative profile counts, and this process's wall clock (the
     router's skew anchor). Metric snapshots are absolute values —
-    idempotent on the router side. With an ``outbox``, spans ship as
-    acknowledged batches ``(seq, [span, ...])`` that are retransmitted
-    until the router acks them; without one (legacy callers/tests),
-    spans drain exactly once as a flat list and rely on
-    ``_salvage_reply`` alone."""
+    idempotent on the router side. Spans ship through the ``outbox``
+    as acknowledged batches ``(seq, [span, ...])`` that are
+    retransmitted until the router acks them."""
     payload: dict[str, Any] = {"wall": time.time()}
     if registry.enabled:
         try:
@@ -266,18 +267,10 @@ def _worker_obs_payload(
         except Exception:
             pass  # cost rows are best-effort; ship what we have
         payload["metrics"] = registry_state(registry)
-    if outbox is not None:
-        outbox.drain(tracer)
-        batches = outbox.pending()
-        if batches:
-            payload["spans"] = batches
-    elif tracer.enabled and len(tracer):
-        spans = tracer.spans()
-        tracer.clear()
-        payload["spans"] = [
-            (s.ts, s.stage, s.event_type, s.detail, s.trace_id, s.wall)
-            for s in spans
-        ]
+    outbox.drain(tracer)
+    batches = outbox.pending()
+    if batches:
+        payload["spans"] = batches
     if profiler is not None:
         payload["profile"] = profiler.counts()
     return payload
@@ -305,9 +298,7 @@ def _worker_obs_setup(
     )
     profiler: SamplingProfiler | None = None
     if obs.get("profile"):
-        profiler = SamplingProfiler(
-            interval_s=float(obs.get("profile_interval_s", 0.01))
-        )
+        profiler = SamplingProfiler()
         profiler.start()
     return registry, tracer, profiler
 
@@ -319,7 +310,7 @@ def _build_worker_engine(
     registry: MetricsRegistry,
     tracer: TraceRecorder,
     funnel: FunnelRecorder | None = None,
-) -> tuple[StreamEngine, dict[str, Any]]:
+) -> StreamEngine:
     """One worker's routed engine over the registration set.
 
     Specs arrive as ``(name, query_text)`` pairs — query text is the
@@ -334,12 +325,11 @@ def _build_worker_engine(
         funnel=funnel if funnel is not None else NULL_FUNNEL,
         stream_name=f"shard-{index}",
     )
-    executors = {}
     for name, query in specs:
         if isinstance(query, str):
             query = parse_query(query, name=name)
-        executors[name] = engine.register(query, name=name)
-    return engine, executors
+        engine.register(query, name=name)
+    return engine
 
 
 def _shard_worker(
@@ -364,12 +354,12 @@ def _shard_worker(
     obs = obs or {}
     registry, tracer, profiler = _worker_obs_setup(obs)
     funnel = FunnelRecorder(registry) if obs.get("funnel") else NULL_FUNNEL
-    engine, executors = _build_worker_engine(
+    engine = _build_worker_engine(
         specs, vectorized, index, registry, tracer, funnel=funnel
     )
     try:
         _worker_loop(
-            conn, control, engine, executors, registry, tracer,
+            conn, control, engine, registry, tracer,
             profiler, index=index, orphan_timeout_s=orphan_timeout_s,
         )
     finally:
@@ -381,7 +371,6 @@ def _worker_loop(
     conn: Any,
     control: Any,
     engine: StreamEngine,
-    executors: dict[str, Any],
     registry: MetricsRegistry,
     tracer: TraceRecorder,
     profiler: SamplingProfiler | None,
@@ -400,15 +389,16 @@ def _worker_loop(
 
     Data-channel protocol (request, reply):
 
-    * ``("batch", [(type, ts, attrs), ...])`` — ingest; no reply (the
-      channel's buffer provides natural backpressure via ``send``). A
-      traced or journaled batch arrives as ``{"r": records, "t":
-      [(offset, trace_id), ...], "q": base_seq}``: the worker stamps a
-      ``shard_ingest`` span per traced record, and ``q`` — the shard-
-      journal sequence of the first record — drives worker-side
-      dedup: records below the worker's applied watermark (set by the
-      last seed) are skipped, so a recovering router may redeliver
-      conservatively and never double-counts.
+    * ``("batch", {"r": [(type, ts, attrs), ...]})`` or ``("batch",
+      {"c": flat_buffer, "n": rows})`` — ingest, as records or as one
+      columnar :class:`EventBatch` wire buffer; no reply (the channel's
+      buffer provides natural backpressure via ``send``). Optional
+      keys: ``"t": [(offset, trace_id), ...]`` — the worker stamps a
+      ``shard_ingest`` span per traced record — and ``"q": base_seq``,
+      the shard-journal sequence of the first record, which drives
+      worker-side dedup: records below the worker's applied watermark
+      (set by the last seed) are skipped, so a recovering router may
+      redeliver conservatively and never double-counts.
     * ``("collect", watermark_ms)`` — advance clocks to the global
       watermark, reply ``("ok", {"partials": {name: partial}, "obs":
       ...})`` with composable partial results (see :func:`_partial_of`)
@@ -438,7 +428,6 @@ def _worker_loop(
     ...)`` — either way the supervisor restarts this process.
     """
     outbox = _SpanOutbox()
-    spec_names = list(executors)
     failure: str | None = None
     #: Shard-journal watermark of applied records (dedup cursor).
     applied_seq = 0
@@ -496,55 +485,24 @@ def _worker_loop(
         except CHANNEL_ERRORS:
             return "eof"
         if command == "batch":
-            if isinstance(payload, dict) and "c" in payload:
-                # Columnar flat buffer: decode straight into an
-                # EventBatch and feed the worker engine's columnar
-                # lane. The dedup cursor advances by the record count
-                # exactly as it would for the plain-record shape.
-                base = payload.get("q")
-                total = int(payload.get("n", 0))
-                skip = 0
-                if base is not None:
-                    skip = max(0, min(total, applied_seq - base))
-                    applied_seq = max(applied_seq, base + total)
-                if failure is not None:
-                    continue  # poisoned: drain silently until restarted
-                try:
-                    cbatch = EventBatch.from_wire(payload["c"])
-                    if skip:
-                        cbatch = cbatch.islice(skip, len(cbatch))
-                    if len(cbatch):
-                        # The router already enforced stream order;
-                        # shard-local subsequences inherit it.
-                        engine.process_event_batch(
-                            cbatch, enforce_order=False
-                        )
-                except Exception as error:
-                    failure = f"{type(error).__name__}: {error}"
-                continue
-            traced: Any = ()
-            base = None
-            if isinstance(payload, dict):
-                records = payload["r"]
-                traced = payload.get("t", ())
-                base = payload.get("q")
-            else:
-                records = payload
+            records = payload.get("r")
+            total = payload["n"] if records is None else len(records)
+            base = payload.get("q")
+            skip = 0
             if base is not None:
                 # Worker-side dedup of redelivered (lane, seq) pairs:
                 # a recovering router replays conservatively; records
                 # already folded in by the seed are dropped here.
-                skip = max(0, min(len(records), applied_seq - base))
-                applied_seq = max(applied_seq, base + len(records))
-                if skip:
-                    records = records[skip:]
-                    traced = [
-                        (offset - skip, trace_id)
-                        for offset, trace_id in traced
-                        if offset >= skip
-                    ]
-                    if not records:
-                        continue
+                skip = max(0, min(total, applied_seq - base))
+                applied_seq = max(applied_seq, base + total)
+            traced = payload.get("t", ())
+            if skip and records is not None:
+                records = records[skip:]
+                traced = [
+                    (offset - skip, trace_id)
+                    for offset, trace_id in traced
+                    if offset >= skip
+                ]
             if tracer.enabled and traced:
                 now = time.time()
                 for offset, trace_id in traced:
@@ -567,9 +525,22 @@ def _worker_loop(
             if failure is not None:
                 continue  # poisoned: drain silently until restarted
             try:
-                engine.process_batch(
-                    [Event(t, ts, attrs) for t, ts, attrs in records]
-                )
+                if records is None:
+                    # Columnar flat buffer: decode straight into an
+                    # EventBatch for the engine's columnar lane. The
+                    # router already enforced stream order; shard-local
+                    # subsequences inherit it.
+                    cbatch = EventBatch.from_wire(payload["c"])
+                    if skip:
+                        cbatch = cbatch.islice(skip, len(cbatch))
+                    if len(cbatch):
+                        engine.process_event_batch(
+                            cbatch, enforce_order=False
+                        )
+                elif records:
+                    engine.process_batch(
+                        [Event(t, ts, attrs) for t, ts, attrs in records]
+                    )
             except Exception as error:  # reported via pong + collect
                 failure = f"{type(error).__name__}: {error}"
         elif command == "collect":
@@ -577,23 +548,11 @@ def _worker_loop(
                 conn.send(("error", failure))
                 return "stop"
             try:
-                engine.advance_clock(int(payload))
-                partials = {
-                    name: _partial_of(executor)
-                    for name, executor in executors.items()
-                }
-                conn.send(
-                    (
-                        "ok",
-                        {
-                            "partials": partials,
-                            "obs": _worker_obs_payload(
-                                engine, registry, tracer, profiler,
-                                outbox,
-                            ),
-                        },
-                    )
+                reply = _answer(engine, command, payload)
+                reply["obs"] = _worker_obs_payload(
+                    engine, registry, tracer, profiler, outbox
                 )
+                conn.send(("ok", reply))
             except Exception as error:
                 conn.send(("error", f"{type(error).__name__}: {error}"))
                 return "stop"
@@ -605,10 +564,6 @@ def _worker_loop(
         elif command == "seed":
             try:
                 apply_engine_state(engine, payload)
-                executors = {
-                    name: engine._registrations[name].executor
-                    for name in spec_names
-                }
                 applied_seq = int(payload.get("journal_seq", 0) or 0)
                 failure = None
                 conn.send(("ok", None))
@@ -620,19 +575,36 @@ def _worker_loop(
                 conn.send(("ok", engine_state(engine)))
             except Exception as error:
                 conn.send(("error", f"{type(error).__name__}: {error}"))
-        elif command == "rows":
-            conn.send(("ok", engine.query_rows()))
-        elif command == "inspect":
-            conn.send(("ok", engine.inspect()))
-        elif command == "state":
-            from repro.obs.inspect import state_of
-
-            conn.send(("ok", state_of(engine, payload)))
+        elif command in ("rows", "inspect", "state"):
+            conn.send(("ok", _answer(engine, command, payload)))
         elif command == "hang":
             time.sleep(float(payload))
         elif command == "stop":
             conn.send(("ok", engine.metrics.events))
             return "stop"
+
+
+def _answer(engine: StreamEngine, command: str, payload: Any) -> Any:
+    """Answer ``collect`` / ``rows`` / ``inspect`` / ``state`` from one
+    engine — a worker's, or the fold lane of a degraded shard — so both
+    give the router the same reply shapes."""
+    if command == "collect":
+        engine.advance_clock(int(payload))
+        return {
+            "partials": {
+                name: _partial_of(engine.executor_of(name))
+                for name in engine.query_names
+            }
+        }
+    if command == "rows":
+        return engine.query_rows()
+    if command == "inspect":
+        return engine.inspect()
+    if command == "state":
+        from repro.obs.inspect import state_of
+
+        return state_of(engine, payload)
+    raise EngineError(f"command {command!r} has no engine-side answer")
 
 
 def _partial_of(executor: Any) -> Any:
@@ -841,7 +813,7 @@ class ShardedStreamEngine:
         gets a trace id that travels with its batch; ``drain_trace()``
         stitches router→shard→merge spans with wall-clock skew
         correction from heartbeat RTTs.
-    ``profile`` / ``profile_interval_s``
+    ``profile``
         Opt-in sampling profiler in the router and every worker;
         ``collapsed_profile()`` concatenates per-process collapsed
         stacks (the admin ``/profile`` body).
@@ -854,13 +826,11 @@ class ShardedStreamEngine:
         vectorized: bool = False,
         registry: MetricsRegistry | None = None,
         stream_name: str = "sharded",
-        start_method: str | None = None,
         supervise: bool = True,
         heartbeat_interval_s: float = 0.5,
         heartbeat_max_missed: int = 3,
         restart_limit: int = 3,
         send_timeout_s: float = 5.0,
-        recv_timeout_s: float = 30.0,
         overload_policy: str = "block",
         journal_dir: str | Path | None = None,
         checkpoint_every_batches: int = 64,
@@ -870,7 +840,6 @@ class ShardedStreamEngine:
         collect_obs: bool | None = None,
         funnel: FunnelRecorder | None = None,
         profile: bool = False,
-        profile_interval_s: float = 0.01,
         transport: str | ShardTransport | None = None,
         worker_addresses: Sequence[str] | None = None,
         orphan_timeout_s: float | None = None,
@@ -889,8 +858,8 @@ class ShardedStreamEngine:
             raise ValueError("heartbeat_max_missed must be at least 1")
         if restart_limit < 0:
             raise ValueError("restart_limit must be >= 0")
-        if send_timeout_s <= 0 or recv_timeout_s <= 0:
-            raise ValueError("send/recv timeouts must be positive")
+        if send_timeout_s <= 0:
+            raise ValueError("send_timeout_s must be positive")
         if checkpoint_every_batches < 0:
             raise ValueError("checkpoint_every_batches must be >= 0")
         if shutdown_timeout_s <= 0:
@@ -902,8 +871,6 @@ class ShardedStreamEngine:
             )
         if trace_sample < 1:
             raise ValueError("trace_sample must be >= 1")
-        if profile_interval_s <= 0:
-            raise ValueError("profile_interval_s must be positive")
         if orphan_timeout_s is not None and orphan_timeout_s < 0:
             raise ValueError("orphan_timeout_s must be >= 0 (0 disables)")
         if router_checkpoint_every < 0:
@@ -922,13 +889,8 @@ class ShardedStreamEngine:
         self.batch_size = batch_size
         self._vectorized = vectorized
         self.stream_name = stream_name
-        if start_method is None:
-            methods = mp.get_all_start_methods()
-            start_method = "fork" if "fork" in methods else methods[0]
-        self._ctx = mp.get_context(start_method)
         self._transport = build_transport(
             transport,
-            ctx=self._ctx,
             worker_addresses=worker_addresses,
             registry=registry,
         )
@@ -938,7 +900,6 @@ class ShardedStreamEngine:
         self._heartbeat_max_missed = heartbeat_max_missed
         self._restart_limit = restart_limit
         self._send_timeout_s = send_timeout_s
-        self._recv_timeout_s = recv_timeout_s
         self._overload_policy = overload_policy
         self._journal_dir = (
             None if journal_dir is None else Path(journal_dir)
@@ -1054,12 +1015,10 @@ class ShardedStreamEngine:
         merge_registry = self.obs_registry
         if not merge_registry.enabled and funnel.enabled:
             merge_registry = funnel.registry
-        self._merge_registry = merge_registry
         self._merger = (
             SnapshotMerger(merge_registry) if self._collect_obs else None
         )
         self._profile = profile
-        self._profile_interval_s = profile_interval_s
         self._profiler: SamplingProfiler | None = None
         #: Worker-side observability config (crosses the fork/spawn).
         self._worker_obs = {
@@ -1067,7 +1026,6 @@ class ShardedStreamEngine:
             "trace": self._trace_on,
             "trace_capacity": 512,
             "profile": profile,
-            "profile_interval_s": profile_interval_s,
             "funnel": funnel.enabled,
         }
         #: Non-partitionable queries run here, in-process.
@@ -1081,7 +1039,6 @@ class ShardedStreamEngine:
         )
         self._local_names: list[str] = []
         self._workers: list[_Worker] = []
-        self._worker_specs: list[tuple[str, Query]] = []
         self._shard_health = [
             ShardHealth(shard=index) for index in range(shards)
         ]
@@ -1244,21 +1201,19 @@ class ShardedStreamEngine:
         self._g_routing_version.set(float(self.routing_version))
 
     def _start(self) -> None:
-        self._worker_specs = [
-            (name, str(query)) for name, query in self._sharded.items()
-        ]
         self._transport.bind(
             WorkerConfig(
-                specs=self._worker_specs,
+                specs=[
+                    (name, str(query))
+                    for name, query in self._sharded.items()
+                ],
                 vectorized=self._vectorized,
                 obs=self._worker_obs,
                 orphan_timeout_s=self._resolved_orphan_timeout(),
             )
         )
         if self._profile and self._profiler is None:
-            self._profiler = SamplingProfiler(
-                interval_s=self._profile_interval_s
-            )
+            self._profiler = SamplingProfiler()
             self._profiler.start()
         self._initial_routing()
         for index in range(self.shards):
@@ -1326,15 +1281,7 @@ class ShardedStreamEngine:
                 timeout=self._shutdown_timeout_s + 3.0
             )
             try:
-                if worker.conn is not None:
-                    try:
-                        worker.conn.send(("stop", None))
-                        if worker.conn.poll(
-                            min(1.0, self._shutdown_timeout_s)
-                        ):
-                            worker.conn.recv()
-                    except CHANNEL_ERRORS:
-                        pass
+                self._say_stop(worker)
                 _destroy_process(worker, self._shutdown_timeout_s)
                 if worker.log is not None:
                     worker.log.close()
@@ -1355,6 +1302,18 @@ class ShardedStreamEngine:
             except Exception:
                 pass
             self._router_log = None
+
+    def _say_stop(self, worker: _Worker) -> None:
+        """The stop handshake: ask a worker to exit and give it a moment
+        to acknowledge (teardown proper is :func:`_destroy_process`)."""
+        if worker.conn is None:
+            return
+        try:
+            worker.conn.send(("stop", None))
+            if worker.conn.poll(min(1.0, self._shutdown_timeout_s)):
+                worker.conn.recv()
+        except CHANNEL_ERRORS:
+            pass
 
     def __enter__(self) -> "ShardedStreamEngine":
         return self
@@ -1421,7 +1380,7 @@ class ShardedStreamEngine:
                 health.clock_skew_s = (
                     float(obs["wall"]) - (sent_wall + rtt / 2.0)
                 )
-            self._ingest_obs(worker, payload)
+            self._ingest_obs(worker, obs)
         failure = (
             payload.get("failure") if isinstance(payload, dict) else None
         )
@@ -1429,7 +1388,7 @@ class ShardedStreamEngine:
             return ("failed", failure)
         return ("ok", payload)
 
-    def _ingest_obs(self, worker: _Worker, payload: Any) -> None:
+    def _ingest_obs(self, worker: _Worker, obs: Any) -> None:
         """Absorb one worker observability shipment (any thread).
 
         Metrics snapshots are *stored* (latest wins, keyed by process
@@ -1437,9 +1396,6 @@ class ShardedStreamEngine:
         spans are skew-corrected and queued for the next ``/trace``
         drain; profile counts overwrite the shard's latest.
         """
-        if not isinstance(payload, dict):
-            return
-        obs = payload.get("obs")
         if not isinstance(obs, dict):
             return
         metrics = obs.get("metrics")
@@ -1501,10 +1457,10 @@ class ShardedStreamEngine:
         if not isinstance(payload, dict):
             return
         if "obs" in payload:
-            self._ingest_obs(worker, payload)
+            self._ingest_obs(worker, payload["obs"])
         elif "wall" in payload:
             # A bare ("obs", None) reply: the payload *is* the shipment.
-            self._ingest_obs(worker, {"obs": payload})
+            self._ingest_obs(worker, payload)
 
     def _revive(self, index: int, reason: str) -> None:
         """Monitor-thread entry point: restart one unhealthy shard."""
@@ -1543,9 +1499,8 @@ class ShardedStreamEngine:
             health.missed_heartbeats = 0
             health.last_pong_at = time.monotonic()
             self._m_restarts[worker.index].inc()
-            worker.generation += 1
             try:
-                self._respawn_and_reseed(worker)
+                self._respawn(worker)
             except Exception as error:
                 reason = f"re-seed failed: {error!r}"
                 health.failures += 1
@@ -1573,12 +1528,16 @@ class ShardedStreamEngine:
             )
             return
 
-    def _respawn_and_reseed(self, worker: _Worker) -> None:
+    def _respawn(self, worker: _Worker, prefer: str | None = None) -> None:
+        """Drop one partition's endpoint and bring it back, re-seeded,
+        as the next worker generation (lock held) — the step revive,
+        migration and dead-owner reroute have in common."""
         _destroy_process(worker, self._shutdown_timeout_s)
+        worker.generation += 1
         if self._membership is not None:
-            # The partition's owner may itself be the casualty: try it
-            # first, then fail over to any other live member.
-            self._place_and_seed(worker)
+            # The partition's owner may itself be the casualty: after
+            # ``prefer`` try it first, then any other live member.
+            self._place_and_seed(worker, prefer)
             return
         self._spawn_into(worker)
         self._seed_worker(worker)
@@ -1599,13 +1558,7 @@ class ShardedStreamEngine:
         for member_id in (prefer, self._routing[worker.index]):
             if member_id and member_id not in candidates:
                 candidates.append(member_id)
-        loads: dict[str, int] = {
-            member.member_id: 0
-            for member in self._membership.live_members()
-        }
-        for owner in self._routing:
-            if owner in loads:
-                loads[owner] += 1
+        loads = self._member_loads()
         for member_id in sorted(
             loads, key=lambda mid: (loads[mid], mid)
         ):
@@ -1633,34 +1586,37 @@ class ShardedStreamEngine:
             f"no live member could host partition {worker.index}"
         )
 
-    def _seed_worker(self, worker: _Worker) -> int:
-        """Re-seed a fresh worker exactly: checkpoint, then replay the
-        journal suffix. Replay chunks carry their base journal
-        sequence so the worker's dedup cursor tracks exactly what it
-        has applied — a later conservative redelivery (router
-        recovery) is then skippable worker-side. Returns the number of
-        journal records replayed."""
+    def _restore(
+        self, worker: _Worker, apply_checkpoint: Callable[[dict], Any]
+    ) -> Iterator[tuple[int, list[tuple[str, int, dict | None]]]]:
+        """The restore recipe, whatever the target: hand the shard's
+        latest checkpoint to ``apply_checkpoint``, then yield the
+        journal suffix past it as ``(base_seq, records)`` chunks for
+        the caller to feed the target. Revive, migration, router
+        recovery and degrade-to-fold all rebuild a shard this way."""
         start_seq = worker.replay_base
         if worker.checkpoint is not None:
-            self._roundtrip(worker, "seed", worker.checkpoint)
+            apply_checkpoint(worker.checkpoint)
             start_seq = max(
                 start_seq, int(worker.checkpoint.get("journal_seq", 0))
             )
         if worker.log is None:
-            return 0
+            return
+        suffix = worker.log.replay_seqs(start_seq)
+        while chunk := list(islice(suffix, self.batch_size)):
+            yield chunk[0][0], [record for _, record in chunk]
+
+    def _seed_worker(self, worker: _Worker) -> int:
+        """Re-seed a fresh worker exactly (see :meth:`_restore`). Replay
+        chunks carry their base journal sequence so the worker's dedup
+        cursor tracks exactly what it has applied — a later
+        conservative redelivery (router recovery) is then skippable
+        worker-side. Returns the number of journal records replayed."""
         replayed = 0
-        chunk: list[tuple[str, int, dict | None]] = []
-        chunk_base = start_seq
-        for seq, record in worker.log.replay_seqs(start_seq):
-            if not chunk:
-                chunk_base = seq
-            chunk.append(record)
-            if len(chunk) >= self.batch_size:
-                worker.conn.send(("batch", {"r": chunk, "q": chunk_base}))
-                replayed += len(chunk)
-                chunk = []
-        if chunk:
-            worker.conn.send(("batch", {"r": chunk, "q": chunk_base}))
+        for base, chunk in self._restore(
+            worker, lambda state: self._roundtrip(worker, "seed", state)
+        ):
+            worker.conn.send(("batch", {"r": chunk, "q": base}))
             replayed += len(chunk)
         return replayed
 
@@ -1683,22 +1639,12 @@ class ShardedStreamEngine:
         )
         for name, query in self._sharded.items():
             fold.register(query, name=name)
-        start_seq = worker.replay_base
-        if worker.checkpoint is not None:
-            apply_engine_state(fold, worker.checkpoint)
-            start_seq = max(
-                start_seq, int(worker.checkpoint.get("journal_seq", 0))
+        dropped = sum(
+            _feed_fold(fold, chunk)
+            for _, chunk in self._restore(
+                worker, lambda state: apply_engine_state(fold, state)
             )
-        dropped = 0
-        if worker.log is not None:
-            chunk: list[tuple[str, int, dict | None]] = []
-            for record in worker.log.replay(start_seq):
-                chunk.append(record)
-                if len(chunk) >= 1024:
-                    dropped += _feed_fold(fold, chunk)
-                    chunk = []
-            if chunk:
-                dropped += _feed_fold(fold, chunk)
+        )
         _destroy_process(worker, self._shutdown_timeout_s)
         worker.fold = fold
         health.degraded = True
@@ -1731,7 +1677,7 @@ class ShardedStreamEngine:
         worker: _Worker,
         command: str,
         payload: Any = None,
-        timeout: float | None = None,
+        timeout: float = _RECV_TIMEOUT_S,
     ) -> Any:
         """One guarded request/reply on the data pipe (lock held).
 
@@ -1742,14 +1688,13 @@ class ShardedStreamEngine:
         :class:`_ShardUnresponsive` on pipe death or a blown reply
         deadline, :class:`EngineError` on an ``("error", ...)`` reply.
         """
-        deadline = self._recv_timeout_s if timeout is None else timeout
         try:
             while worker.conn.poll(0):
                 self._salvage_reply(worker, worker.conn.recv())
             worker.conn.send((command, payload))
-            if not worker.conn.poll(deadline):
+            if not worker.conn.poll(timeout):
                 raise _ShardUnresponsive(
-                    f"no reply to {command!r} within {deadline}s"
+                    f"no reply to {command!r} within {timeout}s"
                 )
             status, value = worker.conn.recv()
         except CHANNEL_ERRORS as error:
@@ -1859,47 +1804,20 @@ class ShardedStreamEngine:
         # Quiesce at a batch boundary: everything buffered goes to the
         # current owner (and its journal) first, so the checkpoint
         # below covers a consistent prefix of the partition's stream.
-        buffer = worker.buffer
-        traced = worker.traced
-        worker.buffer = []
-        worker.traced = []
-        if buffer:
-            if self._router_log is not None:
-                self._router_log.commit()
-            self._send_records(worker, buffer, traced=traced or None)
+        self._flush_locked(worker)
         if worker.fold is not None:
             # The flush exhausted the restart budget and degraded the
             # partition; its key-range now runs in-process — done.
             return time.perf_counter() - started
         try:
             if not worker.checkpoint_disabled:
-                state = self._roundtrip(worker, "checkpoint", None)
-                state["journal_seq"] = (
-                    worker.log.next_seq if worker.log is not None else 0
-                )
-                worker.checkpoint = state
-                if worker.log is not None:
-                    worker.log.save_checkpoint(state)
-                    worker.log.truncate_to(state["journal_seq"])
-                worker.batches_since_checkpoint = 0
-                self._m_checkpoints.inc()
-            try:
-                worker.conn.send(("stop", None))
-                if worker.conn.poll(min(1.0, self._shutdown_timeout_s)):
-                    worker.conn.recv()
-            except CHANNEL_ERRORS:
-                pass
+                self._take_checkpoint(worker)
+            self._say_stop(worker)
         except (_ShardUnresponsive, EngineError):
             # Source is sick: re-seed from the stored checkpoint plus
             # the full journal suffix instead — still exact.
             pass
-        _destroy_process(worker, self._shutdown_timeout_s)
-        worker.generation += 1
-        self._place_and_seed(worker, prefer=member_id)
-        pause = time.perf_counter() - started
-        self.migrations += 1
-        self._m_migrations.inc()
-        self._h_migration_pause.observe(pause * 1_000_000.0)
+        pause = self._move_locked(worker, member_id, started)
         _log.info(
             "partition_migrated",
             message=(
@@ -1923,26 +1841,38 @@ class ShardedStreamEngine:
             with worker.lock:
                 if worker.fold is not None or self._closed:
                     return
-                started = time.perf_counter()
-                worker.generation += 1
-                _destroy_process(worker, self._shutdown_timeout_s)
-                self._place_and_seed(worker, prefer=dest)
-                pause = time.perf_counter() - started
+                self._move_locked(worker, dest, time.perf_counter())
+
+    def _move_locked(
+        self, worker: _Worker, prefer: str, started: float
+    ) -> float:
+        """The tail of every partition move: respawn on a live member
+        (``prefer`` first) and book the migration. Returns the pause
+        since ``started``."""
+        self._respawn(worker, prefer)
+        pause = time.perf_counter() - started
         self.migrations += 1
         self._m_migrations.inc()
         self._h_migration_pause.observe(pause * 1_000_000.0)
+        return pause
 
-    def _least_loaded(self, exclude: str | None = None) -> str | None:
-        """The live member owning the fewest partitions (ties: id)."""
-        loads: dict[str, int] = {}
-        for member in self._membership.live_members():
-            if member.member_id != exclude:
-                loads[member.member_id] = 0
-        if not loads:
-            return None
+    def _member_loads(self, exclude: str | None = None) -> dict[str, int]:
+        """Partitions owned per live member (``exclude`` left out)."""
+        loads = {
+            member.member_id: 0
+            for member in self._membership.live_members()
+            if member.member_id != exclude
+        }
         for owner in self._routing:
             if owner in loads:
                 loads[owner] += 1
+        return loads
+
+    def _least_loaded(self, exclude: str | None = None) -> str | None:
+        """The live member owning the fewest partitions (ties: id)."""
+        loads = self._member_loads(exclude)
+        if not loads:
+            return None
         return min(loads, key=lambda mid: (loads[mid], mid))
 
     def _rebalance_for_join(self, member_id: str) -> None:
@@ -1951,20 +1881,20 @@ class ShardedStreamEngine:
         Moves one partition at a time from the most-loaded donor, and
         only while a move strictly reduces imbalance (donor at least
         two ahead) — minimal churn, never a pointless swap."""
-        member = self._membership.get(member_id)
-        if member is None or not member.live:
-            return
         while True:
-            loads: dict[str, int] = {member_id: 0}
+            loads = self._member_loads()
+            if member_id not in loads:
+                return  # the joiner is not (or no longer) live
             movable: dict[str, list[int]] = {}
             for index, owner in enumerate(self._routing):
-                loads[owner] = loads.get(owner, 0) + 1
                 if owner != member_id and self._workers[index].fold is None:
                     movable.setdefault(owner, []).append(index)
             joiner_load = loads[member_id]
             donor = None
             for owner in sorted(movable):
-                if loads[owner] >= joiner_load + 2 and (
+                # A dead owner awaiting evacuation is no donor: its
+                # partitions move with its own DEAD event.
+                if loads.get(owner, -1) >= joiner_load + 2 and (
                     donor is None or loads[owner] > loads[donor]
                 ):
                     donor = owner
@@ -2100,47 +2030,9 @@ class ShardedStreamEngine:
         self._m_router_checkpoints.inc()
         return state
 
-    def _recovery_route(
-        self,
-        event: Event,
-        counters: list[int],
-        recovered: list[int],
-    ) -> None:
-        """Route one lane-replayed event with per-shard count-skip.
-
-        Routing is deterministic, so during replay the *k*-th record
-        bound for shard *i* lands on the same journal sequence it had
-        in the crashed run; while that sequence is below the shard's
-        recovered journal tail the record is already inside the worker
-        (seeded from checkpoint + journal) and is skipped — delivered
-        and journaled otherwise. Tracing is not replayed (spans
-        describe the original run, not the recovery).
-        """
-        self.metrics.events += 1
-        ts = event.ts
-        if self._clock_ms is None or ts > self._clock_ms:
-            self._clock_ms = ts
-        self._local.process(event)
-        if not self._sharded:
-            return
-        if event.event_type not in self._sharded_types:
-            return
-        record = (event.event_type, ts, event.attrs or None)
-        key = event.get(self.shard_attribute, _MISSING)
-        if key is _MISSING:
-            targets: Iterable[_Worker] = self._workers
-        else:
-            targets = (self._workers[shard_of(key, self.shards)],)
-        for worker in targets:
-            index = worker.index
-            position = counters[index]
-            counters[index] = position + 1
-            if position < recovered[index]:
-                continue  # already applied via checkpoint + journal
-            self._buffer(worker, record)
-
     def process(self, event: Event) -> None:
-        """Route one event: local lane always, worker lane by key."""
+        """Ingest one event: stage it in the router WAL (when one is
+        attached), then route it."""
         if not self._started:
             self._start()
         log = self._router_log
@@ -2164,45 +2056,61 @@ class ShardedStreamEngine:
             # durability ack for the tail.
             log.append(event)
             self._events_since_router_checkpoint += 1
+        self._route(event)
+
+    def _route(self, event: Event, skip: list[int] | None = None) -> None:
+        """Route one event: local lane always, worker lane by key.
+
+        ``skip`` is router recovery's count-skip cursor — per shard,
+        how many more records that shard's journal already holds.
+        Routing is deterministic, so during lane replay the *k*-th
+        record bound for shard *i* lands on the journal sequence it had
+        in the crashed run; while the cursor is positive the record is
+        already inside the worker (seeded from checkpoint + journal)
+        and is skipped — delivered and journaled otherwise. Replay is
+        not traced (spans describe the original run, not the recovery).
+        """
         self.metrics.events += 1
         ts = event.ts
         if self._clock_ms is None or ts > self._clock_ms:
             self._clock_ms = ts
         self._local.process(event)
-        if not self._sharded:
-            return
         if event.event_type not in self._sharded_types:
             # No sharded pattern reacts to this type; workers sync their
             # clocks from the watermark at collect time instead.
             return
         record = (event.event_type, ts, event.attrs or None)
         key = event.get(self.shard_attribute, _MISSING)
+        trace_id = None
         if key is _MISSING:
             # Keyless (e.g. a negated type without the attribute):
             # every partition is affected — broadcast (HPC does the
             # same across its in-process partitions).  Broadcasts are
             # not traced: one trace id per shard would stitch wrong.
-            for worker in self._workers:
-                self._buffer(worker, record)
-            return
-        worker = self._workers[shard_of(key, self.shards)]
-        trace_id = None
-        if self._trace_on:
-            self._route_seq += 1
-            if self._route_seq % self._trace_sample == 0:
-                trace_id = f"e{self._route_seq}"
-                self._trace.record(
-                    Stage.ROUTE,
-                    ts,
-                    event.event_type,
-                    f"shard={worker.index}",
-                    trace_id=trace_id,
-                    wall=time.time(),
-                )
-                self._pending_traces.append(
-                    (trace_id, worker.index, event.event_type, ts)
-                )
-        self._buffer(worker, record, trace_id)
+            targets: Sequence[_Worker] = self._workers
+        else:
+            worker = self._workers[shard_of(key, self.shards)]
+            targets = (worker,)
+            if self._trace_on and skip is None:
+                self._route_seq += 1
+                if self._route_seq % self._trace_sample == 0:
+                    trace_id = f"e{self._route_seq}"
+                    self._trace.record(
+                        Stage.ROUTE,
+                        ts,
+                        event.event_type,
+                        f"shard={worker.index}",
+                        trace_id=trace_id,
+                        wall=time.time(),
+                    )
+                    self._pending_traces.append(
+                        (trace_id, worker.index, event.event_type, ts)
+                    )
+        for worker in targets:
+            if skip is not None and skip[worker.index] > 0:
+                skip[worker.index] -= 1  # applied via checkpoint + journal
+                continue
+            self._buffer(worker, record, trace_id)
 
     def process_event_batch(self, batch: EventBatch) -> int:
         """Route one columnar batch: local lane columnar, workers by key.
@@ -2314,36 +2222,60 @@ class ShardedStreamEngine:
                 return
         self._flush_worker(worker)
 
-    def _flush_worker(self, worker: _Worker) -> None:
+    def _flush_worker(self, worker: _Worker, timeout: float = -1) -> None:
         """Capture-and-send one worker's buffer (any thread).
 
         The whole operation runs under ``buffer_lock`` — the capture
         so an append racing from another thread cannot land in the
         orphaned list, the send so two concurrent flushers (ingest
-        thread + scrape thread) cannot deliver batches out of order.
+        thread + scrape thread) cannot deliver batches out of order —
+        and the send under ``lock``, in that order. ``timeout`` bounds
+        each acquisition for the scrape path, which gives up on a busy
+        lock rather than wait (the ingest path delivers the batch
+        later); the default blocks.
         """
-        log = self._router_log
-        with worker.buffer_lock:
-            buffer = worker.buffer
-            if not buffer:
+        if not worker.buffer_lock.acquire(timeout=timeout):
+            return
+        try:
+            if not worker.buffer or not worker.lock.acquire(timeout=timeout):
                 return
-            if log is not None:
-                # Group commit: every record in this buffer was staged
-                # in the WAL before it was buffered (process() order),
-                # so committing here — before the send below — keeps
-                # the shard journals a subset of the durable WAL.
-                log.commit()
-            traced = worker.traced
-            worker.buffer = []
-            worker.traced = []
-            with worker.lock:
-                self._send_records(worker, buffer, traced=traced or None)
+            try:
+                self._flush_locked(worker)
+            finally:
+                worker.lock.release()
+        finally:
+            worker.buffer_lock.release()
+
+    def _flush_locked(self, worker: _Worker) -> None:
+        """The one place buffered records leave the router (both worker
+        locks held): commit the router WAL, capture the buffer, send.
+
+        Every record in the buffer was staged in the WAL before it was
+        buffered (``process`` order), so the group commit ahead of the
+        send is what keeps the shard journals a subset of the durable
+        WAL — for every caller, because there is no other send. A
+        failed send puts the batch back (no append raced us — that
+        needs ``buffer_lock`` — so the trace offsets are still exact)
+        and re-raises; the next flush delivers it.
+        """
+        buffer = worker.buffer
+        if not buffer:
+            return
+        if self._router_log is not None:
+            self._router_log.commit()
+        traced = worker.traced
+        worker.buffer = []
+        worker.traced = []
+        try:
+            self._send_records(worker, buffer, traced=traced or None)
+        except Exception:
+            worker.buffer, worker.traced = buffer, traced
+            raise
 
     def _send_records(
         self,
         worker: _Worker,
         records: list[tuple[str, int, dict | None]],
-        journal: bool = True,
         traced: list[tuple[int, str]] | None = None,
         wire: bytes | None = None,
     ) -> None:
@@ -2381,22 +2313,15 @@ class ShardedStreamEngine:
         # router recovery can never double-apply.  A revive inside the
         # retry loop below does not move ``next_seq`` (replay stops
         # exactly there), so the base stays valid across attempts.
-        base = (
-            worker.log.next_seq
-            if journal and worker.log is not None
-            else None
+        base = worker.log.next_seq if worker.log is not None else None
+        payload: dict[str, Any] = (
+            {"r": records} if wire is None
+            else {"c": wire, "n": len(records)}
         )
-        payload: Any = records
-        if wire is not None:
-            payload = {"c": wire, "n": len(records)}
-            if base is not None:
-                payload["q"] = base
-        elif traced or base is not None:
-            payload = {"r": records}
-            if traced:
-                payload["t"] = traced
-            if base is not None:
-                payload["q"] = base
+        if traced:
+            payload["t"] = traced
+        if base is not None:
+            payload["q"] = base
         attempts = 0
         while True:
             failed = None
@@ -2438,7 +2363,7 @@ class ShardedStreamEngine:
             if worker.fold is not None:
                 self._fold_feed(worker, records)
                 return
-        if journal and worker.log is not None:
+        if worker.log is not None:
             worker.log.append(records)
             worker.batches_since_checkpoint += 1
             if (
@@ -2449,13 +2374,24 @@ class ShardedStreamEngine:
             ):
                 self._checkpoint_locked(worker)
 
+    def _take_checkpoint(self, worker: _Worker) -> None:
+        """Snapshot one worker's engine state and prune its journal
+        (lock held; the caller owns what a failed snapshot means)."""
+        state = self._roundtrip(worker, "checkpoint", None)
+        state["journal_seq"] = worker.log.next_seq
+        worker.checkpoint = state
+        worker.log.save_checkpoint(state)
+        worker.log.truncate_to(state["journal_seq"])
+        worker.batches_since_checkpoint = 0
+        self._m_checkpoints.inc()
+
     def _checkpoint_locked(self, worker: _Worker) -> None:
-        """Snapshot one worker's engine state and prune its journal."""
+        """The cadence checkpoint: an unresponsive worker is revived, a
+        worker that cannot serialize stops being asked."""
         try:
-            state = self._roundtrip(worker, "checkpoint", None)
+            self._take_checkpoint(worker)
         except _ShardUnresponsive as error:
             self._handle_failure(worker, f"checkpoint failed: {error}")
-            return
         except EngineError as error:
             # Deterministic serialization problem: a restart would not
             # fix it, so keep the worker and stop asking.
@@ -2468,13 +2404,6 @@ class ShardedStreamEngine:
                 ),
                 shard=worker.index,
             )
-            return
-        state["journal_seq"] = worker.log.next_seq
-        worker.checkpoint = state
-        worker.log.save_checkpoint(state)
-        worker.log.truncate_to(state["journal_seq"])
-        worker.batches_since_checkpoint = 0
-        self._m_checkpoints.inc()
 
     def _fold_feed(
         self,
@@ -2561,28 +2490,10 @@ class ShardedStreamEngine:
         self, worker: _Worker, command: str, payload: Any
     ) -> Any:
         """Serve a worker request from a degraded shard's fold lane."""
-        fold = worker.fold
-        if command == "collect":
-            fold.advance_clock(int(payload))
-            return {
-                "partials": {
-                    name: _partial_of(fold.executor_of(name))
-                    for name in self._sharded
-                }
-            }
-        if command == "rows":
-            return fold.query_rows()
+        reply = _answer(worker.fold, command, payload)
         if command == "inspect":
-            state = fold.inspect()
-            state["degraded"] = True
-            return state
-        if command == "state":
-            from repro.obs.inspect import state_of
-
-            return state_of(fold, payload)
-        raise EngineError(
-            f"command {command!r} is not served by a degraded shard"
-        )
+            reply["degraded"] = True
+        return reply
 
     def _collect(self, command: str, payload: Any = None) -> list[Any]:
         """Round-trip one request to every worker (flushes first)."""
@@ -2601,13 +2512,11 @@ class ShardedStreamEngine:
         replies = self._collect("collect", watermark)
         partials_by_shard: list[dict[str, Any]] = []
         for worker, reply in zip(self._workers, replies):
-            # Collect replies piggyback an observability snapshot so a
-            # merge also refreshes metrics/traces without extra trips.
-            if isinstance(reply, dict) and "partials" in reply:
-                self._ingest_obs(worker, reply)
-                partials_by_shard.append(reply["partials"])
-            else:
-                partials_by_shard.append(reply)
+            # A worker's collect reply piggybacks an observability
+            # snapshot, so a merge also refreshes metrics/traces
+            # without extra trips (a fold lane's carries none).
+            self._ingest_obs(worker, reply.get("obs"))
+            partials_by_shard.append(reply["partials"])
         if self._trace_on and self._pending_traces:
             now = time.time()
             while self._pending_traces:
@@ -2656,45 +2565,6 @@ class ShardedStreamEngine:
     def watermark_ms(self) -> float | None:
         return None if self._clock_ms is None else float(self._clock_ms)
 
-    def _try_flush(self, worker: _Worker, timeout: float = 0.5) -> None:
-        """Best-effort flush of one worker's buffer (scrape path).
-
-        Unlike :meth:`_flush_worker` this never blocks past ``timeout``
-        on a busy lock; on failure the batch is re-stashed so the
-        ingest path delivers it later.  Both locks are timed acquires
-        in ``buffer_lock`` → ``lock`` order: the buffer lock keeps the
-        capture atomic against a concurrently appending ingest thread,
-        the pipe lock guards the send.
-        """
-        if not worker.buffer:
-            return
-        if not worker.buffer_lock.acquire(timeout=timeout):
-            return
-        try:
-            buffer = worker.buffer
-            if not buffer:
-                return
-            if not worker.lock.acquire(timeout=timeout):
-                return
-            try:
-                traced = worker.traced
-                worker.buffer = []
-                worker.traced = []
-                try:
-                    self._send_records(
-                        worker, buffer, traced=traced or None
-                    )
-                except Exception:
-                    # Put the batch back; no append raced us (the
-                    # ingest path needs buffer_lock), so the trace
-                    # offsets are still exact.
-                    worker.buffer = buffer
-                    worker.traced = traced
-            finally:
-                worker.lock.release()
-        finally:
-            worker.buffer_lock.release()
-
     def _scrape_rows(
         self, worker: _Worker
     ) -> tuple[list[dict[str, Any]] | None, bool]:
@@ -2734,7 +2604,11 @@ class ShardedStreamEngine:
         stale_queries: set[str] = set()
         if self._sharded and self._started:
             for worker in self._workers:
-                self._try_flush(worker)
+                if worker.buffer:  # unlocked peek: idle shards skip the wait
+                    try:
+                        self._flush_worker(worker, timeout=0.5)
+                    except Exception:
+                        pass  # best-effort: the batch was put back
                 shard_rows, stale = self._scrape_rows(worker)
                 if stale:
                     if shard_rows:
@@ -2786,16 +2660,11 @@ class ShardedStreamEngine:
             if worker.fold is not None or worker.conn is None:
                 return
             try:
-                while worker.conn.poll(0):
-                    self._salvage_reply(worker, worker.conn.recv())
-                worker.conn.send(("obs", None))
-                if not worker.conn.poll(min(2.0, self._recv_timeout_s)):
-                    return
-                status, payload = worker.conn.recv()
-            except CHANNEL_ERRORS:
-                return
-            if status == "ok":
-                self._ingest_obs(worker, payload)
+                self._ingest_obs(
+                    worker, self._roundtrip(worker, "obs", timeout=2.0)
+                )
+            except (_ShardUnresponsive, EngineError):
+                pass
         finally:
             worker.lock.release()
 
@@ -2926,9 +2795,7 @@ class ShardedStreamEngine:
         if query_id not in self._specs:
             return None
         if query_id in self._local_names:
-            from repro.obs.inspect import state_of
-
-            return state_of(self._local, query_id)
+            return _answer(self._local, "state", query_id)
         if not self._started:
             return {"kind": "sharded", "query": query_id, "shards": []}
         return {

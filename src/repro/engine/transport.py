@@ -495,18 +495,18 @@ class ShardTransport:
         return type(self).__name__
 
 
+def _default_context() -> Any:
+    """The multiprocessing context workers are started from: ``fork``
+    where the platform has it, the platform default otherwise."""
+    methods = mp.get_all_start_methods()
+    return mp.get_context("fork" if "fork" in methods else methods[0])
+
+
 class PipeTransport(ShardTransport):
     """Fork-per-shard over two OS pipes — the classic local transport."""
 
-    def __init__(self, ctx: Any = None, start_method: str | None = None):
-        if ctx is None:
-            if start_method is None:
-                methods = mp.get_all_start_methods()
-                start_method = (
-                    "fork" if "fork" in methods else methods[0]
-                )
-            ctx = mp.get_context(start_method)
-        self._ctx = ctx
+    def __init__(self) -> None:
+        self._ctx = _default_context()
 
     def open(self, index: int) -> WorkerEndpoint:
         from repro.engine.sharded import _shard_worker
@@ -612,7 +612,6 @@ class SocketTransport(ShardTransport):
         connect_backoff_s: float = 0.05,
         handshake_timeout_s: float = 10.0,
         registry: MetricsRegistry | None = None,
-        ctx: Any = None,
         read_deadline_s: float | None = None,
         write_deadline_s: float | None = None,
     ):
@@ -630,12 +629,7 @@ class SocketTransport(ShardTransport):
         self._write_deadline_s = write_deadline_s
         registry = resolve_registry(registry)
         self._registry = registry
-        if ctx is None:
-            methods = mp.get_all_start_methods()
-            ctx = mp.get_context(
-                "fork" if "fork" in methods else methods[0]
-            )
-        self._ctx = ctx
+        self._ctx = _default_context()
         self._m_connects: dict[int, Any] = {}
         self._m_retries: dict[int, Any] = {}
         self._m_frames: dict[int, dict[str, Any]] = {}
@@ -864,7 +858,6 @@ class SocketTransport(ShardTransport):
 
 def build_transport(
     transport: str | ShardTransport | None,
-    ctx: Any = None,
     worker_addresses: Sequence[str] | None = None,
     registry: MetricsRegistry | None = None,
 ) -> ShardTransport:
@@ -877,12 +870,11 @@ def build_transport(
             raise TransportError(
                 "worker addresses require the tcp transport"
             )
-        return PipeTransport(ctx=ctx)
+        return PipeTransport()
     if kind in ("tcp", "socket"):
         return SocketTransport(
             addresses=worker_addresses or None,
             registry=registry,
-            ctx=ctx,
         )
     raise TransportError(
         f"unknown transport {transport!r}; expected one of {TRANSPORTS}"

@@ -140,6 +140,20 @@ def apply_engine_state(
         )
 
 
+def apply_engine_metrics(engine: Any, state: dict[str, Any]) -> None:
+    """Restore the running :class:`EngineMetrics` that
+    :func:`engine_state` wrote — the half of the document the crash
+    recoveries want and the shard re-seed paths must not (a worker's or
+    fold lane's event count keeps counting what *it* ingested)."""
+    metrics = state.get("metrics", {})
+    target = engine.metrics
+    target.events = metrics.get("events", 0)
+    target.outputs = metrics.get("outputs", 0)
+    target.elapsed_s = metrics.get("elapsed_s", 0.0)
+    target.peak_objects = metrics.get("peak_objects", 0)
+    target.sink_errors = metrics.get("sink_errors", 0)
+
+
 def validate_engine_state(state: Any) -> dict[str, Any]:
     """Structural check of a loaded checkpoint document."""
     if not isinstance(state, dict):

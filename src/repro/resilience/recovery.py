@@ -34,21 +34,50 @@ events do *not* re-emit to sinks by default (``replay_to_sinks=False``)
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Any, Callable, Iterable, Mapping, Sequence
 
 from repro.errors import CheckpointError
 from repro.engine.sinks import ResultSink
+from repro.events.event import Event
 from repro.obs.registry import MetricsRegistry, resolve_registry
 from repro.obs.tracing import Stage, TraceRecorder, resolve_tracer
 from repro.query.ast import Query
 from repro.query.parser import parse_query
 from repro.resilience.checkpointer import (
     Checkpointer,
+    apply_engine_metrics,
     apply_engine_state,
     load_latest_checkpoint,
 )
 from repro.resilience.journal import EventJournal, read_journal
 from repro.resilience.supervisor import SupervisedStreamEngine
+
+
+def replay_detached(
+    engine: Any,
+    events: Iterable[Event],
+    process: Callable[[Event], None],
+    detach: bool = True,
+) -> int:
+    """Replay ``events`` through ``process`` with ``engine``'s sinks
+    detached (unless ``detach`` is off), so outputs delivered before
+    the crash are not delivered twice; the sinks are re-attached even
+    when replay raises. Returns the number of events replayed."""
+    detached: dict[str, list] = {}
+    if detach:
+        for name in engine.query_names:
+            registration = engine._registrations[name]
+            detached[name] = registration.sinks
+            registration.sinks = []
+    replayed = 0
+    try:
+        for event in events:
+            process(event)
+            replayed += 1
+    finally:
+        for name, saved in detached.items():
+            engine._registrations[name].sinks = saved
+    return replayed
 
 
 def recover(
@@ -91,12 +120,7 @@ def recover(
     start_seq = 0
     if state is not None:
         start_seq = state["journal_seq"]
-        metrics = state.get("metrics", {})
-        engine.metrics.events = metrics.get("events", 0)
-        engine.metrics.outputs = metrics.get("outputs", 0)
-        engine.metrics.elapsed_s = metrics.get("elapsed_s", 0.0)
-        engine.metrics.peak_objects = metrics.get("peak_objects", 0)
-        engine.metrics.sink_errors = metrics.get("sink_errors", 0)
+        apply_engine_metrics(engine, state)
         for entry in state["registrations"]:
             name = entry["name"]
             engine.register(
@@ -122,22 +146,12 @@ def recover(
             f"replay_from={start_seq}",
         )
 
-    # Replay the journal suffix. Sinks are detached during replay
-    # unless asked for, so pre-crash outputs are not delivered twice.
-    detached: dict[str, list] = {}
-    if not replay_to_sinks:
-        for name in engine.query_names:
-            registration = engine._registrations[name]
-            detached[name] = registration.sinks
-            registration.sinks = []
-    replayed = 0
-    try:
-        for _, event in read_journal(directory, start_seq=start_seq):
-            engine.process(event)
-            replayed += 1
-    finally:
-        for name, saved in detached.items():
-            engine._registrations[name].sinks = saved
+    replayed = replay_detached(
+        engine,
+        (event for _, event in read_journal(directory, start_seq=start_seq)),
+        engine.process,
+        detach=not replay_to_sinks,
+    )
     m_replayed.inc(replayed)
     engine.events_replayed = replayed
 

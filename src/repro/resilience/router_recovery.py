@@ -59,6 +59,7 @@ from repro.events.event import Event
 from repro.obs.logging import get_logger
 from repro.obs.registry import MetricsRegistry, resolve_registry
 from repro.resilience.checkpointer import (
+    apply_engine_metrics,
     apply_engine_state,
     load_latest_checkpoint,
     write_checkpoint,
@@ -68,6 +69,7 @@ from repro.resilience.journal import (
     prune_segments,
     read_journal,
 )
+from repro.resilience.recovery import replay_detached
 
 _log = get_logger("router_recovery")
 
@@ -547,7 +549,7 @@ def recover_router(
     engine._start()
 
     # Restore the router's own bookkeeping and the local lane.
-    counters = [0] * shards
+    delivered = [0] * shards
     lane_starts: Sequence[int] | None = None
     commit_start = 0
     if router is not None:
@@ -557,7 +559,6 @@ def recover_router(
                 f"checkpoint records {len(delivered)} shard watermarks "
                 f"but the engine has {shards} shards"
             )
-        counters = delivered
         lane_starts = router["lane_seqs"]
         commit_start = int(router.get("commit_seq", 0))
         engine.metrics.events = int(router["events"])
@@ -565,13 +566,7 @@ def recover_router(
         engine._route_seq = int(router["route_seq"])
         engine.shed_events = int(router.get("shed_events", 0))
         apply_engine_state(engine._local, state)
-        metrics = state.get("metrics", {})
-        local = engine._local.metrics
-        local.events = metrics.get("events", 0)
-        local.outputs = metrics.get("outputs", 0)
-        local.elapsed_s = metrics.get("elapsed_s", 0.0)
-        local.peak_objects = metrics.get("peak_objects", 0)
-        local.sink_errors = metrics.get("sink_errors", 0)
+        apply_engine_metrics(engine._local, state)
 
     lane_count = lanes
     if lane_count is None:
@@ -584,28 +579,22 @@ def recover_router(
         registry=registry,
     )
 
-    # Captured *before* replay: replay appends past-tail records to
-    # the shard journals, which must not widen the skip window.
-    recovered = [
-        worker.log.next_seq if worker.log is not None else 0
-        for worker in engine._workers
+    # The count-skip cursor: how many more records each shard's journal
+    # already holds past the checkpoint's delivered watermark. Captured
+    # *before* replay: replay appends past-tail records to the shard
+    # journals, which must not widen the skip window.
+    skip = [
+        max(0, worker.log.next_seq - done)
+        for worker, done in zip(engine._workers, delivered)
     ]
 
     # Local-lane sinks stay detached during replay — pre-crash outputs
     # were already delivered (same contract as single-process recover).
-    detached: dict[str, list] = {}
-    for name in engine._local.query_names:
-        registration = engine._local._registrations[name]
-        detached[name] = registration.sinks
-        registration.sinks = []
-    replayed = 0
-    try:
-        for _, event in log.replay(lane_starts, commit_start):
-            engine._recovery_route(event, counters, recovered)
-            replayed += 1
-    finally:
-        for name, saved in detached.items():
-            engine._local._registrations[name].sinks = saved
+    replayed = replay_detached(
+        engine._local,
+        (event for _, event in log.replay(lane_starts, commit_start)),
+        lambda event: engine._route(event, skip),
+    )
 
     engine.events_replayed = replayed
     m_replayed.inc(replayed)

@@ -133,7 +133,7 @@ def _run_session(
     registry, tracer, profiler = _worker_obs_setup(obs)
     funnel = FunnelRecorder(registry) if obs.get("funnel") else NULL_FUNNEL
     try:
-        engine, executors = _build_worker_engine(
+        engine = _build_worker_engine(
             list(config.get("specs") or []),
             bool(config.get("vectorized")),
             index,
@@ -157,7 +157,7 @@ def _run_session(
         return "eof"
     try:
         return _worker_loop(
-            data, control, engine, executors, registry, tracer,
+            data, control, engine, registry, tracer,
             profiler, index=index, orphan_timeout_s=orphan_timeout_s,
         )
     finally:

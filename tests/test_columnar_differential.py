@@ -368,6 +368,55 @@ def test_neg_groupby_sequence_matches_reference_and_oracle(
     assert len(sequence) > 50
 
 
+FLOAT_QUERIES = [
+    "PATTERN SEQ(A, B, C) AGG SUM(B.price) WITHIN 120 ms",
+    "PATTERN SEQ(A, B, C) AGG AVG(B.price) WITHIN 120 ms",
+    "PATTERN SEQ(A, B) AGG SUM(B.price) WITHIN 120 ms GROUP BY g",
+    "PATTERN SEQ(A, B) AGG AVG(B.price) WITHIN 120 ms GROUP BY g",
+]
+
+
+@pytest.mark.parametrize("text", FLOAT_QUERIES)
+def test_float_sums_round_alike_on_every_lane(text):
+    """Two-decimal prices, where addition order shows in the last ulp:
+    the per-event SEM engine, the per-event vectorized engine,
+    ``process_batch`` and the columnar kernel must add the live
+    weighted sums in the same (column) order — ``==`` on every emit and
+    on the finals, no rounding."""
+    rng = random.Random(SEEDS[0])
+    events = random_events(
+        rng,
+        ["A", "B", "C", "Z"],
+        4000,
+        attr_maker=lambda r, t: {
+            "price": round(r.uniform(1, 200), 2), "g": r.randint(0, 3),
+        },
+    )
+    expected = per_event_run(text, events)
+    assert len(expected[0]) > 200
+
+    def lane(feed):
+        engine = StreamEngine(routed=True, vectorized=True)
+        sink = CollectSink()
+        engine.register(parse_query(text), sink, name="q")
+        feed(engine)
+        return sequence_of(sink), engine.results()
+
+    def per_event(engine):
+        for event in events:
+            engine.process(event)
+
+    def batched(engine):
+        for start in range(0, len(events), 256):
+            engine.process_batch(events[start:start + 256])
+
+    assert lane(per_event) == expected
+    assert lane(batched) == expected
+    assert columnar_run(
+        text, batches_from_events(events, batch_size=256)
+    ) == expected
+
+
 @pytest.mark.parametrize("seed", SEEDS)
 def test_kernel_set_never_materializes(seed, no_materializer):
     events = flat_stream(seed, count=600)

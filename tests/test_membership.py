@@ -458,6 +458,63 @@ def test_explicit_migration_moves_state_exactly():
         registry.close()
 
 
+@pytest.mark.parametrize("path", ["revive", "migrate", "degrade"])
+def test_every_restore_path_rebuilds_the_same_partition(path):
+    """Revive after a SIGKILL, ``migrate_partition`` and degrade-to-fold
+    are one recipe (checkpoint, then the journal suffix past it) aimed
+    at three targets. From the same mid-stream point of one stream they
+    leave the same journal tails and router event count behind, and all
+    finish on the uninterrupted run's results."""
+    from repro.engine.sharded import shard_of
+    from repro.resilience.faults import kill_shard
+
+    plan = FaultPlan(SEEDS[2])
+    events = _stream(plan, 600)
+    expected = _reference(events)
+    shards = ENGINE_SETTINGS["shards"]
+
+    def tails(upto):
+        owned = [shard_of(event["g"], shards) for event in events[:upto]]
+        return [owned.count(index) for index in range(shards)]
+
+    registry = WorkerRegistry(members=["m-a", "m-b"])
+    engine = _member_engine(
+        registry,
+        checkpoint_every_batches=2,
+        restart_limit=0 if path == "degrade" else 3,
+    )
+    try:
+        for event in events[:400]:
+            engine.process(event)
+        engine.flush()
+        victim = engine._workers[0]
+        assert victim.checkpoint is not None  # the cadence already fired
+        if path == "migrate":
+            engine.migrate_partition(0, "m-b")
+        else:
+            old_pid = victim.process.pid
+            kill_shard(engine, 0)
+            assert _wait_until(lambda: (
+                victim.fold is not None if path == "degrade"
+                else victim.process is not None
+                and victim.process.pid not in (None, old_pid)
+                and engine.shard_health()[0]["alive"]
+            ))
+        assert engine.degraded_shards == ({0} if path == "degrade" else set())
+        assert [w.log.next_seq for w in engine._workers] == tails(400)
+        for event in events[400:]:
+            engine.process(event)
+        assert engine.results() == expected
+        assert engine.inspect()["events"] == len(events)
+        final = tails(len(events))
+        if path == "degrade":
+            final[0] = tails(400)[0]  # a fold lane is fed, not journaled
+        assert [w.log.next_seq for w in engine._workers] == final
+    finally:
+        engine.close()
+        registry.close()
+
+
 # ----- the differential churn matrix -----------------------------------------
 
 

@@ -239,6 +239,91 @@ def test_recovery_without_any_router_checkpoint(tmp_path):
         recovered.close()
 
 
+def test_scrape_flush_commits_the_wal_before_it_sends(tmp_path):
+    """Every buffered record leaves the router through one procedure
+    that group-commits the WAL first — a ``/queries`` scrape included.
+    The scrape-path flush used to send without committing, so a shard
+    journal could hold records the durable lanes did not (journal at
+    seq 10, ``commit_seq`` 0) and a crash right after lost them from
+    the WAL while the worker kept them."""
+    plan = FaultPlan(SEEDS[0])
+    events = _stream(plan, 500)
+    expected = _reference(events)
+    engine = _journaled(tmp_path, 2, checkpoint_every=0)
+    log = engine._router_log
+    for event in events[:10]:  # below batch_size: nothing sent yet
+        engine.process(event)
+    assert [worker.log.next_seq for worker in engine._workers] == [0, 0]
+    assert log.commit_seq == 0
+    engine.query_rows()  # the scrape flushes every buffer, best-effort
+    assert sum(worker.log.next_seq for worker in engine._workers) == 10
+    assert log.commit_seq == 1 and log._pending_count == 0
+    _crash_router(engine)
+    queries = [parse_query(text, name=name)
+               for name, text in QUERIES.items()]
+    recovered = _recover(tmp_path, shards=2, queries=queries)
+    try:
+        assert recovered.metrics.events == 10
+        for event in events[10:]:
+            recovered.process(event)
+        assert recovered.results() == expected
+    finally:
+        recovered.close()
+
+
+def test_recovery_replays_broadcasts_and_unsharded_types(tmp_path):
+    """Lane replay goes through the same routing body as live ingest,
+    so the two branches that do not hash a key — a keyless negated
+    event broadcast to every shard, and a type only the local lane
+    reacts to — recover exactly too (count-skip per shard, local-lane
+    sinks detached)."""
+    from repro.engine.sinks import CollectSink
+
+    local_text = "PATTERN SEQ(A, Z) AGG COUNT WITHIN 40 ms"
+
+    def attrs(rng, event_type):
+        if event_type == "Z" or (event_type == "C" and rng.random() < 0.5):
+            return {"v": rng.randrange(1000)}  # no partition key
+        return _attrs(rng, event_type)
+
+    plan = FaultPlan(SEEDS[1])
+    events = random_events(plan.rng, "ABCZ", 900, attr_maker=attrs)
+    reference = StreamEngine()
+    reference_sink = CollectSink()
+    for name, text in QUERIES.items():
+        reference.register(parse_query(text), name=name)
+    reference.register(parse_query(local_text), reference_sink, name="flat")
+    for event in events:
+        reference.process(event)
+    reference.advance_clock(events[-1].ts)
+
+    # Past the first router checkpoint (cadence 150), short of the end.
+    crash_at = 300 + plan.crash_point(500)
+    engine = _journaled(tmp_path, 3)
+    before = CollectSink()
+    engine.register(parse_query(local_text), before, name="flat")
+    for event in events[:crash_at]:
+        engine.process(event)
+    assert engine.inspect()["local_queries"] == ["flat"]
+    _crash_router(engine)
+    after = CollectSink()
+    recovered = _recover(tmp_path, sinks={"flat": [after]})
+    try:
+        resume = recovered.metrics.events
+        assert recovered.events_replayed > 0
+        assert not after.outputs  # replay does not re-emit
+        for event in events[resume:]:
+            recovered.process(event)
+        assert recovered.results() == reference.results()
+        resumed_at = events[resume - 1].ts
+        emitted = [
+            (o.ts, o.value) for o in before.outputs if o.ts <= resumed_at
+        ] + [(o.ts, o.value) for o in after.outputs]
+        assert emitted == [(o.ts, o.value) for o in reference_sink.outputs]
+    finally:
+        recovered.close()
+
+
 def test_recover_twice_survives_a_second_crash(tmp_path):
     """The recovered engine is immediately crash-safe again: the WAL
     reattaches and a second SIGKILL recovers just as exactly."""

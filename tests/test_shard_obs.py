@@ -90,6 +90,21 @@ class TestShardMetricsCollection:
             # the router's own unlabeled supervision series coexist
             assert "shard_checkpoints_total" in text
 
+    def test_scrape_pull_refreshes_series_without_heartbeats(self):
+        """Unsupervised engines have no pongs to piggyback on: the
+        scrape-time ``obs`` pull is the only shipment before a collect,
+        and it must land in the merger (it used to be read as an
+        envelope without an ``obs`` key and dropped)."""
+        registry = MetricsRegistry()
+        with _engine(registry, supervise=False) as engine:
+            for event in _events(400):
+                engine.process(event)
+            engine.flush()
+            engine.refresh_cost_metrics()
+            text = to_prometheus(registry)
+            for shard in range(4):
+                assert f'events_ingested_total{{shard="{shard}"}}' in text
+
     def test_collection_off_without_registry(self):
         with _engine() as engine:  # NULL registry: no merger built
             engine.run(iter(_events(200)))

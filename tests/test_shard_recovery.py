@@ -249,6 +249,37 @@ def test_degraded_shard_serves_rows_and_inspect():
         assert workers[1].get("degraded") is True
 
 
+@pytest.mark.parametrize("surface", ["rows", "state", "inspect"])
+def test_degraded_shard_answers_like_a_live_worker(surface):
+    """The fold lane of a degraded shard and a live worker build their
+    ops-plane replies with one function: same key set on every surface,
+    and ``inspect`` alone says which of the two answered."""
+    plan = FaultPlan(SEEDS[1])
+    events = _stream(plan, 400)
+
+    def answer(engine):
+        if surface == "rows":
+            return {row["query"]: row for row in engine.query_rows()}["count"]
+        if surface == "state":
+            return engine.state_of("count")["shards"][1]
+        return engine.inspect()["workers"][1]
+
+    with _supervised(2, restart_limit=0) as engine:
+        for event in events:
+            engine.process(event)
+        engine.flush()
+        live = answer(engine)
+        assert live and "degraded" not in live
+        kill_shard(engine, 1)
+        assert _wait_for(lambda: 1 in engine.degraded_shards)
+        folded = answer(engine)
+        extra = {"degraded"} if surface == "inspect" else set()
+        assert set(folded) == set(live) | extra
+        if surface == "inspect":
+            assert folded["degraded"] is True
+        assert engine.results() == _reference(events)
+
+
 def test_health_snapshot_reports_degraded_shards():
     from repro.obs.inspect import health_snapshot
 
