@@ -170,6 +170,7 @@ def _load_runtime(runtime: Any, state: dict[str, Any]) -> None:
     elif isinstance(runtime, HPCEngine):
         _expect(kind, "hpc")
         runtime._now = state["now"]
+        runtime._objects = None  # the kept live-object total is stale
         for key, partition_state in state["partitions"]:
             if runtime._composite:
                 key = tuple(key)  # JSON round-trips tuples as lists

@@ -161,6 +161,11 @@ class HPCEngine:
         self._partitions: dict[Any, Any] = {}
         #: GROUP BY value (the leading key component) -> its engines.
         self._by_group: dict[Any, list[Any]] = {}
+        #: Sum of the partitions' current_objects(), kept exactly by
+        #: process() (the executor samples it after every event); None
+        #: when a path that touches many partitions made it stale, so
+        #: the next current_objects() recounts once.
+        self._objects: int | None = 0
         self._negated = set(query.pattern.negated_types)
         self._trigger_types = self.layout.trigger_types
         self._now = 0
@@ -201,6 +206,7 @@ class HPCEngine:
         key = self._key_of(event)
         if key is _MISSING:
             if event.event_type in self._negated:
+                self._objects = None
                 for engine in self._partitions.values():
                     engine.process(event)
                 return None
@@ -216,7 +222,15 @@ class HPCEngine:
                     Stage.PARTITION_CREATE, event.ts, event.event_type,
                     f"key={key!r} partitions={len(self._partitions)}",
                 )
-        engine.process(event)
+        # Stale while the partition runs, so a raising engine leaves
+        # the total to be recounted rather than wrong.
+        objects, self._objects = self._objects, None
+        if objects is None:
+            engine.process(event)
+        else:
+            objects -= engine.current_objects()
+            engine.process(event)
+            self._objects = objects + engine.current_objects()
         if event.event_type in self._trigger_types:
             if self._per_group:
                 # Paper Sec. 3.4: GROUP BY results are output per
@@ -233,6 +247,8 @@ class HPCEngine:
         if self._per_group:
             group = key[0] if self._composite else key
             self._by_group.setdefault(group, []).append(engine)
+        if self._objects is not None:
+            self._objects += engine.current_objects()
         if self._obs_on:
             self._m_partitions_created.inc()
             self._m_partitions_live.set(len(self._partitions))
@@ -255,6 +271,7 @@ class HPCEngine:
         with each emission (the arriving row's own key value) agree
         with the per-event lane for any column dtype.
         """
+        self._objects = None
         keys = batch.cols[plan.key_attribute][kept_idx].tolist()
         first_seen: dict[Any, int] = {}
         group_of = np.array(
@@ -301,6 +318,7 @@ class HPCEngine:
 
     def result(self) -> Any:
         """Per-key dict for GROUP BY; combined scalar for equivalence."""
+        self._objects = None
         for engine in self._partitions.values():
             engine.advance_time(self._now)
         if self._per_group:
@@ -312,8 +330,16 @@ class HPCEngine:
 
     def _group_result(self, group: Any) -> Any:
         engines = self._by_group.get(group, [])
-        for engine in engines:
-            engine.advance_time(self._now)
+        objects, self._objects = self._objects, None
+        if objects is None:
+            for engine in engines:
+                engine.advance_time(self._now)
+        else:
+            for engine in engines:
+                objects -= engine.current_objects()
+                engine.advance_time(self._now)
+                objects += engine.current_objects()
+            self._objects = objects
         return self._combined(engines)
 
     def advance_time(self, now: int) -> None:
@@ -327,6 +353,7 @@ class HPCEngine:
         Sec. 3.4), which is also what lets :class:`ShardedStreamEngine`
         merge AVG across worker processes without precision loss.
         """
+        self._objects = None
         total_count = 0
         total = 0.0
         for engine in self._partitions.values():
@@ -338,6 +365,7 @@ class HPCEngine:
 
     def group_count_and_wsum(self) -> dict[Any, tuple[int, float]]:
         """Per-group COUNT/weighted-sum totals (GROUP BY AVG merge)."""
+        self._objects = None
         totals: dict[Any, tuple[int, float]] = {}
         for group, engines in self._by_group.items():
             total_count = 0
@@ -380,9 +408,13 @@ class HPCEngine:
         return iter(self._partitions.items())
 
     def current_objects(self) -> int:
-        return sum(
-            engine.current_objects() for engine in self._partitions.values()
-        )
+        objects = self._objects
+        if objects is None:
+            objects = self._objects = sum(
+                engine.current_objects()
+                for engine in self._partitions.values()
+            )
+        return objects
 
     @property
     def counter_updates(self) -> int:

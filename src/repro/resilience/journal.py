@@ -8,28 +8,43 @@ counters, see :mod:`repro.core.checkpoint`), the journal only ever
 needs to cover the short gap since the last checkpoint — but it is
 written unconditionally so *any* crash point is recoverable.
 
-Format: JSON-lines segments. Each record is one line::
+Format: JSON-lines segments. Each append call writes one record, one
+line, for the whole batch it was given::
 
     <crc32-of-payload, 8 hex chars> <payload JSON>\\n
 
-with the payload carrying the journal sequence number and the full
-event (``{"seq": 17, "type": "DELL", "ts": 421, "attrs": {...}}``).
-Segments rotate at a byte threshold and are named by the sequence
-number of their first record (``journal-000000000000.wal``), so a
-reader replaying from offset *n* can skip whole segments without
-parsing them.
+    5debfd2a {"seq":17,"type":["DELL","IPIX"],"ts":[421,425],
+              "attrs":[{"price":12.5},null]}
+
+(one line on disk). ``seq`` is the sequence number of the record's
+first event; event *i* of the record holds ``seq + i``, so sequence
+numbers stay per event — checkpoints, dead letters and count-skip
+dedup never see the record boundary, and a reader starting at a
+sequence inside a record skips that record's earlier events. The three
+columns must be of equal length; a record whose columns disagree is
+corruption, never truncated to the shortest. The per-event shape
+earlier versions wrote (``{"seq":17,"type":"DELL","ts":421,
+"attrs":{...}}``, attrs omitted when empty) is still read, so a
+journal written before the batch record recovers unchanged; a
+directory may hold both shapes. Segments rotate at a byte threshold
+and are named by the sequence number of their first record
+(``journal-000000000000.wal``), so a reader replaying from offset *n*
+can skip whole segments without parsing them.
 
 Torn writes: a crash mid-append leaves a partial or CRC-failing final
 line in the *last* segment. The reader tolerates exactly that — it
-stops cleanly at the first bad record of the last segment. A bad
-record anywhere else is real corruption and raises
+stops cleanly at the first bad record of the last segment, dropping
+that record's whole batch. Nothing of it was dispatched: the engine
+journals a batch completely before any executor sees its first event.
+A bad record anywhere else is real corruption and raises
 :class:`~repro.errors.JournalError`.
 
 Durability policy (``fsync``): ``"never"`` leaves flushing to the OS
-(fastest, loses the tail on power failure), ``"interval"`` fsyncs every
-``fsync_interval`` appends, ``"always"`` fsyncs per record (slowest,
-loses nothing). All three survive a process crash; the policy only
-matters for whole-machine failures.
+(fastest, loses the tail on power failure), ``"interval"`` fsyncs once
+``fsync_interval`` events have been appended since the last fsync,
+``"always"`` fsyncs per record (slowest, loses nothing). All three
+survive a process crash; the policy only matters for whole-machine
+failures.
 """
 
 from __future__ import annotations
@@ -38,7 +53,7 @@ import json
 import os
 import zlib
 from pathlib import Path
-from typing import Iterator
+from typing import Iterator, Sequence
 
 from repro.errors import JournalError
 from repro.events.event import Event
@@ -50,7 +65,7 @@ FSYNC_POLICIES = ("never", "interval", "always")
 
 _SEPARATORS = (",", ":")
 # json.dumps(..., separators=...) constructs a fresh JSONEncoder per
-# call; the journal encodes one record per event, so reuse one.
+# call; the journal encodes one record per append, so reuse one.
 _encode_json = json.JSONEncoder(separators=_SEPARATORS).encode
 
 
@@ -80,23 +95,28 @@ def list_segments(directory: str | Path) -> list[Path]:
     return sorted(segments, key=_segment_first_seq)
 
 
-def encode_record_bytes(seq: int, event: Event) -> bytes:
-    """Render one journal line (CRC prefix + JSON payload) as bytes."""
-    payload: dict = {"seq": seq, "type": event.event_type, "ts": event.ts}
-    if event.attrs:
-        payload["attrs"] = event.attrs
-    data = _encode_json(payload).encode("utf-8")
+def encode_record_bytes(first_seq: int, events: Sequence[Event]) -> bytes:
+    """Render one journal line (CRC prefix + JSON payload) holding
+    ``events`` as columns; event *i* has sequence ``first_seq + i``."""
+    data = _encode_json({
+        "seq": first_seq,
+        "type": [event.event_type for event in events],
+        "ts": [event.ts for event in events],
+        "attrs": [event.attrs or None for event in events],
+    }).encode("utf-8")
     crc = zlib.crc32(data) & 0xFFFFFFFF
     return b"%08x %s\n" % (crc, data)
 
 
 def encode_record(seq: int, event: Event) -> str:
-    """Render one journal line (CRC prefix + JSON payload)."""
-    return encode_record_bytes(seq, event).decode("utf-8")
+    """Render one event as a one-row journal line (text)."""
+    return encode_record_bytes(seq, [event]).decode("utf-8")
 
 
-def decode_record(line: str) -> tuple[int, Event]:
-    """Parse and CRC-check one journal line; raises JournalError."""
+def decode_record(line: str) -> tuple[int, list[Event]]:
+    """Parse and CRC-check one journal line; returns the sequence of
+    its first event and its events (one for a per-event record).
+    Raises JournalError."""
     if len(line) < 10 or line[8] != " ":
         raise JournalError(f"malformed journal record: {line[:40]!r}")
     text = line[9:].rstrip("\n")
@@ -111,12 +131,21 @@ def decode_record(line: str) -> tuple[int, Event]:
     try:
         payload = json.loads(text)
         seq = payload["seq"]
-        event = Event(payload["type"], payload["ts"], payload.get("attrs"))
+        types = payload["type"]
+        if isinstance(types, str):  # the per-event shape
+            return seq, [Event(types, payload["ts"], payload.get("attrs"))]
+        stamps = payload["ts"]
+        attrs = payload["attrs"]
+        if not len(types) == len(stamps) == len(attrs) > 0:
+            raise JournalError(
+                f"journal record at seq={seq} has columns of "
+                f"{len(types)}/{len(stamps)}/{len(attrs)} events"
+            )
+        return seq, list(map(Event, types, stamps, attrs))
     except (ValueError, KeyError, TypeError) as error:
         raise JournalError(
             f"journal record payload is invalid: {error!r}"
         ) from error
-    return seq, event
 
 
 class EventJournal:
@@ -137,7 +166,7 @@ class EventJournal:
     fsync:
         ``"never"`` / ``"interval"`` / ``"always"`` — see module doc.
     fsync_interval:
-        Appends between fsyncs under the ``"interval"`` policy.
+        Events appended between fsyncs under the ``"interval"`` policy.
     registry:
         Optional obs registry (``journal_records_total``,
         ``journal_bytes_total``, ``journal_fsyncs_total``,
@@ -204,10 +233,10 @@ class EventJournal:
                 if not raw.endswith(b"\n"):
                     break  # torn: partial final line
                 try:
-                    seq, _ = decode_record(raw.decode("utf-8"))
+                    seq, events = decode_record(raw.decode("utf-8"))
                 except (JournalError, UnicodeDecodeError):
                     break  # torn: CRC-failing final line
-                last_seq = seq
+                last_seq = seq + len(events) - 1
                 valid_end += len(raw)
         if valid_end < last.stat().st_size:
             with open(last, "r+b") as handle:
@@ -229,40 +258,16 @@ class EventJournal:
 
     def append(self, event: Event) -> int:
         """Durably record one event; returns its journal sequence."""
-        if self._handle is None:
-            raise JournalError("journal is closed")
-        if self._segment_size >= self._segment_bytes:
-            self._open_segment(self.next_seq)
-        seq = self.next_seq
-        line = encode_record_bytes(seq, event)
-        # Unbuffered binary handle: one write() syscall pushes the
-        # record to the OS, so a process crash never loses a flushed
-        # append (fsync policy only matters for machine failures).
-        self._handle.write(line)
-        size = len(line)
-        self._segment_size += size
-        self.backlog_bytes += size
-        self.next_seq = seq + 1
-        self._m_records.inc()
-        self._m_bytes.inc(size)
-        if self._fsync == "always":
-            self.sync()
-        elif self._fsync == "interval":
-            self._since_fsync += 1
-            if self._since_fsync >= self._fsync_interval:
-                self.sync()
-        else:
-            self._g_backlog.set(self.backlog_bytes)
-        return seq
+        return self.append_batch([event])
 
     def append_batch(self, events: list[Event]) -> int:
-        """Durably record a micro-batch in one ``write()`` syscall;
-        returns the sequence of the first event (event *i* holds
-        sequence ``first + i``).
+        """Durably record a micro-batch as one record in one ``write()``
+        syscall; returns the sequence of the first event (event *i*
+        holds sequence ``first + i``).
 
         Durability policy is applied once per batch: ``"always"`` issues
         one fsync for the whole batch (the batch is the atom being made
-        durable before dispatch), ``"interval"`` counts every record
+        durable before dispatch), ``"interval"`` counts every event
         toward the interval.
         """
         if self._handle is None:
@@ -272,11 +277,12 @@ class EventJournal:
         if self._segment_size >= self._segment_bytes:
             self._open_segment(self.next_seq)
         first = self.next_seq
-        buffer = bytearray()
-        for offset, event in enumerate(events):
-            buffer += encode_record_bytes(first + offset, event)
-        self._handle.write(buffer)
-        size = len(buffer)
+        line = encode_record_bytes(first, events)
+        # Unbuffered binary handle: one write() syscall pushes the
+        # record to the OS, so a process crash never loses a flushed
+        # append (fsync policy only matters for machine failures).
+        self._handle.write(line)
+        size = len(line)
         self._segment_size += size
         self.backlog_bytes += size
         self.next_seq = first + len(events)
@@ -347,7 +353,8 @@ def prune_segments(directory: str | Path, upto_seq: int) -> list[Path]:
 def read_journal(
     directory: str | Path, start_seq: int = 0
 ) -> Iterator[tuple[int, Event]]:
-    """Replay journal records with ``seq >= start_seq``, in order.
+    """Replay journaled events with ``seq >= start_seq``, in order, as
+    ``(seq, event)`` pairs; ``start_seq`` may fall inside a record.
 
     Tolerates a torn final record (partial line or failing CRC) in the
     *last* segment only; corruption anywhere else raises
@@ -375,7 +382,7 @@ def read_journal(
                 torn = not raw.endswith(b"\n")
                 if not torn:
                     try:
-                        seq, event = decode_record(raw.decode("utf-8"))
+                        seq, events = decode_record(raw.decode("utf-8"))
                     except (JournalError, UnicodeDecodeError):
                         torn = True
                 if torn:
@@ -390,6 +397,7 @@ def read_journal(
                         f"journal sequence jumped from {expected - 1} "
                         f"to {seq} in {segment.name}"
                     )
-                expected = seq + 1
-                if seq >= start_seq:
-                    yield seq, event
+                expected = seq + len(events)
+                if expected > start_seq:
+                    skip = max(0, start_seq - seq)
+                    yield from enumerate(events[skip:], seq + skip)

@@ -493,6 +493,13 @@ def recover_router(
             f"no loadable router checkpoint under {directory}; pass "
             f"shards= (and queries=) for a from-scratch replay"
         )
+    # Refused before any worker is spawned: an engine abandoned after
+    # _start() keeps its workers (and the interpreter's exit) waiting.
+    if router is not None and len(router["shard_delivered"]) != shards:
+        raise CheckpointError(
+            f"checkpoint records {len(router['shard_delivered'])} shard "
+            f"watermarks but the engine has {shards} shards"
+        )
     batch_size = engine_kwargs.pop(
         "batch_size", router["batch_size"] if router else 256
     )
@@ -554,11 +561,6 @@ def recover_router(
     commit_start = 0
     if router is not None:
         delivered = list(router["shard_delivered"])
-        if len(delivered) != shards:
-            raise CheckpointError(
-                f"checkpoint records {len(delivered)} shard watermarks "
-                f"but the engine has {shards} shards"
-            )
         lane_starts = router["lane_seqs"]
         commit_start = int(router.get("commit_seq", 0))
         engine.metrics.events = int(router["events"])

@@ -498,7 +498,7 @@ class TestNegationGroupByEdges:
         assert sequence_of(declined_sink) == sequence_of(twin_sink)
         assert declined.results() == twin.results()
         assert (sequence_of(twin_sink), twin.results()) == per_event_run(
-            text, events
+            text, head + tail
         )
 
     def test_keyless_positive_row_raises_like_per_event(self):

@@ -1,5 +1,8 @@
 """Event journal: append/replay, CRC, rotation, torn-tail tolerance."""
 
+import json
+import zlib
+
 import pytest
 
 from repro.errors import JournalError
@@ -171,3 +174,139 @@ def test_seeded_tear_is_deterministic(tmp_path):
         return FaultPlan(seed=123).tear_journal(tmp_path)
 
     assert tear_once() == tear_once()
+
+
+# ----- the batch record and the per-event shape it replaced -----------------
+
+
+def legacy_line(seq, event):
+    """One record in the per-event shape earlier versions wrote."""
+    payload = {"seq": seq, "type": event.event_type, "ts": event.ts}
+    if event.attrs:
+        payload["attrs"] = event.attrs
+    return crc_line(payload)
+
+
+def crc_line(payload):
+    data = json.dumps(payload, separators=(",", ":")).encode("utf-8")
+    return b"%08x %s\n" % (zlib.crc32(data) & 0xFFFFFFFF, data)
+
+
+def test_one_record_per_append_batch(tmp_path):
+    events = some_events(30)
+    with EventJournal(tmp_path) as journal:
+        journal.append_batch(events[:12])
+        journal.append(events[12])
+        journal.append_batch(events[13:])
+    lines = list_segments(tmp_path)[0].read_bytes().splitlines()
+    assert len(lines) == 3
+    first_seq, decoded = decode_record(lines[0].decode("utf-8"))
+    assert (first_seq, decoded) == (0, events[:12])
+    assert decode_record(lines[2].decode("utf-8"))[0] == 13
+
+
+def test_per_event_records_then_batch_records_replay_alike(tmp_path):
+    events = some_events(60)
+    legacy = b"".join(legacy_line(seq, event) for seq, event in
+                      enumerate(events[:20]))
+    (tmp_path / "journal-000000000000.wal").write_bytes(legacy)
+    with EventJournal(tmp_path, segment_bytes=700) as journal:
+        assert journal.next_seq == 20
+        journal.append_batch(events[20:35])  # rotates: legacy is full
+        journal.append_batch(events[35:])
+    assert len(list_segments(tmp_path)) == 2
+    assert list(read_journal(tmp_path)) == list(enumerate(events))
+    assert list(read_journal(tmp_path, start_seq=17)) == list(
+        enumerate(events)
+    )[17:]
+    with EventJournal(tmp_path) as journal:
+        assert journal.next_seq == 60
+
+
+def test_read_from_inside_a_record(tmp_path):
+    events = some_events(25)
+    with EventJournal(tmp_path) as journal:
+        journal.append_batch(events[:10])
+        journal.append_batch(events[10:])
+    for start in (3, 10, 13, 24, 25, 99):
+        assert list(read_journal(tmp_path, start_seq=start)) == list(
+            enumerate(events)
+        )[start:]
+
+
+def test_torn_batch_record_drops_exactly_that_batch(tmp_path):
+    events = some_events(30)
+    with EventJournal(tmp_path) as journal:
+        journal.append_batch(events[:8])
+        journal.append_batch(events[8:20])
+        journal.append_batch(events[20:])
+    segment = list_segments(tmp_path)[0]
+    intact = b"".join(segment.read_bytes().splitlines(keepends=True)[:2])
+    tear_journal_tail(tmp_path, drop_bytes=5)
+    assert [event for _, event in read_journal(tmp_path)] == events[:20]
+    with EventJournal(tmp_path) as journal:
+        assert journal.next_seq == 20
+        assert segment.read_bytes() == intact  # torn record truncated
+        journal.append_batch(events[20:])
+    assert list(read_journal(tmp_path)) == list(enumerate(events))
+
+
+def test_length_mismatched_record_in_a_non_final_segment_raises(tmp_path):
+    mismatched = crc_line(
+        {"seq": 0, "type": ["A", "B"], "ts": [1], "attrs": [None, None]}
+    )
+    with pytest.raises(JournalError):
+        decode_record(mismatched.decode("utf-8"))
+    (tmp_path / "journal-000000000000.wal").write_bytes(mismatched)
+    (tmp_path / "journal-000000000002.wal").write_bytes(
+        encode_record(2, Event("C", 3)).encode("utf-8")
+    )
+    with pytest.raises(JournalError):
+        list(read_journal(tmp_path))
+
+
+def test_record_larger_than_a_segment_rotates_cleanly(tmp_path):
+    events = some_events(91)
+    with EventJournal(tmp_path, segment_bytes=64) as journal:
+        assert journal.append_batch(events[:40]) == 0
+        assert journal.append_batch(events[40:90]) == 40
+    with EventJournal(tmp_path, segment_bytes=64) as journal:
+        assert journal.next_seq == 90
+        journal.append(events[90])
+    segments = list_segments(tmp_path)
+    assert [path.name for path in segments] == [
+        "journal-000000000000.wal",
+        "journal-000000000040.wal",
+        "journal-000000000090.wal",
+    ]
+    assert all(
+        len(path.read_bytes().splitlines()) == 1 for path in segments
+    )
+    assert list(read_journal(tmp_path, start_seq=20)) == list(
+        enumerate(events)
+    )[20:]
+
+
+def test_records_total_counts_events_not_records(tmp_path):
+    registry = MetricsRegistry()
+    with EventJournal(tmp_path, registry=registry) as journal:
+        journal.append_batch(some_events(40))
+        journal.append(Event("A", 99))
+    assert registry.value("journal_records_total") == 41
+    assert registry.value("journal_bytes_total") == sum(
+        path.stat().st_size for path in list_segments(tmp_path)
+    )
+
+
+def test_fsync_interval_counts_events_not_records(tmp_path):
+    registry = MetricsRegistry()
+    with EventJournal(
+        tmp_path, fsync="interval", fsync_interval=10, registry=registry
+    ) as journal:
+        journal.append_batch(some_events(25))
+        assert registry.value("journal_fsyncs_total") == 1
+        for event in some_events(9):
+            journal.append(event)
+        assert registry.value("journal_fsyncs_total") == 1
+        journal.append(Event("A", 99))
+        assert registry.value("journal_fsyncs_total") == 2

@@ -27,6 +27,7 @@ router SIGKILLed from outside). Everything is seeded through
 
 from __future__ import annotations
 
+import multiprocessing
 import os
 import pickle
 import signal
@@ -125,7 +126,13 @@ def _crash_router(engine: ShardedStreamEngine) -> None:
 
 
 def _recover(tmp_path, **overrides) -> ShardedStreamEngine:
-    settings = dict(ENGINE_SETTINGS)
+    """``recover_router`` with the crashed run's queries as the
+    from-scratch inputs (callers add its ``shards=``): a crash before
+    the first router checkpoint needs them, and a surviving checkpoint
+    stays authoritative over them."""
+    settings = dict(ENGINE_SETTINGS, queries=[
+        parse_query(text, name=name) for name, text in QUERIES.items()
+    ])
     settings.update(overrides)
     settings.pop("journal_dir", None)
     return recover_router(tmp_path, **settings)
@@ -148,7 +155,7 @@ def test_router_sigkill_mid_stream_is_exact(tmp_path, seed, shards):
     for event in events[:crash_at]:
         engine.process(event)
     _crash_router(engine)
-    recovered = _recover(tmp_path)
+    recovered = _recover(tmp_path, shards=shards)
     try:
         # The resume position trails the crash point by at most the
         # records staged since the last group commit (none of which
@@ -187,7 +194,7 @@ def test_router_sigkill_mid_columnar_stream_is_exact(
     engine = _journaled(tmp_path, 2, transport=transport)
     feed_batches(engine, events[:crash_at])
     _crash_router(engine)
-    recovered = _recover(tmp_path, transport=transport)
+    recovered = _recover(tmp_path, shards=2, transport=transport)
     try:
         resume = recovered.metrics.events
         assert crash_at - 32 * 3 <= resume <= crash_at
@@ -233,6 +240,27 @@ def test_recovery_without_any_router_checkpoint(tmp_path):
     try:
         assert recovered.events_replayed == 300
         for event in events[300:]:
+            recovered.process(event)
+        assert recovered.results() == expected
+    finally:
+        recovered.close()
+
+
+def test_surviving_router_checkpoint_wins_over_supplied_queries(tmp_path):
+    """From-scratch inputs are a fallback: with a router checkpoint on
+    disk, its query set is registered, not the one passed in."""
+    plan = FaultPlan(SEEDS[2])
+    events = _stream(plan, 600)
+    expected = _reference(events)
+    engine = _journaled(tmp_path, 2)
+    for event in events[:400]:
+        engine.process(event)
+    _crash_router(engine)
+    stranger = parse_query(QUERIES["count"], name="stranger")
+    recovered = _recover(tmp_path, shards=2, queries=[stranger])
+    try:
+        assert sorted(recovered.query_names) == sorted(QUERIES)
+        for event in events[recovered.metrics.events:]:
             recovered.process(event)
         assert recovered.results() == expected
     finally:
@@ -507,8 +535,11 @@ def test_recover_router_refuses_mismatched_shards(tmp_path):
     for event in events:
         engine.process(event)
     _crash_router(engine)
+    alive = set(multiprocessing.active_children())
     with pytest.raises(CheckpointError):
         _recover(tmp_path, shards=3)
+    # Refused before spawning: no orphaned workers for exit to wait on.
+    assert set(multiprocessing.active_children()) <= alive
 
 
 def test_recover_router_requires_wal_or_queries(tmp_path):
