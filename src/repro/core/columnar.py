@@ -319,6 +319,15 @@ class ColumnarPlan:
                 return self._decline("missing_attribute")
         return routed_idx, kept_idx
 
+    @property
+    def routes_only(self) -> bool:
+        """Whether :meth:`evaluate` keeps exactly the rows it routes (no
+        predicate mask, no column to check)."""
+        return not (
+            self._mask_fns or self.key_attribute is not None
+            or self.needs_value
+        )
+
     def _decline(self, reason: str) -> None:
         self.last_decline = reason
         return None
@@ -334,6 +343,51 @@ class ColumnarPlan:
         if column is None:
             return None
         return column[kept_idx].tolist()
+
+
+class GroupPlan:
+    """Closed-form plans of one pattern length, bound to one schema as a
+    group: one routing pass over a batch for all of them, and their
+    kernel lookups side by side for one shared scan (see
+    :meth:`~repro.core.vectorized.VectorizedSemEngine.process_group`).
+
+    Member ``m``'s row of type ``code`` looks up column ``m · n_types +
+    code`` of :attr:`slot_luts` / :attr:`trigger_lut`.
+    """
+
+    __slots__ = ("plans", "n_types", "slot_luts", "trigger_lut", "_owners")
+
+    def __init__(self, plans: list[ColumnarPlan]) -> None:
+        self.plans = plans
+        self.n_types = n_types = len(plans[0].routed_lut)
+        self.slot_luts = np.concatenate([p.slot_luts for p in plans], axis=1)
+        self.trigger_lut = np.concatenate([p.trigger_lut for p in plans])
+        routed = np.array([p.routed_lut for p in plans])
+        # type code -> the members routing it, -1 padded: a type two
+        # members share sends its rows to both.
+        owners = np.full(
+            (n_types, max(1, int(routed.sum(axis=0).max()))), -1,
+            dtype=np.int16,
+        )
+        for code in range(n_types):
+            members = np.flatnonzero(routed[:, code])
+            owners[code, :members.size] = members
+        self._owners = owners
+
+    def route(self, batch: EventBatch) -> tuple[np.ndarray, list[int]]:
+        """Every member's routed rows, member by member: member ``m``'s
+        are ``rows[bounds[m]:bounds[m + 1]]``, ascending — what its
+        plan's :meth:`ColumnarPlan.evaluate` routes."""
+        owners = self._owners[batch.codes]
+        width = owners.shape[1]
+        flat = owners.ravel()
+        picked = np.flatnonzero(flat >= 0)
+        owner = flat[picked]
+        order = owner.argsort(kind="stable")
+        rows = (picked if width == 1 else picked // width)[order]
+        bounds = [0]
+        bounds += np.bincount(owner, minlength=len(self.plans)).cumsum().tolist()
+        return rows, bounds
 
 
 def _covers(batch: EventBatch, name: str, rows: np.ndarray) -> bool:

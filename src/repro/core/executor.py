@@ -19,13 +19,17 @@ interchangeable in examples, tests and benchmarks.
 
 from __future__ import annotations
 
+from itertools import accumulate
 from time import perf_counter
 from typing import Any
 
+import numpy as np
+
 from repro.events.event import Event
 from repro.core.aggregates import PatternLayout
-from repro.core.columnar import decline_reason, plan_for
+from repro.core.columnar import GroupPlan, decline_reason, plan_for
 from repro.core.hpc import HPCEngine, flat_runtime, partition_attributes
+from repro.core.vectorized import VectorizedSemEngine
 from repro.obs.funnel import FunnelRecorder, resolve_funnel
 from repro.obs.registry import MetricsRegistry, resolve_registry
 from repro.obs.tracing import Stage, TraceRecorder, resolve_tracer
@@ -46,6 +50,66 @@ def process_each(
         for event in events
         if (fresh := process(event)) is not None
     ]
+
+
+def process_columnar_group(
+    executors: list["ASeqEngine"],
+    group: GroupPlan,
+    batch: Any,
+    routed: bool = True,
+) -> list[tuple[list[tuple[int, Any]], int] | None]:
+    """:meth:`ASeqEngine.process_columnar` for every member of
+    ``group`` (``executors[m]`` bound through ``group.plans[m]``), with
+    one routing pass and one closed-form scan; returns what that method
+    would, member by member.
+
+    A member with predicates still evaluates its own plan, and one its
+    plan declines is left untouched (None), as alone.
+    """
+    rows, bounds = group.route(batch)
+    outcomes: list[Any] = [None] * len(executors)
+    admitted = []
+    scanned: list[int] = []
+    parts = []
+    for member, (executor, plan) in enumerate(zip(executors, group.plans)):
+        routed_idx = kept_idx = rows[bounds[member]:bounds[member + 1]]
+        if not plan.routes_only:
+            selection = plan.evaluate(batch)
+            if selection is None:
+                continue
+            routed_idx, kept_idx = selection
+        books = executor._admit_columns(batch, routed_idx, kept_idx, routed)
+        if books is None:
+            outcomes[member] = ([], 0)
+            continue
+        admitted.append((member, *books))
+        if kept_idx.size:
+            scanned.append(member)
+            parts.append(kept_idx)
+    emitted: dict[int, list[tuple[int, Any]]] = {}
+    if scanned:
+        kept = np.concatenate(parts)
+        sizes = [part.size for part in parts]
+        codes = batch.codes[kept]
+        stacked = None
+        if len(scanned) > 1:
+            step_codes = codes + np.repeat(
+                np.array(scanned) * group.n_types, sizes
+            )
+            stacked = (group.slot_luts, group.trigger_lut, step_codes)
+        emitted = dict(zip(scanned, VectorizedSemEngine.process_group(
+            [executors[member].runtime for member in scanned],
+            [group.plans[member] for member in scanned],
+            codes,
+            batch.ts[kept],
+            list(accumulate(sizes, initial=0)),
+            stacked,
+        )))
+    for member, offered, horizon in admitted:
+        fresh = emitted.get(member, [])
+        executors[member]._finish_batch(horizon, len(fresh))
+        outcomes[member] = (fresh, offered)
+    return outcomes
 
 
 class ASeqEngine:
@@ -298,13 +362,35 @@ class ASeqEngine:
         selection = plan.evaluate(batch)
         if selection is None:
             return None
-        routed_idx, kept_idx = selection
+        admitted = self._admit_columns(batch, *selection, routed)
+        if admitted is None:
+            return [], 0
+        offered, horizon = admitted
+        kept_idx = selection[1]
+        emitted = (
+            self._runtime.process_batch_columns(batch, kept_idx, plan)
+            if kept_idx.size
+            else []
+        )
+        self._finish_batch(horizon, len(emitted))
+        return emitted, offered
+
+    def _admit_columns(
+        self,
+        batch: Any,
+        routed_idx: Any,
+        kept_idx: Any,
+        routed: bool,
+    ) -> tuple[int, int] | None:
+        """Book one batch's selection before the runtime sees its kept
+        rows; returns ``(offered, horizon)``, or None when routing skips
+        this registration (no routed row)."""
         routed_count = int(routed_idx.size)
         if routed:
             if not routed_count:
                 # Parity with routed process_batch: a registration with
                 # an empty bucket is skipped entirely.
-                return [], 0
+                return None
             offered = routed_count
             horizon = int(batch.ts[routed_idx[-1]])
         else:
@@ -323,13 +409,7 @@ class ASeqEngine:
             self._m_events.inc(offered)
             if kept_count < offered:
                 self._m_filtered.inc(offered - kept_count)
-        emitted = (
-            self._runtime.process_batch_columns(batch, kept_idx, plan)
-            if kept_count
-            else []
-        )
-        self._finish_batch(horizon, len(emitted))
-        return emitted, offered
+        return offered, horizon
 
     def result(self) -> Any:
         """Current aggregate (scalar, or per-key dict for GROUP BY)."""

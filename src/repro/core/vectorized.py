@@ -18,6 +18,7 @@ suite pins it to the reference engine.
 from __future__ import annotations
 
 from bisect import bisect_right
+from itertools import accumulate
 from typing import Any
 
 import numpy as np
@@ -49,6 +50,26 @@ _CLOSED_FORM_MIN_ROWS = 48
 #: True counter values and emitted totals must stay below this for the
 #: closed form's wrapping int64 arithmetic to be exact.
 _INT64_LIMIT = 2**63
+
+
+def _bound_fits(
+    ceilings: list[int], rows_per_slot: list[int], size0: int
+) -> bool:
+    """Whether one slice's true counts and totals provably fit int64.
+
+    A counter's slot ``k`` ends at most at its carried-in value
+    (``ceilings[k]``, the largest carried in) plus (rows updating ``k``
+    while it lives) × (the most slot ``k - 1`` ever holds), and a total
+    sums at most one such value per live counter.
+    """
+    bound = max(ceilings[0], 1)
+    for ceiling, rows in zip(ceilings[1:], rows_per_slot[1:]):
+        bound = ceiling + rows * bound
+        if bound >= _INT64_LIMIT:
+            return False
+    # Slot 0's rows are the STARTs: no more counters are ever live
+    # together than were carried in or born.
+    return (size0 + rows_per_slot[0]) * bound < _INT64_LIMIT
 
 
 class VectorizedSemEngine:
@@ -103,6 +124,9 @@ class VectorizedSemEngine:
         self._closed_form_slices = 0
         self._row_loop_slices = 0
         self._fallbacks = {"small_slice": 0, "bound": 0, "unordered": 0}
+        #: Registrations that shared this runtime's last closed-form
+        #: scan (1 = alone, 0 = no scan yet).
+        self._scan_width = 0
         registry = resolve_registry(registry)
         self.obs_registry = registry
         self._obs_on = registry.enabled
@@ -238,11 +262,14 @@ class VectorizedSemEngine:
           plans (``plan.closed_form_decline is None``): no per-row
           Python at all. It runs when the slice is large enough to pay
           for its fixed cost, in order, and provably inside int64;
-        * the **row loop** below for everything else. Its hot loop runs
-          on Python ints and lists, mirroring the numpy ring into list
-          columns once per slice: per-event numpy slice arithmetic
-          costs ~1µs per touch, while list operations over the small
-          live set (tens of counters) stay in the low hundreds of ns.
+          :meth:`process_group` runs it over several registrations'
+          slices at once;
+        * the **row loop** (:meth:`_row_loop`) for everything else. Its
+          hot loop runs on Python ints and lists, mirroring the numpy
+          ring into list columns once per slice: per-event numpy slice
+          arithmetic costs ~1µs per touch, while list operations over
+          the small live set (tens of counters) stay in the low
+          hundreds of ns.
           Expiry remains a binary search (``bisect`` ==
           ``searchsorted`` on the same sorted expiry column). Negated
           types arrive here too: their plan entry is the complemented
@@ -251,19 +278,81 @@ class VectorizedSemEngine:
 
         Kleene layouts never reach either kernel (plans gate them).
         """
-        layout = self.layout
         n = len(codes)
         if not n:
             return []
         if rows is None and plan.closed_form_decline is None:
+            # process_group([self], ...) inlined: one registration is
+            # most of the ingest calls, and the wrapper is a few µs each.
             if n < _CLOSED_FORM_MIN_ROWS:
                 self._fallbacks["small_slice"] += 1
             else:
+                codes = np.asarray(codes)
+                ts = np.asarray(ts, dtype=np.int64)
                 emitted = self._closed_form(
-                    np.asarray(codes), np.asarray(ts, dtype=np.int64), plan
-                )
+                    [self], codes, ts, [0, n], plan.slot_luts,
+                    plan.trigger_lut,
+                )[0]
                 if emitted is not None:
                     return emitted
+        return self._row_loop(codes, ts, plan, values, rows)
+
+    @staticmethod
+    def process_group(
+        runtimes: list["VectorizedSemEngine"],
+        plans: list[Any],
+        codes: np.ndarray,
+        ts: np.ndarray,
+        bounds: list[int],
+        stacked: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
+    ) -> list[list[tuple[int, Any]]]:
+        """:meth:`process_columns` for flat COUNT registrations of one
+        pattern length at once; returns each one's ``(ts, fresh)``
+        pairs.
+
+        Registration ``m``'s kept rows are ``codes``/``ts`` over ``[bounds[m], bounds[m + 1])`` (never empty), read through
+        ``plans[m]``. With more than one registration, ``stacked`` is
+        ``(slot_luts, trigger_lut, step_codes)``: the plans' lookups
+        side by side (:class:`~repro.core.columnar.GroupPlan`) and each
+        row's code into them. The closed form takes the group when its
+        rows *together* reach the cut-over, in one scan; a registration
+        it refuses (out of order, or past the bound) runs the row loop
+        alone, as does every one of a group under the cut-over.
+        """
+        emitted: list[Any]
+        if bounds[-1] < _CLOSED_FORM_MIN_ROWS:
+            emitted = [None] * len(runtimes)
+            for runtime in runtimes:
+                runtime._fallbacks["small_slice"] += 1
+        else:
+            if stacked is None:
+                slot_luts, trigger_lut = plans[0].slot_luts, plans[0].trigger_lut
+                step_codes = codes
+            else:
+                slot_luts, trigger_lut, step_codes = stacked
+            emitted = VectorizedSemEngine._closed_form(
+                runtimes, step_codes, ts, bounds, slot_luts, trigger_lut
+            )
+        for member, runtime in enumerate(runtimes):
+            if emitted[member] is None:
+                first, end = bounds[member], bounds[member + 1]
+                emitted[member] = runtime._row_loop(
+                    codes[first:end], ts[first:end], plans[member]
+                )
+        return emitted
+
+    def _row_loop(
+        self,
+        codes: np.ndarray | list[int],
+        ts: np.ndarray | list[int],
+        plan: Any,
+        values: list[Any] | None = None,
+        rows: list[int] | None = None,
+    ) -> list[tuple[int, Any]]:
+        """The kernel body that runs every plan, one row at a time (see
+        :meth:`process_columns`)."""
+        layout = self.layout
+        n = len(codes)
         self._row_loop_slices += 1
         if isinstance(codes, np.ndarray):
             codes = codes.tolist()
@@ -502,11 +591,18 @@ class VectorizedSemEngine:
             if expired:
                 self._fq.expired.inc(expired)
 
+    @staticmethod
     def _closed_form(
-        self, codes: np.ndarray, ts: np.ndarray, plan: Any
-    ) -> list[tuple[int, Any]] | None:
-        """The flat COUNT kernel as prefix products over the slice
-        (derivation: docs/ALGORITHMS.md, "Closed-form COUNT kernel").
+        runtimes: list["VectorizedSemEngine"],
+        codes: np.ndarray,
+        ts: np.ndarray,
+        bounds: list[int],
+        slot_luts: np.ndarray,
+        trigger_lut: np.ndarray,
+    ) -> list[list[tuple[int, Any]] | None]:
+        """The flat COUNT kernel as prefix products over a group of
+        slices (derivation: docs/ALGORITHMS.md, "Closed-form COUNT
+        kernel" and "Many registrations, one scan").
 
         Row ``j`` applies ``M_j = I + Σ E[k, k-1]`` (over the slots
         ``k ≥ 1`` it updates) to every live counter. With ``P_j = M_j ⋯
@@ -520,50 +616,168 @@ class VectorizedSemEngine:
         results are right whenever the *true* values fit, which the
         bound below proves before anything is computed.
 
-        Returns None, with nothing written, when the slice must take
-        the row loop instead (out of order, or the bound fails).
+        Runtime ``m``'s slice is rows ``[bounds[m], bounds[m + 1])``,
+        and ``codes`` index the lookups, so each row applies its own
+        registration's ``M_j``: the slices laid end to end are one
+        product. A member's carried state enters the scan's frame as
+        ``R_{f-1} c`` (``f`` its first row) and leaves it through ``P``
+        at its last row; its live ranges are ``searchsorted`` on
+        ``member · span + ts`` keys, which no other member's rows can
+        fall between. One runtime is the plain slice: no keys, no frame.
+
+        Returns one entry per runtime: its ``(ts, fresh)`` pairs, or
+        None, with nothing of it written, when its slice must take the
+        row loop instead (out of order, or the bound fails).
         """
+        count = len(runtimes)
+        single = count == 1
+        firsts, ends = bounds[:-1], bounds[1:]
+        windows = [runtime._window_ms for runtime in runtimes]
+        if single:
+            runtime = runtimes[0]
+            if int(ts[0]) < runtime._now or bool((ts[1:] < ts[:-1]).any()):
+                runtime._fallbacks["unordered"] += 1
+                return [None]
+        else:
+            base = int(ts.min()) - max(windows) - 1
+            span = int(ts.max()) - base + 2
+            if count * span >= _INT64_LIMIT // 2:
+                # Composite keys would wrap: scan the slices one by one.
+                return [
+                    VectorizedSemEngine._closed_form(
+                        [runtime], codes[first:end], ts[first:end],
+                        [0, end - first], slot_luts, trigger_lut,
+                    )[0]
+                    for runtime, first, end in zip(runtimes, firsts, ends)
+                ]
+            # A step back in time is the seam between two slices, or an
+            # out-of-order slice.
+            back = np.flatnonzero(ts[1:] < ts[:-1]) + 1
+            refused = {
+                bisect_right(bounds, row) - 1
+                for row in set(back.tolist()).difference(firsts)
+            }
+            heads = ts[firsts].tolist()
+            refused.update(
+                member
+                for member, runtime in enumerate(runtimes)
+                if heads[member] < runtime._now
+            )
+            for member in refused:
+                runtimes[member]._fallbacks["unordered"] += 1
+
+        steps = slot_luts.take(codes, axis=1)
+        length = len(steps)
+        if single:
+            carried = runtime._counts[:, runtime._head:runtime._tail]
+            carried_exps = runtime._exps[runtime._head:runtime._tail]
+            sizes0 = [carried.shape[1]]
+            if not runtime._fits_int64(steps, ts, carried):
+                runtime._fallbacks["bound"] += 1
+                return [None]
+        else:
+            parts = [
+                runtime._counts[:, runtime._head:runtime._tail]
+                for runtime in runtimes
+            ]
+            sizes0 = [part.shape[1] for part in parts]
+            carried = np.concatenate(parts, axis=1)
+            carried_exps = np.concatenate(
+                [runtime._exps[runtime._head:runtime._tail]
+                 for runtime in runtimes]
+            )
+            ceilings = [[0] * length] * count
+            held = [member for member, size in enumerate(sizes0) if size]
+            if held:
+                starts0 = list(accumulate(sizes0[:-1], initial=0))
+                tops = np.maximum.reduceat(
+                    carried, [starts0[member] for member in held], axis=1
+                )
+                for member, top in zip(held, tops.T.tolist()):
+                    ceilings[member] = top
+            rows_per_slot = np.add.reduceat(steps, firsts, axis=1).T.tolist()
+            lasts = ts[[end - 1 for end in ends]].tolist()
+            for member, runtime in enumerate(runtimes):
+                first, end = firsts[member], ends[member]
+                if member in refused or (
+                    lasts[member] + windows[member] < _INT64_LIMIT
+                    and _bound_fits(
+                        ceilings[member], rows_per_slot[member],
+                        sizes0[member],
+                    )
+                ) or runtime._fits_int64(
+                    steps[:, first:end], ts[first:end], parts[member]
+                ):
+                    continue
+                runtime._fallbacks["bound"] += 1
+                refused.add(member)
+            if refused:
+                # Nothing is written yet: scan the rest without them.
+                emitted: list[Any] = [None] * count
+                kept = [m for m in range(count) if m not in refused]
+                if kept:
+                    rows = np.concatenate(
+                        [np.arange(firsts[m], ends[m]) for m in kept]
+                    )
+                    scanned = VectorizedSemEngine._closed_form(
+                        [runtimes[m] for m in kept], codes[rows], ts[rows],
+                        [0, *accumulate(ends[m] - firsts[m] for m in kept)],
+                        slot_luts, trigger_lut,
+                    )
+                    for member, out in zip(kept, scanned):
+                        emitted[member] = out
+                return emitted
+
+        # Live ranges. In-scan STARTs (the rows holding slot 0) in birth
+        # order: ``[lo, born)`` at each row; carried-in counters:
+        # ``[lo0, ends0)`` (one runtime: ``[lo0, size0)``).
         n = len(codes)
-        window = self._window_ms
-        if int(ts[0]) < self._now or bool((ts[1:] < ts[:-1]).any()):
-            self._fallbacks["unordered"] += 1
-            return None
-        length = self.layout.length
-        last = length - 1
-        head, tail = self._head, self._tail
-        carried = self._counts[:, head:tail]
-        carried_exps = self._exps[head:tail]
-        size0 = tail - head
-
-        steps = plan.slot_luts.take(codes, axis=1)
-        if not self._fits_int64(steps, ts, carried):
-            self._fallbacks["bound"] += 1
-            return None
-
-        # Live ranges. In-batch STARTs (the rows holding slot 0) in
-        # birth order: ``[lo, born)`` at each row; carried-in counters:
-        # ``[lo0, size0)``.
         start_rows = np.flatnonzero(steps[0])
         start_ts = ts[start_rows]
         born = steps[0].cumsum()
-        lo = start_ts.searchsorted(ts - window, side="right")
-        lo0 = carried_exps.searchsorted(ts, side="right")
-        live_after = born - lo + (size0 - lo0)
+        if single:
+            lo = start_ts.searchsorted(ts - windows[0], side="right")
+            lo0 = carried_exps.searchsorted(ts, side="right")
+            live_after = born - lo + (sizes0[0] - lo0)
+        else:
+            member_of = np.repeat(np.arange(count), np.diff(bounds))
+            carrier = np.repeat(np.arange(count), sizes0)
+            keys = ts + (member_of * span - base)
+            lo = keys[start_rows].searchsorted(
+                keys - np.array(windows)[member_of], side="right"
+            )
+            # An expiry outside the scan's times compares like the edge
+            # of its member's key band.
+            carried_keys = (
+                np.clip(carried_exps - base, 0, span - 1) + carrier * span
+            )
+            lo0 = carried_keys.searchsorted(keys, side="right")
+            ends0 = np.cumsum(sizes0)
+            live_after = born - lo + (ends0[member_of] - lo0)
 
         # Row k of P and column i of R, each entry a series over the
-        # slice with a leading "before row 0" value (x[:-1] is what a
+        # scan with a leading "before row 0" value (x[:-1] is what a
         # row sees, x[1:] what it leaves). Both are unit lower
         # triangular and only the triangle is held: ``prefix`` walks
-        # down to the last row of P, ``inverse`` left to column 0 of R.
-        final = np.eye(length, dtype=np.int64)
+        # down to the last row of P, ``inverse`` left to column 0 of R;
+        # ``final`` keeps P after each slice (``[:, :, m]`` for member
+        # ``m``), ``framing`` R before it.
+        eye = np.eye(length, dtype=np.int64)
+        if single:
+            final, at_ends = eye, -1
+        else:
+            final, at_ends = np.repeat(eye[:, :, None], count, axis=2), ends
         prefix = np.ones((1, n + 1), dtype=np.int64)
         for k in range(1, length):
             below = np.empty((k + 1, n + 1), dtype=np.int64)
             below[:k, 0] = 0
             below[k] = 1
             (steps[k] * prefix[:, :-1]).cumsum(axis=1, out=below[:k, 1:])
-            final[k, :k] = below[:k, -1]
+            final[k, :k] = below[:k, at_ends]
             prefix = below
+        if not single:
+            framing = np.empty((count, length, length), dtype=np.int64)
+            framing[:] = eye
         inverse = np.ones((1, n + 1), dtype=np.int64)
         for i in range(length - 2, -1, -1):
             left = np.empty((length - i, n + 1), dtype=np.int64)
@@ -571,67 +785,107 @@ class VectorizedSemEngine:
             left[1:, 0] = 0
             (steps[i + 1] * inverse[:, :-1]).cumsum(axis=1, out=left[1:, 1:])
             np.negative(left[1:], out=left[1:])
+            if not single:
+                framing[:, i:, i] = left.take(firsts, axis=1).T
             inverse = left
+        if not single and carried.shape[1]:
+            carried = np.einsum("cki,ic->kc", framing[carrier], carried)
 
         # ``R_s e0`` per START — the state it would have needed before
-        # the slice to be ``e0`` at its own row — prefix-summed in birth
+        # the scan to be ``e0`` at its own row — prefix-summed in birth
         # order; carried state suffix-summed.
-        born_state = inverse[:, start_rows + 1]
+        born_state = inverse.take(start_rows + 1, axis=1)
         born_sums = np.zeros((length, start_rows.size + 1), dtype=np.int64)
         born_state.cumsum(axis=1, out=born_sums[:, 1:])
-        carried_sums = np.zeros((length, size0 + 1), dtype=np.int64)
+        carried_sums = np.zeros((length, carried.shape[1] + 1), dtype=np.int64)
         carried[:, ::-1].cumsum(axis=1, out=carried_sums[:, -2::-1])
 
-        triggers = np.flatnonzero(plan.trigger_lut[codes])
+        # Column gathers by ``take``: ~3x ``x[:, rows]`` at these sizes.
+        triggers = np.flatnonzero(trigger_lut[codes])
         hi_t, lo_t, lo0_t = born[triggers], lo[triggers], lo0[triggers]
-        in_range = (
-            born_sums[:, hi_t] - born_sums[:, lo_t] + carried_sums[:, lo0_t]
+        in_range = born_sums.take(hi_t, axis=1)
+        in_range -= born_sums.take(lo_t, axis=1)
+        in_range += carried_sums.take(lo0_t, axis=1)
+        if not single:
+            in_range -= carried_sums.take(ends0[member_of[triggers]], axis=1)
+        totals = np.einsum(
+            "kt,kt->t", prefix.take(triggers + 1, axis=1), in_range
         )
-        totals = (prefix[:, triggers + 1] * in_range).sum(axis=0)
-        emitted = list(zip(ts[triggers].tolist(), totals.tolist()))
-
-        # Write the survivors back: P_n applied to both families.
-        end_lo, end_lo0 = int(lo[-1]), int(lo0[-1])
-        counts = final @ np.concatenate(
-            (carried[:, end_lo0:], born_state[:, end_lo:]), axis=1
-        )
-        exps = np.concatenate(
-            (carried_exps[end_lo0:], start_ts[end_lo:] + window)
-        )
-        live = exps.size
-        if live > self._capacity:
-            self._grow_to(live)
-        self._counts[:, :live] = counts
-        self._exps[:live] = exps
+        pairs = list(zip(ts[triggers].tolist(), totals.tolist()))
 
         # One accounting tick per arrival per counter live before it,
         # and a peak sampled after each START, as the row loop counts.
-        peak = self.peak_counters
-        if start_rows.size:
-            peak = max(peak, int(live_after[start_rows].max()))
-        self._closed_form_slices += 1
-        self._settle(
-            n,
-            int(ts[-1]),
-            live,
-            updates=int(live_after.sum()) - start_rows.size,
-            peak=peak,
-            created=start_rows.size,
-            expired=end_lo + end_lo0,
-        )
+        # Per runtime: the sums, maxima and last values over its rows.
+        if single:
+            born_end, lo_end, lo0_end, stamps = (
+                [int(born[-1])], [int(lo[-1])], [int(lo0[-1])], [int(ts[-1])]
+            )
+            updates = [int(live_after.sum())]
+            peaks = [
+                int(live_after[start_rows].max()) if start_rows.size else 0
+            ]
+        else:
+            last_rows = [end - 1 for end in ends]
+            born_end, lo_end, lo0_end, stamps = [
+                column[last_rows].tolist() for column in (born, lo, lo0, ts)
+            ]
+            updates = np.add.reduceat(live_after, firsts).tolist()
+            peaks = np.maximum.reduceat(
+                live_after * steps[0], firsts
+            ).tolist()
+            splits = triggers.searchsorted(bounds).tolist()
+
+        # Write each runtime's survivors back: its P applied to both
+        # families.
+        emitted = []
+        born0 = carried0 = 0
+        for member, runtime in enumerate(runtimes):
+            end_lo, end_lo0 = lo_end[member], lo0_end[member]
+            end_born, end_carried = born_end[member], carried0 + sizes0[member]
+            counts = (final if single else final[:, :, member]) @ (
+                np.concatenate(
+                    (
+                        carried[:, end_lo0:end_carried],
+                        born_state[:, end_lo:end_born],
+                    ),
+                    axis=1,
+                )
+            )
+            exps = np.concatenate((
+                carried_exps[end_lo0:end_carried],
+                start_ts[end_lo:end_born] + windows[member],
+            ))
+            live = exps.size
+            if live > runtime._capacity:
+                runtime._grow_to(live)
+            runtime._counts[:, :live] = counts
+            runtime._exps[:live] = exps
+            created = end_born - born0
+            runtime._closed_form_slices += 1
+            runtime._scan_width = count
+            runtime._settle(
+                ends[member] - firsts[member],
+                stamps[member],
+                live,
+                updates=updates[member] - created,
+                peak=max(runtime.peak_counters, peaks[member]),
+                created=created,
+                expired=end_lo - born0 + end_lo0 - carried0,
+            )
+            emitted.append(
+                pairs if single else pairs[splits[member]:splits[member + 1]]
+            )
+            born0, carried0 = end_born, end_carried
         return emitted
 
     def _fits_int64(
         self, steps: np.ndarray, ts: np.ndarray, carried: np.ndarray
     ) -> bool:
         """Prove, in Python ints, that every counter value and emitted
-        total of this slice stays below 2⁶³.
+        total of this slice stays below 2⁶³ (see :func:`_bound_fits`).
 
-        A counter's slot ``k`` ends at most at its carried-in value plus
-        (rows updating ``k`` while it lives) × (the most slot ``k - 1``
-        ever holds), and a total sums at most one such value per live
-        counter. "While it lives" is first taken as the whole slice;
-        only when that fails are the rows counted per window.
+        "While it lives" is first taken as the whole slice; only when
+        that fails are the rows counted per window.
         """
         if int(ts[-1]) + self._window_ms >= _INT64_LIMIT:
             return False
@@ -639,25 +893,17 @@ class VectorizedSemEngine:
         ceilings = (
             carried.max(axis=1).tolist() if size0 else [0] * len(carried)
         )
-
-        def fits(rows_per_slot: list[int]) -> bool:
-            bound = max(ceilings[0], 1)
-            for ceiling, rows in zip(ceilings[1:], rows_per_slot[1:]):
-                bound = ceiling + rows * bound
-                if bound >= _INT64_LIMIT:
-                    return False
-            # Slot 0's rows are the STARTs: no more counters are ever
-            # live together than were carried in or born.
-            return (size0 + rows_per_slot[0]) * bound < _INT64_LIMIT
-
-        if fits(steps.sum(axis=1).tolist()):
+        if _bound_fits(ceilings, steps.sum(axis=1).tolist(), size0):
             return True
         # Rows of each slot inside the window ending at each row: all a
         # counter still live at that row can have seen.
         first = ts.searchsorted(ts - self._window_ms, side="right")
         seen = np.zeros((len(steps), len(ts) + 1), dtype=np.int64)
         steps.cumsum(axis=1, out=seen[:, 1:])
-        return fits((seen[:, 1:] - seen[:, first]).max(axis=1).tolist())
+        return _bound_fits(
+            ceilings, (seen[:, 1:] - seen[:, first]).max(axis=1).tolist(),
+            size0,
+        )
 
     def _update_slot(
         self, slot: int, head: int, tail: int, value: float | None
@@ -857,4 +1103,5 @@ class VectorizedSemEngine:
                 "row_loop": self._row_loop_slices,
             },
             "closed_form_fallbacks": dict(self._fallbacks),
+            "closed_form_scan_width": self._scan_width,
         }

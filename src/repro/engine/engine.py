@@ -20,6 +20,7 @@ Two execution paths coexist, selected at construction time:
 
 from __future__ import annotations
 
+import operator
 import os
 import random
 import time
@@ -29,7 +30,12 @@ from typing import Any, Iterable, Sequence
 from repro.errors import EngineError
 from repro.events.batch import EventBatch
 from repro.events.event import Event
-from repro.core.executor import ASeqEngine, process_each
+from repro.core.columnar import GroupPlan
+from repro.core.executor import (
+    ASeqEngine,
+    process_columnar_group,
+    process_each,
+)
 from repro.engine.metrics import EngineMetrics
 from repro.engine.sinks import Output, ResultSink
 from repro.obs.funnel import FunnelRecorder, resolve_funnel
@@ -92,10 +98,11 @@ class _Registration:
         self.m_outputs = m_outputs
         self.m_latency = m_latency
         #: Single-entry columnar-plan cache: (schema, plan-or-None,
-        #: decline-reason-or-None). Schemas are shared across a
-        #: generator's batches, so one entry covers the steady state;
-        #: a None plan means "materialize", the reason says why.
-        self.columnar: tuple[Any, Any, str | None] | None = None
+        #: decline-reason-or-None, executor). Schemas are shared across
+        #: a generator's batches, so one entry covers the steady state;
+        #: a checkpoint restore swaps the executor, which misses it. A
+        #: None plan means "materialize", the reason says why.
+        self.columnar: tuple[Any, Any, str | None, Any] | None = None
         #: Failure-tracking record a supervising engine attaches (see
         #: "supervision hooks" on :class:`StreamEngine`); None on a
         #: plain engine, whose executors' exceptions propagate.
@@ -148,6 +155,9 @@ class StreamEngine:
         self._routed = routed
         self._routes: dict[str, list[_Registration]] = {}
         self._catch_all: list[_Registration] = []
+        #: Closed-form groups of the columnar lane: (schema, executors,
+        #: groups), see :meth:`_closed_form_groups`.
+        self._groups: tuple[Any, list[Any], list[Any]] | None = None
         self._vectorized = vectorized
         self._batch_size = batch_size
         self.metrics = EngineMetrics()
@@ -296,6 +306,7 @@ class StreamEngine:
         """
         registrations = list(self._registrations.values())
         self._all = registrations
+        self._groups = None
         if not self._routed:
             self._routes = {}
             self._catch_all = registrations
@@ -530,10 +541,14 @@ class StreamEngine:
         schema consume the column arrays directly (type-code LUT
         routing, boolean predicate masks, the scalar counting kernel —
         negation included, single-attribute GROUP BY as one kernel call
-        per partition). Everything else — Kleene, scalar equivalence,
-        composite keys, unwindowed or non-vectorized runtimes, shared
-        plans, ad-hoc executors, tracing, or a batch a plan cannot
-        evaluate exactly (a missing attribute or partition key) —
+        per partition). Flat-COUNT registrations of one pattern length
+        are routed together and share one closed-form scan
+        (:func:`~repro.core.executor.process_columnar_group`); outputs
+        still reach sinks in registration order. Everything else —
+        Kleene, scalar equivalence, composite keys, unwindowed or
+        non-vectorized runtimes, shared plans, ad-hoc executors,
+        tracing, or a batch a plan cannot evaluate exactly (a missing
+        attribute or partition key) —
         receives the memoized ``batch.to_events()`` materialization
         through the same ``_drive_batch`` path ``process_batch`` uses,
         so results stay bit-identical to the reference engine either
@@ -561,15 +576,23 @@ class StreamEngine:
             self._m_events.inc(count)
         routed = self._routed
         materialized: list[Event] | None = None
+        grouped: dict[_Registration, Any] = {}
+        for registrations, group in self._closed_form_groups(batch.schema):
+            grouped.update(zip(registrations, process_columnar_group(
+                [registration.executor for registration in registrations],
+                group, batch, routed=routed,
+            )))
         for registration in self._all:
             plan, reason = self._bind_columnar(registration, batch.schema)
             outcome = None
-            if plan is not None:
+            if registration in grouped:
+                outcome = grouped[registration]
+            elif plan is not None:
                 outcome = registration.executor.process_columnar(
                     batch, plan, routed=routed
                 )
-                if outcome is None:
-                    reason = plan.last_decline
+            if outcome is None and plan is not None:
+                reason = plan.last_decline
             if outcome is None:
                 # Fallback: identical to the object path, bucketed the
                 # way routed process_batch buckets (materialized once,
@@ -620,19 +643,58 @@ class StreamEngine:
         self, registration: _Registration, schema: Any
     ) -> tuple[Any | None, str | None]:
         """The registration's ``(plan, decline reason)`` for ``schema``,
-        cached by schema identity; a None plan means "use the
+        cached by schema and executor identity; a None plan means "use the
         materialized fallback" and the reason slug says why."""
         cached = registration.columnar
-        if cached is None or cached[0] is not schema:
-            executor = registration.executor
+        executor = registration.executor
+        if (
+            cached is None
+            or cached[0] is not schema
+            or cached[3] is not executor
+        ):
             reason = (
                 "tracing"
                 if self._trace_on
                 else getattr(executor, "columnar_decline", "not_vectorized")
             )
             plan = executor.columnar_plan(schema) if reason is None else None
-            registration.columnar = cached = (schema, plan, reason)
+            registration.columnar = cached = (schema, plan, reason, executor)
         return cached[1], cached[2]
+
+    def _closed_form_groups(
+        self, schema: Any
+    ) -> list[tuple[list[_Registration], GroupPlan]]:
+        """The registrations whose plans for ``schema`` may take the
+        closed form, grouped by pattern length (groups of two or more;
+        one alone runs its own call), cached by schema and executor
+        identity."""
+        if len(self._all) < 2:
+            return []
+        executors = [registration.executor for registration in self._all]
+        cached = self._groups
+        if (
+            cached is not None
+            and cached[0] is schema
+            and all(map(operator.is_, cached[1], executors))
+        ):
+            return cached[2]
+        by_length: dict[int, list[tuple[_Registration, Any]]] = {}
+        for registration in self._all:
+            plan, _ = self._bind_columnar(registration, schema)
+            if plan is not None and plan.closed_form_decline is None:
+                by_length.setdefault(len(plan.slot_luts), []).append(
+                    (registration, plan)
+                )
+        groups = [
+            (
+                [registration for registration, _ in members],
+                GroupPlan([plan for _, plan in members]),
+            )
+            for members in by_length.values()
+            if len(members) > 1
+        ]
+        self._groups = (schema, executors, groups)
+        return groups
 
     def _drive_batch(
         self,
