@@ -2,14 +2,14 @@
 
 Two questions with acceptance numbers attached:
 
-* **WAL overhead** — appending every ingested event to the partitioned
-  lane journal (plus periodic router checkpoints) should cost < 10%
+* **WAL overhead** — appending every ingested event to the router
+  journal (plus periodic router checkpoints) should cost < 10%
   throughput vs the unjournaled sharded path on the fig. 12 workload
   shape (SEQ length 3, 200 ms window); the in-suite gate is looser to
   absorb CI noise.
 * **Recovery latency** — how long ``recover_router`` takes to bring a
   cleanly-closed run back: load the checkpoint, respawn workers, replay
-  the lane suffix, reconcile per-shard watermarks.  Recovered results
+  the WAL suffix, reconcile per-shard watermarks.  Recovered results
   must equal the uninterrupted run's, bit for bit.
 """
 
@@ -58,7 +58,7 @@ def build(journal: bool, checkpoint_every: int = 2_000,
           **overrides) -> ShardedStreamEngine:
     """Default sharded path (supervised, in-memory shard journals) vs
     the same run with ``--router-journal`` turned on: disk shard
-    journals, a 2-lane router WAL, and a checkpoint every 2k events."""
+    journals, the router WAL, and a checkpoint every 2k events."""
     settings = dict(shards=2, batch_size=256)
     if journal:
         directory = Path(tempfile.mkdtemp(prefix="bench-router-"))
@@ -69,7 +69,7 @@ def build(journal: bool, checkpoint_every: int = 2_000,
     engine = ShardedStreamEngine(**settings)
     engine.register(parse_query(QUERY), name="q")
     if journal:
-        engine.attach_router_log(RouterLog(directory, lanes=2))
+        engine.attach_router_log(RouterLog(directory))
     _OPEN.append(engine)
     return engine
 
@@ -96,7 +96,7 @@ def test_sharded_ingest_unjournaled(benchmark):
 
 
 def test_sharded_ingest_router_journaled(benchmark):
-    """Lane WAL append per event + checkpoint cadence, no faults."""
+    """Router WAL append per event + checkpoint cadence, no faults."""
     benchmark.pedantic(
         ingest, setup=lambda: ((build(True),), {}), rounds=3
     )
@@ -105,7 +105,7 @@ def test_sharded_ingest_router_journaled(benchmark):
 
 def test_router_recovery_latency(benchmark):
     """One full router recovery from a closed journaled run: load the
-    checkpoint, respawn + re-seed workers, replay the lane suffix."""
+    checkpoint, respawn + re-seed workers, replay the WAL suffix."""
 
     def setup():
         engine = build(True)
@@ -137,9 +137,9 @@ def test_router_journal_overhead_within_bound():
     pedantic pair above, which is why those published numbers carry
     checkpoint cost on top of what is gated here).
 
-    The gate is absolute, not relative: the group-committed WAL costs
-    ~2-3 µs/event of router CPU (stage into a lane list; one json batch
-    record per lane per flush plus one commit marker).  On fig. 12 the
+    The gate is absolute, not relative: the group-committed WAL plus
+    the disk shard journals cost ~2 µs/event of router CPU (stage into
+    a list; one CRC'd journal record per flush).  On fig. 12 the
     unjournaled router pass is itself only ~2-3 µs/event of pure
     Python, so a relative bound against that denominator measures
     interpreter overhead, not journaling; the ISSUE's 10% target

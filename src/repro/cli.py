@@ -350,10 +350,10 @@ def build_parser() -> argparse.ArgumentParser:
     resilience.add_argument(
         "--router-journal",
         metavar="DIR",
-        help="write-ahead journal every ingested event to DIR/lane-NN "
-        "before routing, so the router itself survives a crash "
-        "(--shards only; with --recover, resume from DIR); shard "
-        "journals default to DIR/shards",
+        help="write-ahead journal every ingested event to DIR (one "
+        "journal, committed before each batch send) so the router "
+        "itself survives a crash (--shards only; with --recover, "
+        "resume from DIR); shard journals default to DIR/shards",
     )
     resilience.add_argument(
         "--router-checkpoint-every",
@@ -363,15 +363,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="persist the router's progress document every N ingested "
         "events, bounding recovery replay (0 disables; requires "
         "--router-journal)",
-    )
-    resilience.add_argument(
-        "--ingest-lanes",
-        type=int,
-        metavar="N",
-        default=1,
-        help="partition the router WAL into N independent ingest "
-        "lanes, each owning a key range with its own journal "
-        "position (requires --router-journal; default 1)",
     )
     return parser
 
@@ -414,7 +405,6 @@ def _check_flags(args: argparse.Namespace) -> None:
             sharded and args.shared,
             "--shards and --shared are mutually exclusive",
         ),
-        (sharded and args.ingest_lanes < 1, "--ingest-lanes must be >= 1"),
         (
             sharded and fleet and args.heartbeat_interval <= 0,
             "--workers-file/--membership-listen need shard supervision "
@@ -791,13 +781,12 @@ def _build_sharded(
             sinks={name: list(sinks) for name in names},
             shards=args.shards,
             journal_dir=shard_journal,
-            lanes=args.ingest_lanes if args.ingest_lanes > 1 else None,
             fsync=args.fsync,
             **engine_kwargs,
         )
         _log.info(
             "router_recovered",
-            message=f"router recovered: {engine.events_replayed} lane "
+            message=f"router recovered: {engine.events_replayed} WAL "
             f"events replayed",
             events_replayed=engine.events_replayed,
         )
@@ -815,7 +804,6 @@ def _build_sharded(
             engine.attach_router_log(
                 RouterLog(
                     args.router_journal,
-                    lanes=args.ingest_lanes,
                     fsync=args.fsync,
                     registry=registry,
                 )

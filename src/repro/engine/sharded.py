@@ -66,14 +66,15 @@ Router durability (PR 7) closes the last single point of failure:
   same messages over TCP to ``python -m repro.shard_worker`` processes
   that may live on other hosts (``worker_addresses=``);
 * with a router log attached (:class:`~repro.resilience.router_recovery
-  .RouterLog`), every ingested event is appended to a partitioned
-  ingest-lane WAL *before* routing, and the router periodically
-  checkpoints its own progress (local-lane state, per-shard delivered
-  watermarks, lane offsets). After a router SIGKILL,
-  :func:`~repro.resilience.router_recovery.recover_router` rebuilds the
-  engine, re-seeds every worker from its own checkpoint+journal, and
-  replays the lane suffix with per-shard count-skip so nothing is
-  delivered twice — merged results stay bit-identical;
+  .RouterLog`), every ingested event is staged in the router WAL
+  *before* routing and committed ahead of every send, and the router
+  periodically checkpoints its own progress (local-lane state,
+  per-shard delivered watermarks, WAL position). After a router
+  SIGKILL, :func:`~repro.resilience.router_recovery.recover_router`
+  rebuilds the engine, re-seeds every worker from its own
+  checkpoint+journal, and replays the WAL suffix with per-shard
+  count-skip so nothing is delivered twice — merged results stay
+  bit-identical;
 * workers deduplicate redelivered batches themselves: every journaled
   batch carries its base journal sequence, and a worker that was
   already seeded past it skips the overlap;
@@ -1241,10 +1242,6 @@ class ShardedStreamEngine:
             if self._resume_shards:
                 self._seed_worker(worker)
             self._workers.append(worker)
-        if self._router_log is not None and getattr(
-            self._router_log, "shard_attribute", None
-        ) is None:
-            self._router_log.shard_attribute = self.shard_attribute
         if self._supervise and self._sharded:
             self._monitor = HeartbeatSupervisor(
                 self.shards,
@@ -1948,15 +1945,15 @@ class ShardedStreamEngine:
     # ----- ingestion ---------------------------------------------------------
 
     def attach_router_log(self, log: Any) -> None:
-        """Attach the router's ingest-lane WAL (before ingestion).
+        """Attach the router's WAL (before ingestion).
 
-        With a log attached every event is appended to its lane journal
-        *before* routing (classic WAL discipline), and — when
+        With a log attached every event is staged in the WAL *before*
+        routing (classic WAL discipline), and — when
         ``router_checkpoint_every`` is set — the router periodically
         persists its own progress document, so
         :func:`~repro.resilience.router_recovery.recover_router` can
         resume this engine bit-identically after a router SIGKILL.
-        Requires durable shard journals (``journal_dir``): the lane WAL
+        Requires durable shard journals (``journal_dir``): the WAL
         reconciles against them at recovery time.
         """
         if log is None:
@@ -1969,7 +1966,7 @@ class ShardedStreamEngine:
         if self._supervise and self._journal_dir is None:
             raise EngineError(
                 "router journaling requires durable shard journals "
-                "(set journal_dir); recovery reconciles the lane WAL "
+                "(set journal_dir); recovery reconciles the router WAL "
                 "against each shard's on-disk journal"
             )
         self._router_log = log
@@ -1982,11 +1979,11 @@ class ShardedStreamEngine:
         through the stock checkpoint reader) with ``journal_seq``
         holding the global ingest sequence and a ``"router"`` section
         carrying the distributed bookkeeping: per-shard delivered
-        watermarks (shard-journal offsets after a full flush), lane
-        journal offsets, query texts, and the fold-lane state of any
-        degraded shard. Flushing first is what makes the watermarks
-        honest: every event routed before the checkpoint is either in
-        a shard journal or (shed_oldest only) dropped on purpose.
+        watermarks (shard-journal offsets after a full flush), query
+        texts, and the fold-lane state of any degraded shard. Flushing
+        first is what makes the watermarks honest: every event routed
+        before the checkpoint is either in a shard journal or
+        (shed_oldest only) dropped on purpose.
         """
         log = self._router_log
         if log is None:
@@ -2007,15 +2004,12 @@ class ShardedStreamEngine:
             "clock_ms": self._clock_ms,
             "route_seq": self._route_seq,
             "shards": self.shards,
-            "lanes": log.lanes,
             "batch_size": self.batch_size,
             "shard_attribute": self.shard_attribute,
             "queries": [
                 [name, str(query), name in self._sharded]
                 for name, (query, _) in self._specs.items()
             ],
-            "lane_seqs": log.lane_seqs(),
-            "commit_seq": log.commit_seq,
             "shard_delivered": delivered,
             "shed_events": self.shed_events,
             "degraded": sorted(self.degraded_shards),
@@ -2049,11 +2043,11 @@ class ShardedStreamEngine:
             ):
                 self.router_checkpoint()
             # WAL discipline, group-committed: the event is staged in
-            # the lane WAL now and physically written (RouterLog
-            # .commit) before any batch send, so the shard journals
-            # are always a subset of the durable lanes and recovery
-            # can reconcile by count alone. flush() is the explicit
-            # durability ack for the tail.
+            # the WAL now and physically written (RouterLog.commit)
+            # before any batch send, so the shard journals are always
+            # a subset of the durable WAL and recovery can reconcile
+            # by count alone. flush() is the explicit durability ack
+            # for the tail.
             log.append(event)
             self._events_since_router_checkpoint += 1
         self._route(event)
@@ -2063,7 +2057,7 @@ class ShardedStreamEngine:
 
         ``skip`` is router recovery's count-skip cursor — per shard,
         how many more records that shard's journal already holds.
-        Routing is deterministic, so during lane replay the *k*-th
+        Routing is deterministic, so during WAL replay the *k*-th
         record bound for shard *i* lands on the journal sequence it had
         in the crashed run; while the cursor is positive the record is
         already inside the worker (seeded from checkpoint + journal)
@@ -2380,8 +2374,7 @@ class ShardedStreamEngine:
         state = self._roundtrip(worker, "checkpoint", None)
         state["journal_seq"] = worker.log.next_seq
         worker.checkpoint = state
-        worker.log.save_checkpoint(state)
-        worker.log.truncate_to(state["journal_seq"])
+        worker.log.checkpoint(state)
         worker.batches_since_checkpoint = 0
         self._m_checkpoints.inc()
 

@@ -10,7 +10,7 @@ per-registration failure isolation with a dead-letter queue and
 quarantine (:mod:`~repro.resilience.supervisor`), process-level shard
 supervision — heartbeats, per-shard journals, exact worker revive —
 (:mod:`~repro.resilience.shard_supervisor`), router durability —
-partitioned ingest-lane WAL and exact router recovery —
+a group-committed router WAL and exact router recovery —
 (:mod:`~repro.resilience.router_recovery`), and the seeded fault
 injection the chaos tests drive it all with
 (:mod:`~repro.resilience.faults`).
@@ -39,7 +39,7 @@ _EXPORTS = {
             "EventJournal", "list_segments", "prune_segments", "read_journal",
         ),
         "recovery": ("recover",),
-        "router_recovery": ("RouterLog", "discover_lanes", "recover_router"),
+        "router_recovery": ("RouterLog", "recover_router"),
         "shard_supervisor": (
             "DiskShardLog", "HeartbeatSupervisor", "MemoryShardLog",
             "ShardHealth", "open_shard_log",

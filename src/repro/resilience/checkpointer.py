@@ -14,10 +14,11 @@ Checkpoint files are written atomically — serialized to
 ``os.replace``d into place — so a crash mid-write can never leave a
 half-written file under the real name. Files are named by a
 monotonically increasing generation number
-(``checkpoint-000000000042.json``), newest-wins; a bounded number of
-older generations is retained as fallback against corruption of the
-newest. The journal offset the checkpoint is consistent with lives
-*inside* the document (``journal_seq``).
+(``checkpoint-000000000042.json``), newest-wins; every writer keeps the
+newest :data:`RETAIN_CHECKPOINTS` generations, the older ones as
+fallback against corruption of the newest. The journal offset the
+checkpoint is consistent with lives *inside* the document
+(``journal_seq``).
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from __future__ import annotations
 import json
 import os
 import time
+from collections import deque
 from pathlib import Path
 from typing import Any
 
@@ -32,10 +34,14 @@ from repro.core.checkpoint import checkpoint as executor_checkpoint
 from repro.core.checkpoint import restore as executor_restore
 from repro.errors import CheckpointError
 from repro.obs.registry import MetricsRegistry, resolve_registry
+from repro.resilience.journal import prune_segments
 
 ENGINE_FORMAT_VERSION = 1
 CHECKPOINT_PREFIX = "checkpoint-"
 CHECKPOINT_SUFFIX = ".json"
+#: Generations :func:`write_checkpoint` keeps in a directory; older
+#: ones are deleted as each new one lands.
+RETAIN_CHECKPOINTS = 3
 
 
 def _checkpoint_name(generation: int) -> str:
@@ -180,23 +186,21 @@ def validate_engine_state(state: Any) -> dict[str, Any]:
     return state
 
 
-def write_checkpoint(
-    directory: str | Path,
-    state: dict[str, Any],
-    generation: int | None = None,
-) -> Path:
-    """Atomically persist one engine checkpoint; returns its path."""
+def write_checkpoint(directory: str | Path, state: dict[str, Any]) -> Path:
+    """Atomically persist one engine checkpoint as the next generation,
+    then delete all but the newest :data:`RETAIN_CHECKPOINTS`; returns
+    its path."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    if generation is None:
-        generation = _next_generation(directory)
-    final = directory / _checkpoint_name(generation)
+    final = directory / _checkpoint_name(_next_generation(directory))
     tmp = final.with_suffix(final.suffix + ".tmp")
     with open(tmp, "w", encoding="utf-8") as handle:
         json.dump(state, handle, separators=(",", ":"))
         handle.flush()
         os.fsync(handle.fileno())
     os.replace(tmp, final)
+    for stale in list_checkpoints(directory)[:-RETAIN_CHECKPOINTS]:
+        stale.unlink(missing_ok=True)
     return final
 
 
@@ -229,6 +233,35 @@ def load_latest_checkpoint(
     return None, None
 
 
+class JournalCheckpoints:
+    """Checkpoint generations written beside a journal in one directory
+    (a shard's or the router's), and the pruning rule they license.
+
+    A retained older generation is only a corruption fallback if the
+    journal still holds its whole suffix, so segments are pruned below
+    the *oldest* retained generation's ``journal_seq``, never the
+    newest. The ``journal_seq`` of the retained generations is kept
+    here rather than re-read per write; opening seeds it from the
+    generations already on disk (a corrupt one can never be fallen
+    back to, so it is skipped).
+    """
+
+    def __init__(self, directory: str | Path):
+        self.directory = Path(directory)
+        self._seqs: deque[int] = deque(maxlen=RETAIN_CHECKPOINTS)
+        for path in list_checkpoints(self.directory):
+            try:
+                self._seqs.append(load_checkpoint(path)["journal_seq"])
+            except CheckpointError:
+                continue
+
+    def write(self, state: dict[str, Any]) -> Path:
+        path = write_checkpoint(self.directory, state)
+        self._seqs.append(state["journal_seq"])
+        prune_segments(self.directory, self._seqs[0])
+        return path
+
+
 class Checkpointer:
     """Scheduled, atomic engine checkpointing.
 
@@ -249,21 +282,17 @@ class Checkpointer:
         journal: Any = None,
         every_events: int | None = None,
         every_ms: float | None = None,
-        retain: int = 3,
         registry: MetricsRegistry | None = None,
     ):
         if every_events is not None and every_events <= 0:
             raise ValueError("every_events must be positive")
         if every_ms is not None and every_ms <= 0:
             raise ValueError("every_ms must be positive")
-        if retain < 1:
-            raise ValueError("retain must be at least 1")
         self.directory = Path(directory)
         self._engine = engine
         self._journal = journal
         self._every_events = every_events
         self._every_ms = every_ms
-        self._retain = retain
         self._since_write = 0
         self._last_write_at = time.monotonic()
         registry = resolve_registry(registry)
@@ -312,13 +341,4 @@ class Checkpointer:
         self.last_path = path
         self._m_written.inc()
         self._m_duration.observe((time.perf_counter() - started) * 1e6)
-        self._prune()
         return path
-
-    def _prune(self) -> None:
-        existing = list_checkpoints(self.directory)
-        for stale in existing[: -self._retain]:
-            try:
-                stale.unlink()
-            except OSError:  # pragma: no cover - racing cleanup is fine
-                pass

@@ -332,9 +332,9 @@ def prune_segments(directory: str | Path, upto_seq: int) -> list[Path]:
 
     A segment is prunable when the *next* segment starts at or below
     ``upto_seq`` — every record it holds is then older than the cutoff.
-    The active (last) segment is never deleted. Used by per-shard
-    journals once a checkpoint makes the prefix redundant. Returns the
-    removed paths.
+    The active (last) segment is never deleted. Used by the shard and
+    router journals once every retained checkpoint makes the prefix
+    redundant. Returns the removed paths.
     """
     segments = list_segments(directory)
     removed: list[Path] = []
@@ -359,7 +359,10 @@ def read_journal(
     Tolerates a torn final record (partial line or failing CRC) in the
     *last* segment only; corruption anywhere else raises
     :class:`~repro.errors.JournalError`. Sequence gaps or regressions
-    also raise — they mean a segment went missing.
+    also raise — they mean a segment went missing — and so does a
+    first record that starts after ``start_seq``: the segments holding
+    the requested start were pruned or lost, and replaying from later
+    would skip events silently.
     """
     segments = list_segments(directory)
     # Skip whole segments that end before start_seq: a segment can be
@@ -391,6 +394,11 @@ def read_journal(
                     raise JournalError(
                         f"corrupt record in non-final segment "
                         f"{segment.name}"
+                    )
+                if expected is None and seq > start_seq:
+                    raise JournalError(
+                        f"journal starts at seq {seq} in {segment.name}, "
+                        f"after the requested start {start_seq}"
                     )
                 if expected is not None and seq != expected:
                     raise JournalError(

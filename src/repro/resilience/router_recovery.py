@@ -1,4 +1,4 @@
-"""Router durability: ingest-lane WAL + exact router recovery.
+"""Router durability: a staged router WAL + exact router recovery.
 
 The sharded engine's last single point of failure was the router
 process itself: per-shard journals could rebuild any *worker*, but a
@@ -7,20 +7,21 @@ in-flight batch. This module closes that hole with the same recipe
 the per-shard path uses — write-ahead journal plus periodic
 checkpoint — applied one level up:
 
-* :class:`RouterLog` — N independent **ingest lanes**, each an
-  :class:`~repro.resilience.journal.EventJournal` under
-  ``<dir>/lane-NN``. ``append`` is an in-memory push (cheap enough to
-  ride the ingest hot path); :meth:`RouterLog.commit` **group-commits**
-  everything pending — one batch record per lane, then one commit
-  marker in the ``commits`` journal. The marker is the atomic commit
-  point: a SIGKILL mid-commit leaves unmarked lane chunks that replay
-  provably skips, because the engine commits *before every batch
-  send*, so an unmarked record can never have reached a shard;
+* :class:`RouterLog` — one :class:`~repro.resilience.journal.EventJournal`
+  whose segments sit directly in the router directory. ``append`` is an
+  in-memory push (cheap enough to ride the ingest hot path);
+  :meth:`RouterLog.commit` **group-commits** everything staged as one
+  journal record — one CRC'd line, one ``write()``. The journal's
+  torn-tail rule is the atomic commit point: a SIGKILL mid-commit
+  leaves a torn final line that the reader drops whole, and none of
+  its events can have reached a shard, because the engine commits
+  *before every batch send*. The journal sequence is the global
+  ingest sequence;
 * :func:`recover_router` — rebuilds a
   :class:`~repro.engine.sharded.ShardedStreamEngine` after a router
   crash: load the router checkpoint, re-register its query texts,
   restart workers seeded from *their own* checkpoints + journals,
-  then replay the lane suffix through the router with per-shard
+  then replay the WAL suffix through the router with per-shard
   **count-skip** — routing is deterministic, so the k-th replayed
   record bound for shard *i* is skipped iff k is below that shard's
   recovered journal tail (the worker already holds it).
@@ -30,7 +31,7 @@ Why this is exact (under the ``"block"`` overload policy):
 1. the engine calls :meth:`RouterLog.commit` before any batch leaves
    for a shard, and a shard-journal append happens only after a
    successful send — so every shard journal is a strict by-count
-   prefix-subset of the marked lane WAL;
+   prefix-subset of the committed WAL;
 2. journals are unbuffered (one ``write()`` per commit group), so a
    SIGKILL loses at most the *final commit group* — records that were
    never sent anywhere. ``flush()`` commits, so it is the durability
@@ -40,7 +41,12 @@ Why this is exact (under the ``"block"`` overload policy):
 3. the router checkpoint flushes all worker buffers first, so its
    per-shard delivered watermarks are honest, and its cadence check
    runs before the next append, so it never covers a half-routed
-   event.
+   event;
+4. WAL segments are pruned only below the *oldest* retained checkpoint
+   generation (:class:`~repro.resilience.checkpointer.JournalCheckpoints`),
+   so falling back over a corrupt newest checkpoint still finds its
+   whole suffix — and ``read_journal`` raises rather than replay a
+   suffix with a hole.
 
 ``shed_oldest`` deliberately drops records, so replay after recovery
 may re-deliver what the crashed run shed (or vice versa) — recovery is
@@ -49,374 +55,121 @@ then best-effort, exactly as the live path is.
 
 from __future__ import annotations
 
-import heapq
 import threading
 from pathlib import Path
-from typing import Any, Iterator, Mapping, Sequence
+from typing import Any, Mapping, Sequence
 
-from repro.errors import CheckpointError, JournalError
+from repro.errors import CheckpointError
 from repro.events.event import Event
 from repro.obs.logging import get_logger
 from repro.obs.registry import MetricsRegistry, resolve_registry
 from repro.resilience.checkpointer import (
+    JournalCheckpoints,
     apply_engine_metrics,
     apply_engine_state,
     load_latest_checkpoint,
-    write_checkpoint,
 )
-from repro.resilience.journal import (
-    EventJournal,
-    prune_segments,
-    read_journal,
-)
+from repro.resilience.journal import EventJournal, read_journal
 from repro.resilience.recovery import replay_detached
 
 _log = get_logger("router_recovery")
 
-#: Event type of a lane-journal record: one commit group's worth of
-#: records for that lane — a batch of ``[event_type, ts, attrs, gseq]``
-#: entries under the ``"b"`` attribute, ascending by global sequence.
-WAL_BATCH_TYPE = "__wal__"
-
-#: Event type of a commit-marker record: ``{"s": first_gseq,
-#: "e": next_gseq, "l": {lane: chunk_journal_seq}}``. A lane chunk is
-#: part of the durable WAL iff a marker references it.
-WAL_COMMIT_TYPE = "__commit__"
-
-_LANE_PREFIX = "lane-"
-_COMMITS_DIR = "commits"
-
-
-def _lane_dir(directory: Path, lane: int) -> Path:
-    return directory / f"{_LANE_PREFIX}{lane:02d}"
-
-
-def discover_lanes(directory: str | Path) -> int:
-    """How many ingest lanes a router WAL directory holds (0 if none)."""
-    directory = Path(directory)
-    if not directory.is_dir():
-        return 0
-    count = 0
-    while _lane_dir(directory, count).is_dir():
-        count += 1
-    return count
-
 
 class RouterLog:
-    """The router's write-ahead log: partitioned ingest lanes.
+    """The router's write-ahead log: one staged journal in ``directory``.
 
-    ``lanes=1`` is a single global journal; more lanes spread the
-    writes across independent journals (each owning a key range via
-    the same hash that picks shards) while the explicit per-record
-    ingest sequence keeps total order recoverable. The log resumes its
-    global sequence from the last commit marker, so re-opening after a
-    crash continues the same numbering.
+    ``append`` only stages events in memory; ``commit`` — called by the
+    engine ahead of every batch send, and by ``sync``/``close`` —
+    writes everything staged as one journal record. Group commit keeps
+    the WAL off the ingest critical path, and it is safe because a
+    record cannot be *delivered* before the commit that covers it
+    returns. Reopening after a crash continues the journal's sequence.
 
-    ``append`` only stages records in memory; ``commit`` — called by
-    the engine ahead of every batch send, and by ``sync``/``close`` —
-    writes one batch record per lane plus one commit marker. Group
-    commit keeps the WAL off the ingest critical path, and it is safe
-    because a record cannot be *delivered* before the commit that
-    covers it returns.
-
-    ``shard_attribute`` picks the lane key; the engine late-binds it
-    at start when left ``None`` (it is derived from the registered
-    queries' GROUP BY). With no attribute the event type is the key.
+    A directory in the older ingest-lane layout (``lane-NN/`` journals
+    sealed by a ``commits/`` marker journal) is refused with a
+    :class:`~repro.errors.CheckpointError` rather than read as an
+    empty WAL.
     """
 
     def __init__(
         self,
         directory: str | Path,
-        lanes: int = 1,
-        shard_attribute: str | None = None,
         fsync: str = "never",
         segment_bytes: int = 4 * 1024 * 1024,
         registry: MetricsRegistry | None = None,
     ):
-        if lanes < 1:
-            raise ValueError("lanes must be >= 1")
-        # Local import: repro.engine.sharded imports this package's
-        # siblings at module load; importing it back at *call* time
-        # keeps the package initialization acyclic.
-        from repro.engine.sharded import shard_of
-
-        self._shard_of = shard_of
         self.directory = Path(directory)
-        self.lanes = lanes
-        self.shard_attribute = shard_attribute
-        registry = resolve_registry(registry)
-        self._journals = [
-            EventJournal(
-                _lane_dir(self.directory, lane),
-                fsync=fsync,
-                segment_bytes=segment_bytes,
-                registry=registry,
+        if (self.directory / "commits").is_dir():
+            raise CheckpointError(
+                f"{self.directory} holds a router WAL in the ingest-lane "
+                f"layout (lane-NN/ journals sealed by commits/ markers), "
+                f"which this version does not read; recover it with the "
+                f"version that wrote it, or start from an empty directory"
             )
-            for lane in range(lanes)
-        ]
-        self._commits = EventJournal(
-            self.directory / _COMMITS_DIR,
+        registry = resolve_registry(registry)
+        self._journal = EventJournal(
+            self.directory,
             fsync=fsync,
             segment_bytes=segment_bytes,
             registry=registry,
         )
+        self._checkpoints = JournalCheckpoints(self.directory)
         self._m_appends = registry.counter(
             "router_wal_appends_total",
-            "events committed to the router's ingest-lane WAL",
+            "events committed to the router's WAL",
         )
-        self._g_positions = [
-            registry.gauge(
-                "ingest_lane_position",
-                "next per-lane journal sequence of this ingest lane",
-                lane=str(lane),
-            )
-            for lane in range(lanes)
-        ]
         #: Serializes ``append`` vs ``commit`` (the scrape thread may
         #: flush — and therefore commit — concurrently with ingest).
         self._lock = threading.Lock()
-        #: Staged-but-uncommitted records, already partitioned by lane
-        #: (``append`` does the partitioning so ``commit`` is one
-        #: journal write per non-empty lane, no per-record work).
-        self._pending: list[list[list]] = [[] for _ in range(lanes)]
-        self._pending_count = 0
-        self._pending_ts = 0
-        #: Key → lane memo (bounded; keys repeat heavily on real
-        #: streams, and hashing the key is the hot cost of staging).
-        self._lane_cache: dict[Any, int] = {}
-        self._ingest_seq = self._resume_ingest_seq()
-
-    def _resume_ingest_seq(self) -> int:
-        """Next global sequence = the last commit marker's end."""
-        for lane, journal in enumerate(self._journals):
-            self._g_positions[lane].set(float(journal.next_seq))
-        if self._commits.next_seq == 0:
-            if any(journal.next_seq for journal in self._journals):
-                raise JournalError(
-                    f"{self.directory} holds lane records but no "
-                    f"commit markers; not a recoverable router WAL"
-                )
-            return 0
-        ingest = 0
-        for _, marker in read_journal(
-            self.directory / _COMMITS_DIR,
-            start_seq=self._commits.next_seq - 1,
-        ):
-            attrs = marker.attrs or {}
-            if marker.event_type != WAL_COMMIT_TYPE or "e" not in attrs:
-                raise JournalError(
-                    f"malformed commit marker in {self.directory}; "
-                    f"not a router WAL"
-                )
-            ingest = max(ingest, int(attrs["e"]))
-        return ingest
+        self._pending: list[Event] = []
 
     @property
     def ingest_seq(self) -> int:
         """The next global ingest sequence (== events ever appended,
-        committed or still pending)."""
-        return self._ingest_seq
-
-    @property
-    def commit_seq(self) -> int:
-        """The commit-marker journal position (for checkpoints)."""
-        return self._commits.next_seq
-
-    def lane_of(self, event_type: str, attrs: dict | None) -> int:
-        key: Any = None
-        if self.shard_attribute is not None and attrs is not None:
-            key = attrs.get(self.shard_attribute)
-        if key is None:
-            key = event_type
-        cache = self._lane_cache
-        try:
-            lane = cache.get(key)
-        except TypeError:  # unhashable key: hash its repr directly
-            return self._shard_of(key, self.lanes)
-        if lane is None:
-            lane = self._shard_of(key, self.lanes)
-            if len(cache) < 8192:  # unbounded keys must not leak
-                cache[key] = lane
-        return lane
+        committed or still staged)."""
+        return self._journal.next_seq + len(self._pending)
 
     def append(self, event: Event) -> int:
         """Stage one event for the WAL; returns its global ingest
-        sequence. Durable only after the next :meth:`commit`.
-
-        This is the per-event hot path (everything else is per commit
-        group), so the lane lookup is inlined against the memo rather
-        than calling :meth:`lane_of`.
-        """
-        event_type = event.event_type
-        attrs = event.attrs or None
-        ts = event.ts
-        key = attrs.get(self.shard_attribute) if (
-            self.shard_attribute is not None and attrs is not None
-        ) else None
-        if key is None:
-            key = event_type
-        try:
-            lane = self._lane_cache.get(key)
-        except TypeError:  # unhashable key: hash its repr directly
-            lane = self._shard_of(key, self.lanes)
-        if lane is None:
-            lane = self.lane_of(event_type, attrs)
+        sequence. Durable only after the next :meth:`commit`."""
         with self._lock:
-            gseq = self._ingest_seq
-            self._ingest_seq = gseq + 1
-            self._pending[lane].append([event_type, ts, attrs, gseq])
-            self._pending_count += 1
-            self._pending_ts = ts
-        return gseq
+            self._pending.append(event)
+            return self._journal.next_seq + len(self._pending) - 1
 
     def commit(self) -> None:
-        """Write every pending record — one batch record per lane,
-        sealed by one commit marker.
+        """Write every staged event as one journal record.
 
         The engine calls this ahead of every batch send (under the
-        worker's buffer lock), so anything a shard ever received is
-        covered by a marker that predates the send; lane chunks with
-        no marker are torn tails and are skipped at replay.
+        worker's buffer lock), so anything a shard ever received is in
+        a record that was whole on disk before the send; a torn final
+        record is dropped at replay and was never delivered.
         """
         with self._lock:
-            count = self._pending_count
-            if not count:
+            pending = self._pending
+            if not pending:
                 return
-            base = self._ingest_seq - count
-            marked: dict[str, int] = {}
-            for lane, chunk in enumerate(self._pending):
-                if not chunk:
-                    continue
-                journal = self._journals[lane]
-                marked[str(lane)] = journal.append(
-                    Event(WAL_BATCH_TYPE, chunk[-1][1], {"b": chunk})
-                )
-                self._g_positions[lane].set(float(journal.next_seq))
-                self._pending[lane] = []
-            self._pending_count = 0
-            self._commits.append(
-                Event(
-                    WAL_COMMIT_TYPE,
-                    self._pending_ts,
-                    {
-                        "s": base,
-                        "e": base + count,
-                        "l": marked,
-                    },
-                )
-            )
-            self._m_appends.inc(count)
-
-    def lane_seqs(self) -> list[int]:
-        """Per-lane journal positions (the checkpoint's replay starts)."""
-        return [journal.next_seq for journal in self._journals]
+            self._journal.append_batch(pending)
+            self._pending = []
+            self._m_appends.inc(len(pending))
 
     def sync(self) -> None:
         self.commit()
-        for journal in self._journals:
-            journal.sync()
-        self._commits.sync()
+        self._journal.sync()
 
     def checkpoint(self, state: dict[str, Any]) -> None:
-        """Persist a router progress document and prune covered lanes.
+        """Persist a router progress document and prune the segments no
+        retained generation replays from.
 
         The caller (the engine's ``router_checkpoint``) builds the
-        state *from this log's current positions* with no appends in
-        between, so every segment fully below the current tails is
-        covered by the checkpoint and safe to drop.
+        state *from this log's current position* with no appends in
+        between, so ``state["journal_seq"]`` is the committed tail.
         """
         self.sync()
-        write_checkpoint(self.directory, state)
-        for lane, journal in enumerate(self._journals):
-            prune_segments(_lane_dir(self.directory, lane), journal.next_seq)
-        prune_segments(
-            self.directory / _COMMITS_DIR, self._commits.next_seq
-        )
-
-    def replay(
-        self,
-        lane_starts: Sequence[int] | None = None,
-        commit_start: int = 0,
-    ) -> Iterator[tuple[int, Event]]:
-        """Merge the marked lane suffixes back into global ingest order.
-
-        Yields ``(gseq, event)`` with events bit-identical to what was
-        originally ingested. The commit markers say exactly which lane
-        records are part of the durable WAL — an unmarked chunk is the
-        torn tail of a mid-commit SIGKILL, and its records were
-        provably never delivered (sends only happen after the marker
-        hits disk), so it is skipped. Over the marked records each
-        lane is ascending in gseq, so a k-way heap merge restores
-        total order; any gap in the merged sequence means a lane lost
-        marked history and raises
-        :class:`~repro.errors.JournalError`.
-        """
-        starts = (
-            list(lane_starts)
-            if lane_starts is not None
-            else [0] * self.lanes
-        )
-        if len(starts) != self.lanes:
-            raise CheckpointError(
-                f"checkpoint records {len(starts)} lane positions but "
-                f"the WAL has {self.lanes} lanes"
-            )
-        self.commit()
-        for journal in self._journals:
-            journal.flush()
-        self._commits.flush()
-
-        marked: dict[int, set[int]] = {
-            lane: set() for lane in range(self.lanes)
-        }
-        for _, marker in read_journal(
-            self.directory / _COMMITS_DIR, start_seq=commit_start
-        ):
-            if marker.event_type != WAL_COMMIT_TYPE:
-                raise JournalError(
-                    f"unexpected record type {marker.event_type!r} in "
-                    f"the commit-marker journal of {self.directory}"
-                )
-            for lane_key, seq in (marker.attrs or {}).get("l", {}).items():
-                lane = int(lane_key)
-                if lane < self.lanes:
-                    marked[lane].add(int(seq))
-
-        def lane_iter(lane: int) -> Iterator[tuple[int, Event]]:
-            committed = marked[lane]
-            for seq, record in read_journal(
-                _lane_dir(self.directory, lane), start_seq=starts[lane]
-            ):
-                if seq not in committed:
-                    continue  # torn mid-commit; never delivered
-                batch = (record.attrs or {}).get("b")
-                if record.event_type != WAL_BATCH_TYPE or batch is None:
-                    raise JournalError(
-                        f"lane {lane} record seq={seq} is not a WAL "
-                        f"commit group"
-                    )
-                for event_type, ts, attrs, gseq in batch:
-                    yield int(gseq), Event(event_type, ts, attrs or None)
-
-        expected: int | None = None
-        merged = heapq.merge(
-            *(lane_iter(lane) for lane in range(self.lanes)),
-            key=lambda entry: entry[0],
-        )
-        for gseq, event in merged:
-            if expected is not None and gseq != expected:
-                raise JournalError(
-                    f"router WAL gap: expected ingest seq {expected}, "
-                    f"found {gseq}; a lane lost committed history"
-                )
-            expected = gseq + 1
-            yield gseq, event
+        self._checkpoints.write(state)
 
     def close(self) -> None:
         self.commit()
-        for journal in self._journals:
-            journal.close()
-        self._commits.close()
+        self._journal.close()
 
 
 def recover_router(
@@ -424,7 +177,6 @@ def recover_router(
     queries: Sequence[Any] | None = None,
     sinks: Mapping[str, Sequence[Any]] | None = None,
     registry: MetricsRegistry | None = None,
-    lanes: int | None = None,
     fsync: str = "never",
     reattach_log: bool = True,
     journal_dir: str | Path | None = None,
@@ -434,15 +186,16 @@ def recover_router(
     recovered :class:`~repro.engine.sharded.ShardedStreamEngine`,
     mid-stream, ready for the next ``process()`` call.
 
-    ``directory`` is the router WAL directory (lane journals + router
-    checkpoints — what ``attach_router_log`` wrote). ``journal_dir``
-    is the per-shard journal directory of the crashed engine; it
-    defaults to ``<directory>/shards``, the CLI's layout. ``queries``
-    is only needed when no router checkpoint survives (from-scratch
-    replay); otherwise the checkpoint's query texts are authoritative
-    and must re-derive the same sharding plan. Extra keyword arguments
-    pass through to the engine constructor (transport, overload
-    policy, heartbeat cadence, ``router_checkpoint_every``, ...).
+    ``directory`` is the router WAL directory (journal segments +
+    router checkpoints — what ``attach_router_log`` wrote).
+    ``journal_dir`` is the per-shard journal directory of the crashed
+    engine; it defaults to ``<directory>/shards``, the CLI's layout.
+    ``queries`` is only needed when no router checkpoint survives
+    (from-scratch replay); otherwise the checkpoint's query texts are
+    authoritative and must re-derive the same sharding plan. Extra
+    keyword arguments pass through to the engine constructor
+    (transport, overload policy, heartbeat cadence,
+    ``router_checkpoint_every``, ...).
 
     The recovered engine's ``metrics.events`` is the resume position:
     the source should continue from that offset. It can trail the
@@ -458,10 +211,12 @@ def recover_router(
        embedded in the router checkpoint;
     2. the local lane restores from the checkpoint document exactly
        like single-process recovery (executors + metrics);
-    3. the lane WAL suffix replays through the router with per-shard
-       count-skip, so workers receive only the records their journals
-       do not already hold — anything redelivered anyway (conservative
-       overlap) is dropped by the worker's own dedup cursor.
+    3. the WAL suffix (``read_journal(directory, journal_seq)``, the
+       read :func:`~repro.resilience.recovery.recover` makes) replays
+       through the router with per-shard count-skip, so workers receive
+       only the records their journals do not already hold — anything
+       redelivered anyway (conservative overlap) is dropped by the
+       worker's own dedup cursor.
     """
     from repro.engine.sharded import ShardedStreamEngine
 
@@ -472,7 +227,7 @@ def recover_router(
     )
     m_replayed = registry.counter(
         "router_replayed_events_total",
-        "lane WAL events replayed during router recovery",
+        "router WAL events replayed during router recovery",
     )
 
     state, state_path = load_latest_checkpoint(directory)
@@ -553,33 +308,23 @@ def recover_router(
         routing = router.get("routing")
         if isinstance(routing, dict):
             engine._resume_routing = routing
+    # Opened before _start(): a directory the log refuses must not
+    # leave spawned workers behind.
+    log = RouterLog(directory, fsync=fsync, registry=registry)
     engine._start()
 
     # Restore the router's own bookkeeping and the local lane.
     delivered = [0] * shards
-    lane_starts: Sequence[int] | None = None
-    commit_start = 0
+    start_seq = 0
     if router is not None:
         delivered = list(router["shard_delivered"])
-        lane_starts = router["lane_seqs"]
-        commit_start = int(router.get("commit_seq", 0))
+        start_seq = state["journal_seq"]
         engine.metrics.events = int(router["events"])
         engine._clock_ms = router["clock_ms"]
         engine._route_seq = int(router["route_seq"])
         engine.shed_events = int(router.get("shed_events", 0))
         apply_engine_state(engine._local, state)
         apply_engine_metrics(engine._local, state)
-
-    lane_count = lanes
-    if lane_count is None:
-        lane_count = router["lanes"] if router else discover_lanes(directory)
-    log = RouterLog(
-        directory,
-        lanes=max(1, lane_count),
-        shard_attribute=engine.shard_attribute,
-        fsync=fsync,
-        registry=registry,
-    )
 
     # The count-skip cursor: how many more records each shard's journal
     # already holds past the checkpoint's delivered watermark. Captured
@@ -594,7 +339,7 @@ def recover_router(
     # were already delivered (same contract as single-process recover).
     replayed = replay_detached(
         engine._local,
-        (event for _, event in log.replay(lane_starts, commit_start)),
+        (event for _, event in read_journal(directory, start_seq)),
         lambda event: engine._route(event, skip),
     )
 
@@ -606,8 +351,8 @@ def recover_router(
         message=(
             f"router recovered from "
             f"{state_path.name if state_path else 'no checkpoint'}: "
-            f"{replayed} lane events replayed across {log.lanes} "
-            f"lane(s), {shards} shard(s) re-seeded"
+            f"{replayed} WAL events replayed, {shards} shard(s) "
+            f"re-seeded"
         ),
         replayed=replayed,
         shards=shards,

@@ -38,12 +38,8 @@ from typing import Any, Callable, Iterator
 from repro.events.event import Event
 from repro.obs.logging import get_logger
 from repro.obs.registry import MetricsRegistry, resolve_registry
-from repro.resilience.checkpointer import write_checkpoint
-from repro.resilience.journal import (
-    EventJournal,
-    prune_segments,
-    read_journal,
-)
+from repro.resilience.checkpointer import JournalCheckpoints
+from repro.resilience.journal import EventJournal, read_journal
 
 _log = get_logger("shard_supervisor")
 
@@ -58,8 +54,10 @@ class MemoryShardLog:
     """In-memory per-shard record log (the default backend).
 
     Holds every record delivered to one shard since the shard's last
-    checkpoint; ``truncate_to`` forgets the prefix a checkpoint has made
-    redundant, so memory stays bounded as long as checkpoints are taken.
+    checkpoint; :meth:`checkpoint` forgets the prefix that checkpoint
+    has made redundant, so memory stays bounded as long as checkpoints
+    are taken. The worker handle holds only the newest checkpoint, so
+    nothing older needs the prefix.
     """
 
     def __init__(self) -> None:
@@ -73,10 +71,6 @@ class MemoryShardLog:
     def append(self, records: list[ShardRecord]) -> None:
         self._records.extend(records)
 
-    def replay(self, start_seq: int = 0) -> Iterator[ShardRecord]:
-        start = max(0, start_seq - self._base)
-        yield from list(self._records[start:])
-
     def replay_seqs(
         self, start_seq: int = 0
     ) -> Iterator[tuple[int, ShardRecord]]:
@@ -86,15 +80,14 @@ class MemoryShardLog:
         for offset, record in enumerate(list(self._records[start:])):
             yield (base + start + offset, record)
 
-    def truncate_to(self, seq: int) -> None:
-        """Forget records with sequence below ``seq``."""
-        drop = min(len(self._records), max(0, seq - self._base))
+    def checkpoint(self, state: dict[str, Any]) -> None:
+        """Forget records below the checkpoint's ``journal_seq``."""
+        drop = min(
+            len(self._records), max(0, state["journal_seq"] - self._base)
+        )
         if drop:
             del self._records[:drop]
             self._base += drop
-
-    def save_checkpoint(self, state: dict[str, Any]) -> None:
-        """Memory backend keeps checkpoints on the worker handle only."""
 
     def close(self) -> None:
         self._records.clear()
@@ -104,10 +97,10 @@ class DiskShardLog:
     """Durable per-shard record log backed by an :class:`EventJournal`.
 
     One journal directory per shard (``<dir>/shard-NN``); the shard's
-    engine checkpoints are written into the same directory with
-    :func:`~repro.resilience.checkpointer.write_checkpoint`, so the
-    whole re-seed recipe for one shard lives in one place.  Segments
-    fully covered by the latest checkpoint are pruned.
+    engine checkpoints are written into the same directory
+    (:class:`~repro.resilience.checkpointer.JournalCheckpoints`), so
+    the whole re-seed recipe for one shard lives in one place.
+    Segments are pruned below the oldest retained checkpoint.
     """
 
     def __init__(
@@ -120,6 +113,7 @@ class DiskShardLog:
         self._journal = EventJournal(
             self.directory, fsync=fsync, registry=registry
         )
+        self._checkpoints = JournalCheckpoints(self.directory)
 
     @property
     def next_seq(self) -> int:
@@ -130,11 +124,6 @@ class DiskShardLog:
             [Event(t, ts, attrs) for t, ts, attrs in records]
         )
 
-    def replay(self, start_seq: int = 0) -> Iterator[ShardRecord]:
-        self._journal.flush()
-        for _, event in read_journal(self.directory, start_seq=start_seq):
-            yield (event.event_type, event.ts, event.attrs or None)
-
     def replay_seqs(
         self, start_seq: int = 0
     ) -> Iterator[tuple[int, ShardRecord]]:
@@ -143,11 +132,8 @@ class DiskShardLog:
         for seq, event in read_journal(self.directory, start_seq=start_seq):
             yield (seq, (event.event_type, event.ts, event.attrs or None))
 
-    def truncate_to(self, seq: int) -> None:
-        prune_segments(self.directory, seq)
-
-    def save_checkpoint(self, state: dict[str, Any]) -> None:
-        write_checkpoint(self.directory, state)
+    def checkpoint(self, state: dict[str, Any]) -> None:
+        self._checkpoints.write(state)
 
     def close(self) -> None:
         self._journal.close()

@@ -156,8 +156,9 @@ class TestErrors:
              "--shards runs A-Seq executors"),
             (_RUN + ["--shards", "2", "--shared"],
              "--shards and --shared are mutually exclusive"),
-            (_RUN + ["--shards", "2", "--ingest-lanes", "0"],
-             "--ingest-lanes must be >= 1"),
+            (_RUN + ["--shards", "2", "--membership-listen", "h:0",
+                     "--heartbeat-interval", "0"],
+             "--workers-file/--membership-listen need shard supervision"),
             (_RUN + ["--shards", "2", "--workers-file", "w",
                      "--heartbeat-interval", "0"],
              "--workers-file/--membership-listen need shard supervision"),

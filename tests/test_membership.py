@@ -712,7 +712,7 @@ def test_routing_table_rides_router_checkpoints(tmp_path):
         journal_dir=tmp_path / "shards",
         router_checkpoint_every=100,
     )
-    engine.attach_router_log(RouterLog(tmp_path, lanes=2))
+    engine.attach_router_log(RouterLog(tmp_path))
     for event in events[:300]:
         engine.process(event)
     registry.register("m-c")
@@ -762,7 +762,7 @@ def test_recovery_replaces_owners_that_never_returned(tmp_path):
         journal_dir=tmp_path / "shards",
         router_checkpoint_every=100,
     )
-    engine.attach_router_log(RouterLog(tmp_path, lanes=2))
+    engine.attach_router_log(RouterLog(tmp_path))
     for event in events[:450]:
         engine.process(event)
     engine.flush()

@@ -124,10 +124,10 @@ def test_checkpointer_every_n_events(tmp_path):
 
 def test_checkpointer_retention_prunes_old_generations(tmp_path):
     engine = make_engine()
-    checkpointer = Checkpointer(tmp_path, engine, every_events=5, retain=2)
+    checkpointer = Checkpointer(tmp_path, engine, every_events=5)
     engine.attach_checkpointer(checkpointer)
     feed(engine, 40)
-    assert len(list_checkpoints(tmp_path)) == 2
+    assert len(list_checkpoints(tmp_path)) == 3
 
 
 def test_checkpointer_time_trigger(tmp_path):
@@ -158,8 +158,6 @@ def test_checkpointer_rejects_bad_schedule(tmp_path):
         Checkpointer(tmp_path, engine, every_events=0)
     with pytest.raises(ValueError):
         Checkpointer(tmp_path, engine, every_ms=-1)
-    with pytest.raises(ValueError):
-        Checkpointer(tmp_path, engine, retain=0)
 
 
 # ----- typed checkpoint errors (satellite) ----------------------------------

@@ -123,6 +123,21 @@ def test_missing_segment_raises_sequence_gap(tmp_path):
         list(read_journal(tmp_path))
 
 
+def test_missing_first_segment_raises_instead_of_skipping(tmp_path):
+    """A replay whose start was pruned away raises: starting at the
+    first surviving record would drop the events between silently."""
+    with EventJournal(tmp_path, segment_bytes=256) as journal:
+        for event in some_events(120):
+            journal.append(event)
+    segments = list_segments(tmp_path)
+    assert len(segments) >= 3
+    segments[0].unlink()
+    with pytest.raises(JournalError):
+        list(read_journal(tmp_path))
+    second = int(segments[1].name[len("journal-"):-len(".wal")])
+    assert [seq for seq, _ in read_journal(tmp_path, second)][0] == second
+
+
 def test_crc_rejects_bit_flip():
     line = encode_record(7, Event("A", 3, {"x": 1}))
     flipped = line.replace('"x":1', '"x":2')

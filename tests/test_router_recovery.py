@@ -2,12 +2,12 @@
 sharded engine after the coordinating process itself dies.
 
 The contract under test closes the last single point of failure: with
-a router WAL attached (ingest lanes + periodic router checkpoints) and
+a router WAL attached (one journal + periodic router checkpoints) and
 durable shard journals, SIGKILLing the *router* mid-stream and calling
 ``recover_router`` resumes the run bit-identically — the recovered
 engine finishes the stream and its merged results equal an
 uninterrupted single-process reference. Workers are reconciled from
-their own checkpoints + journals; the lane WAL suffix replays with
+their own checkpoints + journals; the WAL suffix replays with
 per-shard count-skip; anything conservatively redelivered is dropped
 by the workers' dedup cursors.
 
@@ -43,12 +43,13 @@ from repro.engine.sharded import ShardedStreamEngine
 from repro.errors import CheckpointError, EngineError, JournalError
 from repro.events.event import Event
 from repro.query import parse_query
-from repro.resilience.faults import FaultPlan, fault_seed
-from repro.resilience.router_recovery import (
-    RouterLog,
-    discover_lanes,
-    recover_router,
+from repro.resilience.checkpointer import (
+    list_checkpoints,
+    load_latest_checkpoint,
 )
+from repro.resilience.faults import FaultPlan, fault_seed, tear_journal_tail
+from repro.resilience.journal import list_segments, read_journal
+from repro.resilience.router_recovery import RouterLog, recover_router
 
 SEEDS = [fault_seed(0) * 101 + offset for offset in (0, 1, 2)]
 
@@ -87,7 +88,7 @@ def _reference(events) -> dict:
     return engine.results()
 
 
-def _journaled(tmp_path, shards, lanes=2, checkpoint_every=150,
+def _journaled(tmp_path, shards, checkpoint_every=150,
                **overrides) -> ShardedStreamEngine:
     settings = dict(
         ENGINE_SETTINGS,
@@ -99,7 +100,7 @@ def _journaled(tmp_path, shards, lanes=2, checkpoint_every=150,
     engine = ShardedStreamEngine(**settings)
     for name, text in QUERIES.items():
         engine.register(parse_query(text), name=name)
-    engine.attach_router_log(RouterLog(tmp_path, lanes=lanes))
+    engine.attach_router_log(RouterLog(tmp_path))
     return engine
 
 
@@ -204,25 +205,6 @@ def test_router_sigkill_mid_columnar_stream_is_exact(
         recovered.close()
 
 
-@pytest.mark.parametrize("lanes", [1, 3])
-def test_recovery_is_exact_for_any_lane_count(tmp_path, lanes):
-    plan = FaultPlan(SEEDS[0])
-    events = _stream(plan, 700)
-    expected = _reference(events)
-    engine = _journaled(tmp_path, 2, lanes=lanes)
-    for event in events[:450]:
-        engine.process(event)
-    _crash_router(engine)
-    assert discover_lanes(tmp_path) == lanes
-    recovered = _recover(tmp_path)
-    try:
-        for event in events[recovered.metrics.events:]:
-            recovered.process(event)
-        assert recovered.results() == expected
-    finally:
-        recovered.close()
-
-
 def test_recovery_without_any_router_checkpoint(tmp_path):
     """checkpoint cadence 0: nothing but the WAL survives. Recovery is
     a from-scratch replay and still exact (queries re-supplied)."""
@@ -271,8 +253,8 @@ def test_scrape_flush_commits_the_wal_before_it_sends(tmp_path):
     """Every buffered record leaves the router through one procedure
     that group-commits the WAL first — a ``/queries`` scrape included.
     The scrape-path flush used to send without committing, so a shard
-    journal could hold records the durable lanes did not (journal at
-    seq 10, ``commit_seq`` 0) and a crash right after lost them from
+    journal could hold records the durable WAL did not (shard journal
+    at seq 10, router WAL at 0) and a crash right after lost them from
     the WAL while the worker kept them."""
     plan = FaultPlan(SEEDS[0])
     events = _stream(plan, 500)
@@ -282,10 +264,10 @@ def test_scrape_flush_commits_the_wal_before_it_sends(tmp_path):
     for event in events[:10]:  # below batch_size: nothing sent yet
         engine.process(event)
     assert [worker.log.next_seq for worker in engine._workers] == [0, 0]
-    assert log.commit_seq == 0
+    assert log._journal.next_seq == 0
     engine.query_rows()  # the scrape flushes every buffer, best-effort
     assert sum(worker.log.next_seq for worker in engine._workers) == 10
-    assert log.commit_seq == 1 and log._pending_count == 0
+    assert log._journal.next_seq == 10 and not log._pending
     _crash_router(engine)
     queries = [parse_query(text, name=name)
                for name, text in QUERIES.items()]
@@ -300,7 +282,7 @@ def test_scrape_flush_commits_the_wal_before_it_sends(tmp_path):
 
 
 def test_recovery_replays_broadcasts_and_unsharded_types(tmp_path):
-    """Lane replay goes through the same routing body as live ingest,
+    """WAL replay goes through the same routing body as live ingest,
     so the two branches that do not hash a key — a keyless negated
     event broadcast to every shard, and a type only the local lane
     reacts to — recover exactly too (count-skip per shard, local-lane
@@ -424,7 +406,7 @@ def test_true_sigkill_of_router_process_is_exact(tmp_path):
         )
         for name, text in queries.items():
             engine.register(parse_query(text), name=name)
-        engine.attach_router_log(RouterLog({str(tmp_path)!r}, lanes=2))
+        engine.attach_router_log(RouterLog({str(tmp_path)!r}))
         with open({str(events_file)!r}, "rb") as handle:
             records = pickle.load(handle)
         for t, ts, attrs in records:
@@ -551,31 +533,31 @@ def test_recover_router_requires_wal_or_queries(tmp_path):
 
 
 def test_router_log_resumes_global_sequence(tmp_path):
-    log = RouterLog(tmp_path, lanes=2, shard_attribute="g")
+    log = RouterLog(tmp_path)
     for index in range(10):
         assert log.append(Event("A", index, {"g": index})) == index
     assert log.ingest_seq == 10
     log.close()
-    reopened = RouterLog(tmp_path, lanes=2, shard_attribute="g")
+    reopened = RouterLog(tmp_path)
     assert reopened.ingest_seq == 10
     assert reopened.append(Event("A", 10, {"g": 3})) == 10
     reopened.close()
 
 
-def test_router_log_replay_merges_lanes_in_ingest_order(tmp_path):
-    log = RouterLog(tmp_path, lanes=3, shard_attribute="g")
+def test_router_log_replays_in_ingest_order(tmp_path):
+    log = RouterLog(tmp_path)
     originals = [
         Event("A", index, {"g": index % 7, "v": index})
         for index in range(60)
     ]
-    for event in originals:
+    for index, event in enumerate(originals):
         log.append(event)
-    replayed = list(log.replay())
-    assert [gseq for gseq, _ in replayed] == list(range(60))
-    assert [event.attrs for _, event in replayed] == [
-        event.attrs for event in originals
-    ]
+        if index % 16 == 15:
+            log.commit()
     log.close()
+    replayed = list(read_journal(tmp_path))
+    assert [seq for seq, _ in replayed] == list(range(60))
+    assert [event for _, event in replayed] == originals
 
 
 def test_router_log_staged_records_need_a_commit(tmp_path):
@@ -584,50 +566,152 @@ def test_router_log_staged_records_need_a_commit(tmp_path):
     log = RouterLog(tmp_path)
     for index in range(5):
         log.append(Event("A", index, None))
-    # Simulate a crash before any commit (close the journals without
-    # committing): reopen sees nothing, the five staged gseqs recycle.
-    log._journals[0].close()
-    log._commits.close()
+    # Simulate a crash before any commit (close the journal without
+    # committing): reopen sees nothing, the five staged seqs recycle.
+    log._journal.close()
     reopened = RouterLog(tmp_path)
     assert reopened.ingest_seq == 0
     reopened.append(Event("A", 9, None))
     reopened.sync()  # durability ack
-    reopened._journals[0].close()
-    reopened._commits.close()
+    reopened._journal.close()
     durable = RouterLog(tmp_path)
     assert durable.ingest_seq == 1
-    assert [gseq for gseq, _ in durable.replay()] == [0]
+    assert [seq for seq, _ in read_journal(tmp_path)] == [0]
     durable.close()
 
 
-def test_router_log_detects_cross_lane_gaps(tmp_path):
-    log = RouterLog(tmp_path, lanes=2, shard_attribute="g")
-    for index in range(40):
+def test_router_log_drops_a_torn_commit_whole(tmp_path):
+    """The journal's torn-tail rule is the commit point: a commit group
+    torn mid-write is dropped whole on reopen, never in part."""
+    log = RouterLog(tmp_path)
+    for index in range(10):
         log.append(Event("A", index, {"g": index}))
-    log.close()
-    # Wipe one whole lane: the merged sequence now has holes.
-    lane_dir = tmp_path / "lane-01"
-    for segment in lane_dir.glob("journal-*.wal"):
-        segment.unlink()
-    broken = RouterLog(tmp_path, lanes=2, shard_attribute="g")
-    with pytest.raises(JournalError):
-        list(broken.replay())
-    broken.close()
+    log.commit()
+    for index in range(10, 15):
+        log.append(Event("A", index, {"g": index}))
+    log.commit()
+    log._journal.close()
+    assert tear_journal_tail(tmp_path, drop_bytes=7) == 7
+    reopened = RouterLog(tmp_path)
+    assert reopened.ingest_seq == 10
+    assert [event.ts for _, event in read_journal(tmp_path)] == list(
+        range(10)
+    )
+    reopened.close()
 
 
 def test_router_log_checkpoint_prunes_lane_segments(tmp_path):
+    """A checkpoint prunes segments below the *oldest* retained
+    generation only, so every fallback generation keeps its suffix."""
     # Tiny segments, committed in small groups, so pruning has
     # something to drop.
-    log = RouterLog(tmp_path, lanes=1, segment_bytes=2048)
+    log = RouterLog(tmp_path, segment_bytes=2048)
     for index in range(500):
         log.append(Event("A", index, {"g": 1, "v": index}))
         if index % 50 == 49:
             log.sync()
-    lane_dir = tmp_path / "lane-00"
-    before = len(list(lane_dir.glob("journal-*.wal")))
-    assert before > 1
-    log.checkpoint({"version": 1, "journal_seq": log.ingest_seq,
-                    "registrations": [], "router": {}})
-    after = len(list(lane_dir.glob("journal-*.wal")))
-    assert after < before
+    before = len(list_segments(tmp_path))
+    state = {"version": 1, "registrations": [], "router": {}}
+    for seq in (250, 500):
+        log.checkpoint(dict(state, journal_seq=seq))
+    assert len(list_segments(tmp_path)) < before
+    assert [seq for seq, _ in read_journal(tmp_path, 250)] == list(
+        range(250, 500)
+    )
+    with pytest.raises(JournalError):
+        list(read_journal(tmp_path))
     log.close()
+
+
+def test_router_log_refuses_the_ingest_lane_layout(tmp_path):
+    """A WAL directory written in the older lane layout is refused
+    before recovery spawns a worker — never replayed as an empty WAL."""
+    (tmp_path / "lane-00").mkdir()
+    (tmp_path / "commits").mkdir()
+    with pytest.raises(CheckpointError, match="ingest-lane layout"):
+        RouterLog(tmp_path)
+    alive = set(multiprocessing.active_children())
+    with pytest.raises(CheckpointError, match="ingest-lane layout"):
+        _recover(tmp_path, shards=2)
+    assert set(multiprocessing.active_children()) <= alive
+
+
+# ----- checkpoint retention and the corruption fallback ---------------------
+
+
+def test_every_checkpoint_directory_keeps_three_generations(tmp_path):
+    """Router and disk shard logs write through the one retention rule:
+    a long run leaves at most three generations in each directory."""
+    plan = FaultPlan(SEEDS[0])
+    events = _stream(plan, 1500)
+    engine = _journaled(tmp_path, 2, checkpoint_every=100)
+    try:
+        for event in events:
+            engine.process(event)
+        engine.flush()
+    finally:
+        engine.close()
+    directories = [tmp_path, *sorted((tmp_path / "shards").iterdir())]
+    assert len(directories) == 3
+    for directory in directories:
+        assert 1 <= len(list_checkpoints(directory)) <= 3, directory
+
+
+def test_fallback_over_a_corrupt_router_checkpoint_is_exact(tmp_path):
+    """Segments are pruned below the *oldest* retained generation, so a
+    corrupt newest checkpoint falls back to an older one whose whole
+    WAL suffix is still on disk: replay covers exactly the events since
+    that checkpoint, and the local lane emits every output once."""
+    from repro.engine.sinks import CollectSink
+
+    local_text = "PATTERN SEQ(A, B) AGG COUNT WITHIN 40 ms"
+    plan = FaultPlan(SEEDS[1])
+    events = _stream(plan, 2400)
+    crash_at = 2000
+    reference = StreamEngine()
+    reference_sink = CollectSink()
+    reference.register(parse_query(local_text), reference_sink, name="flat")
+    for name, text in QUERIES.items():
+        reference.register(parse_query(text), name=name)
+    for event in events:
+        reference.process(event)
+    reference.advance_clock(events[-1].ts)
+
+    engine = ShardedStreamEngine(
+        **ENGINE_SETTINGS,
+        shards=2,
+        journal_dir=tmp_path / "shards",
+        router_checkpoint_every=300,
+    )
+    before = CollectSink()
+    engine.register(parse_query(local_text), before, name="flat")
+    for name, text in QUERIES.items():
+        engine.register(parse_query(text), name=name)
+    engine.attach_router_log(RouterLog(tmp_path, segment_bytes=2048))
+    for event in events[:crash_at]:
+        engine.process(event)
+    engine.flush()  # durability ack: the resume position is crash_at
+    _crash_router(engine)
+    list_checkpoints(tmp_path)[-1].write_text("{ torn")
+    fallback, _ = load_latest_checkpoint(tmp_path)
+    assert fallback["journal_seq"] < crash_at - 300
+
+    after = CollectSink()
+    recovered = _recover(tmp_path, sinks={"flat": [after]})
+    try:
+        assert recovered.events_replayed == (
+            crash_at - fallback["journal_seq"]
+        )
+        resume = recovered.metrics.events
+        assert resume == crash_at
+        assert not after.outputs  # replay does not re-emit
+        for event in events[resume:]:
+            recovered.process(event)
+        assert recovered.results() == reference.results()
+        resumed_at = events[resume - 1].ts
+        emitted = [
+            (o.ts, o.value) for o in before.outputs if o.ts <= resumed_at
+        ] + [(o.ts, o.value) for o in after.outputs]
+        assert emitted == [(o.ts, o.value) for o in reference_sink.outputs]
+    finally:
+        recovered.close()

@@ -466,7 +466,7 @@ def test_checkpoint_prunes_memory_journal():
         for worker in engine._workers:
             assert worker.checkpoint is not None
             log = worker.log
-            # truncate_to(checkpoint seq) ran: the retained suffix is
+            # checkpoint() dropped the covered prefix: the suffix is
             # bounded by the checkpoint cadence, not the stream length.
             assert log.next_seq - log._base <= 16 * 2 + 16
         assert engine.results() == _reference(events)
