@@ -62,7 +62,7 @@ def test_supervised_journaled(benchmark, tmp_path_factory):
         journal = EventJournal(directory, fsync="never")
         engine.attach_journal(journal)
         engine.attach_checkpointer(
-            Checkpointer(directory, engine, journal=journal, every_events=500)
+            Checkpointer(engine, journal, every_events=500)
         )
         engine.register(query_of())
         return (engine,), {}

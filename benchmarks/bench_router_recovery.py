@@ -25,7 +25,7 @@ from repro.datagen.synthetic import alphabet
 from repro.engine.sharded import ShardedStreamEngine
 from repro.events.event import Event
 from repro.query import parse_query
-from repro.resilience import RouterLog, recover_router
+from repro.resilience import EventJournal, recover_router
 
 TYPES = alphabet(20)
 QUERY = (
@@ -69,7 +69,7 @@ def build(journal: bool, checkpoint_every: int = 2_000,
     engine = ShardedStreamEngine(**settings)
     engine.register(parse_query(QUERY), name="q")
     if journal:
-        engine.attach_router_log(RouterLog(directory))
+        engine.attach_router_log(EventJournal(directory))
     _OPEN.append(engine)
     return engine
 

@@ -670,9 +670,8 @@ def _build_supervised(
         if checkpoint_every:
             engine.attach_checkpointer(
                 Checkpointer(
-                    args.journal,
                     engine,
-                    journal=journal,
+                    journal,
                     every_events=checkpoint_every,
                     registry=registry,
                 )
@@ -799,10 +798,10 @@ def _build_sharded(
         for name, query in zip(names, queries):
             engine.register(query, *sinks, name=name)
         if args.router_journal:
-            from repro.resilience.router_recovery import RouterLog
+            from repro.resilience.journal import EventJournal
 
             engine.attach_router_log(
-                RouterLog(
+                EventJournal(
                     args.router_journal,
                     fsync=args.fsync,
                     registry=registry,

@@ -36,7 +36,7 @@ single-process guarantees to this path:
   thread revives shards that die, wedge, or report a poisoned engine;
 * every batch successfully handed to a worker is recorded in that
   shard's journal (in memory by default, on disk under
-  ``journal_dir/shard-NN`` — reusing
+  ``journal_dir/shard-NN`` — an
   :class:`~repro.resilience.journal.EventJournal`); workers snapshot
   their engine state every ``checkpoint_every_batches`` deliveries, so
   a revive is *exact*: respawn, re-seed from the checkpoint, replay the
@@ -65,9 +65,9 @@ Router durability (PR 7) closes the last single point of failure:
   keeps today's fork+two-pipe workers, ``transport="tcp"`` frames the
   same messages over TCP to ``python -m repro.shard_worker`` processes
   that may live on other hosts (``worker_addresses=``);
-* with a router log attached (:class:`~repro.resilience.router_recovery
-  .RouterLog`), every ingested event is staged in the router WAL
-  *before* routing and committed ahead of every send, and the router
+* with a router WAL attached (an :class:`~repro.resilience.journal
+  .EventJournal`), every ingested event is staged in it *before*
+  routing and committed ahead of every send, and the router
   periodically checkpoints its own progress (local-lane state,
   per-shard delivered watermarks, WAL position). After a router
   SIGKILL, :func:`~repro.resilience.router_recovery.recover_router`
@@ -170,6 +170,7 @@ from repro.resilience.checkpointer import (
     engine_state,
     load_latest_checkpoint,
 )
+from repro.resilience.journal import EventJournal, MemoryShardLog
 from repro.resilience.membership import (
     DEAD,
     JOIN,
@@ -180,7 +181,6 @@ from repro.resilience.membership import (
 from repro.resilience.shard_supervisor import (
     HeartbeatSupervisor,
     ShardHealth,
-    open_shard_log,
 )
 
 _log = get_logger("sharded")
@@ -698,6 +698,7 @@ class _Worker:
         #: Serializes data-pipe use and revive between the router
         #: thread and the heartbeat thread.
         self.lock = threading.Lock()
+        #: EventJournal under ``journal_dir``, else a MemoryShardLog.
         self.log: Any = None
         #: Journal seq at first spawn — a disk journal resumed from a
         #: previous router run must not replay the old run's records.
@@ -1052,7 +1053,7 @@ class ShardedStreamEngine:
         self._closed = False
         self._clock_ms: int | None = None
         # ----- router durability (see attach_router_log) -----
-        self._router_log: Any = None
+        self._router_log: EventJournal | None = None
         self._router_checkpoint_every = router_checkpoint_every
         self._events_since_router_checkpoint = 0
         #: Resume mode: ``_start`` re-seeds every worker from its own
@@ -1220,21 +1221,22 @@ class ShardedStreamEngine:
         for index in range(self.shards):
             worker = _Worker(index)
             if self._supervise:
-                directory = (
-                    None
-                    if self._journal_dir is None
-                    else self._journal_dir / f"shard-{index:02d}"
-                )
-                worker.log = open_shard_log(
-                    directory, registry=self.obs_registry
+                worker.log = (
+                    MemoryShardLog() if self._journal_dir is None
+                    else EventJournal(
+                        self._journal_dir / f"shard-{index:02d}",
+                        registry=self.obs_registry,
+                    )
                 )
                 if self._resume_shards:
                     # Router recovery: the journal's whole history is
                     # the re-seed recipe, not a stale prefix to skip.
                     worker.replay_base = 0
                     checkpoint = self._resume_checkpoints.get(index)
-                    if checkpoint is None and directory is not None:
-                        checkpoint, _ = load_latest_checkpoint(directory)
+                    if checkpoint is None and self._journal_dir:
+                        checkpoint, _ = load_latest_checkpoint(
+                            worker.log.directory
+                        )
                     worker.checkpoint = checkpoint
                 else:
                     worker.replay_base = worker.log.next_seq
@@ -1599,7 +1601,7 @@ class ShardedStreamEngine:
             )
         if worker.log is None:
             return
-        suffix = worker.log.replay_seqs(start_seq)
+        suffix = worker.log.replay(start_seq)
         while chunk := list(islice(suffix, self.batch_size)):
             yield chunk[0][0], [record for _, record in chunk]
 
@@ -1944,10 +1946,10 @@ class ShardedStreamEngine:
 
     # ----- ingestion ---------------------------------------------------------
 
-    def attach_router_log(self, log: Any) -> None:
+    def attach_router_log(self, log: EventJournal) -> None:
         """Attach the router's WAL (before ingestion).
 
-        With a log attached every event is staged in the WAL *before*
+        With a journal attached every event is journaled *before*
         routing (classic WAL discipline), and — when
         ``router_checkpoint_every`` is set — the router periodically
         persists its own progress document, so
@@ -1956,8 +1958,6 @@ class ShardedStreamEngine:
         Requires durable shard journals (``journal_dir``): the WAL
         reconciles against them at recovery time.
         """
-        if log is None:
-            return
         if self._started or self.metrics.events:
             raise EngineError(
                 "attach the router log before ingesting events; "
@@ -2024,6 +2024,18 @@ class ShardedStreamEngine:
         self._m_router_checkpoints.inc()
         return state
 
+    def _router_checkpoint_due(self, count: int) -> None:
+        """The router-checkpoint cadence, run *before* ``count`` more
+        events are journaled: a checkpoint covers only fully routed
+        events, or its watermark would claim one the local lane lacks."""
+        if (
+            self._router_checkpoint_every
+            and self._events_since_router_checkpoint
+            >= self._router_checkpoint_every
+        ):
+            self.router_checkpoint()
+        self._events_since_router_checkpoint += count
+
     def process(self, event: Event) -> None:
         """Ingest one event: stage it in the router WAL (when one is
         attached), then route it."""
@@ -2031,25 +2043,10 @@ class ShardedStreamEngine:
             self._start()
         log = self._router_log
         if log is not None:
-            # The cadence check runs *before* this event is appended:
-            # a checkpoint must only ever cover events whose routing
-            # fully completed (previous process() calls), or its
-            # ingest watermark would claim an event the local lane
-            # never saw.
-            if (
-                self._router_checkpoint_every
-                and self._events_since_router_checkpoint
-                >= self._router_checkpoint_every
-            ):
-                self.router_checkpoint()
-            # WAL discipline, group-committed: the event is staged in
-            # the WAL now and physically written (RouterLog.commit)
-            # before any batch send, so the shard journals are always
-            # a subset of the durable WAL and recovery can reconcile
-            # by count alone. flush() is the explicit durability ack
-            # for the tail.
-            log.append(event)
-            self._events_since_router_checkpoint += 1
+            self._router_checkpoint_due(1)
+            # Group-committed WAL: staged now, written before any batch
+            # send (see _flush_locked); flush() is the durability ack.
+            log.stage(event)
         self._route(event)
 
     def _route(self, event: Event, skip: list[int] | None = None) -> None:
@@ -2113,24 +2110,28 @@ class ShardedStreamEngine:
         consumes the batch through its own columnar lane (which also
         enforces the stream-order contract), and each worker receives
         its hash-partition of the relevant rows as one flat-buffer
-        sub-batch over the data pipe. Lanes that need per-event
-        bookkeeping — the router WAL and trace sampling — fall back to
-        per-event routing over the materialized batch (order-checked
-        first, against the router clock), so durability and tracing
-        semantics never fork from :meth:`process`.
+        sub-batch over the data pipe. A router WAL gets the batch as
+        one record before any of its sends (recovery replays it per
+        event, which routes every row where this branch did); only
+        trace sampling falls back to :meth:`process` per event.
         """
         count = len(batch)
         if count == 0:
             return 0
         if not self._started:
             self._start()
-        if self._router_log is not None or self._trace_on:
-            # process() trusts its caller for order, so check the batch
-            # here as the columnar branch below does via the local lane.
+        log = self._router_log
+        if log is not None or self._trace_on:
+            # Neither process() nor the WAL may see an out-of-order
+            # batch (the columnar branch checks via the local lane).
             batch.ensure_in_order(self._clock_ms)
+        if self._trace_on:
             for event in batch.to_events():
                 self.process(event)
             return count
+        if log is not None:
+            self._router_checkpoint_due(count)
+            log.commit(batch.to_records())
         # Order check + local-lane consumption (raises before any row
         # of an out-of-order batch reaches metrics or the workers).
         self._local.process_event_batch(batch)
@@ -2358,7 +2359,7 @@ class ShardedStreamEngine:
                 self._fold_feed(worker, records)
                 return
         if worker.log is not None:
-            worker.log.append(records)
+            worker.log.append_records(records)
             worker.batches_since_checkpoint += 1
             if (
                 self._checkpoint_every

@@ -2,15 +2,16 @@
 
 The paper's central property — all of A-Seq's state is a handful of
 prefix counters — makes durability nearly free, and this package
-spends that windfall: an append-only event journal
+spends that windfall: one append-only event journal that every
+write-ahead log is, owning the checkpoint generations beside it
 (:mod:`~repro.resilience.journal`), engine-wide atomic checkpoints
 (:mod:`~repro.resilience.checkpointer`), crash recovery by
 checkpoint-plus-replay (:mod:`~repro.resilience.recovery`),
 per-registration failure isolation with a dead-letter queue and
 quarantine (:mod:`~repro.resilience.supervisor`), process-level shard
-supervision — heartbeats, per-shard journals, exact worker revive —
-(:mod:`~repro.resilience.shard_supervisor`), router durability —
-a group-committed router WAL and exact router recovery —
+supervision — heartbeats and restart health —
+(:mod:`~repro.resilience.shard_supervisor`), exact router recovery
+from the router's group-committed WAL
 (:mod:`~repro.resilience.router_recovery`), and the seeded fault
 injection the chaos tests drive it all with
 (:mod:`~repro.resilience.faults`).
@@ -36,14 +37,12 @@ _EXPORTS = {
             "tear_journal_tail",
         ),
         "journal": (
-            "EventJournal", "list_segments", "prune_segments", "read_journal",
+            "EventJournal", "MemoryShardLog", "list_segments",
+            "prune_segments", "read_journal",
         ),
         "recovery": ("recover",),
-        "router_recovery": ("RouterLog", "recover_router"),
-        "shard_supervisor": (
-            "DiskShardLog", "HeartbeatSupervisor", "MemoryShardLog",
-            "ShardHealth", "open_shard_log",
-        ),
+        "router_recovery": ("recover_router",),
+        "shard_supervisor": ("HeartbeatSupervisor", "ShardHealth"),
         "supervisor": (
             "DeadLetter", "DeadLetterQueue", "SupervisedStreamEngine",
         ),

@@ -26,7 +26,6 @@ from __future__ import annotations
 import json
 import os
 import time
-from collections import deque
 from pathlib import Path
 from typing import Any
 
@@ -34,7 +33,6 @@ from repro.core.checkpoint import checkpoint as executor_checkpoint
 from repro.core.checkpoint import restore as executor_restore
 from repro.errors import CheckpointError
 from repro.obs.registry import MetricsRegistry, resolve_registry
-from repro.resilience.journal import prune_segments
 
 ENGINE_FORMAT_VERSION = 1
 CHECKPOINT_PREFIX = "checkpoint-"
@@ -233,37 +231,11 @@ def load_latest_checkpoint(
     return None, None
 
 
-class JournalCheckpoints:
-    """Checkpoint generations written beside a journal in one directory
-    (a shard's or the router's), and the pruning rule they license.
-
-    A retained older generation is only a corruption fallback if the
-    journal still holds its whole suffix, so segments are pruned below
-    the *oldest* retained generation's ``journal_seq``, never the
-    newest. The ``journal_seq`` of the retained generations is kept
-    here rather than re-read per write; opening seeds it from the
-    generations already on disk (a corrupt one can never be fallen
-    back to, so it is skipped).
-    """
-
-    def __init__(self, directory: str | Path):
-        self.directory = Path(directory)
-        self._seqs: deque[int] = deque(maxlen=RETAIN_CHECKPOINTS)
-        for path in list_checkpoints(self.directory):
-            try:
-                self._seqs.append(load_checkpoint(path)["journal_seq"])
-            except CheckpointError:
-                continue
-
-    def write(self, state: dict[str, Any]) -> Path:
-        path = write_checkpoint(self.directory, state)
-        self._seqs.append(state["journal_seq"])
-        prune_segments(self.directory, self._seqs[0])
-        return path
-
-
 class Checkpointer:
-    """Scheduled, atomic engine checkpointing.
+    """The supervised engine's checkpoint cadence and its metrics; the
+    write itself is the journal's (:meth:`~repro.resilience.journal
+    .EventJournal.checkpoint`), so the supervised directory keeps the
+    same generations and prunes the same way as every other one.
 
     ``maybe_checkpoint()`` is called once per processed event by the
     supervised engine; it writes when either trigger fires:
@@ -277,9 +249,8 @@ class Checkpointer:
 
     def __init__(
         self,
-        directory: str | Path,
         engine: Any,
-        journal: Any = None,
+        journal: Any,
         every_events: int | None = None,
         every_ms: float | None = None,
         registry: MetricsRegistry | None = None,
@@ -288,9 +259,8 @@ class Checkpointer:
             raise ValueError("every_events must be positive")
         if every_ms is not None and every_ms <= 0:
             raise ValueError("every_ms must be positive")
-        self.directory = Path(directory)
         self._engine = engine
-        self._journal = journal
+        self.journal = journal
         self._every_events = every_events
         self._every_ms = every_ms
         self._since_write = 0
@@ -325,17 +295,13 @@ class Checkpointer:
         return self.checkpoint_now()
 
     def checkpoint_now(self) -> Path:
-        """Serialize the engine and write one generation atomically."""
+        """Serialize the engine at the journal's position and write one
+        generation through the journal."""
         started = time.perf_counter()
-        journal_seq = (
-            self._journal.next_seq if self._journal is not None else 0
+        journal = self.journal
+        path = journal.checkpoint(
+            engine_state(self._engine, journal_seq=journal.next_seq)
         )
-        # The journal must be durable up to the offset the checkpoint
-        # claims, or replay-from-checkpoint could miss events.
-        if self._journal is not None:
-            self._journal.sync()
-        state = engine_state(self._engine, journal_seq=journal_seq)
-        path = write_checkpoint(self.directory, state)
         self._since_write = 0
         self._last_write_at = time.monotonic()
         self.last_path = path

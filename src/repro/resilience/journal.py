@@ -39,6 +39,15 @@ journals a batch completely before any executor sees its first event.
 A bad record anywhere else is real corruption and raises
 :class:`~repro.errors.JournalError`.
 
+Checkpoints live beside the segments, and the journal owns them:
+:meth:`EventJournal.checkpoint` writes one generation (the newest
+:data:`~repro.resilience.checkpointer.RETAIN_CHECKPOINTS` are kept) and
+deletes every segment wholly below the *oldest* retained generation's
+``journal_seq``, so a fallback over a corrupt newest generation still
+finds its whole suffix. The supervised engine's directory, each durable
+shard's and the router's follow this one rule; :class:`MemoryShardLog`
+is the non-durable twin a shard without a directory keeps.
+
 Durability policy (``fsync``): ``"never"`` leaves flushing to the OS
 (fastest, loses the tail on power failure), ``"interval"`` fsyncs once
 ``fsync_interval`` events have been appended since the last fsync,
@@ -51,17 +60,28 @@ from __future__ import annotations
 
 import json
 import os
+import threading
 import zlib
+from collections import deque
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import Any, Iterator, Sequence
 
-from repro.errors import JournalError
+from repro.errors import CheckpointError, JournalError
 from repro.events.event import Event
 from repro.obs.registry import MetricsRegistry, resolve_registry
+from repro.resilience.checkpointer import (
+    RETAIN_CHECKPOINTS,
+    list_checkpoints,
+    load_checkpoint,
+    write_checkpoint,
+)
 
 SEGMENT_PREFIX = "journal-"
 SEGMENT_SUFFIX = ".wal"
 FSYNC_POLICIES = ("never", "interval", "always")
+
+#: One row as a shard sees it: ``(type, ts, attrs|None)``.
+Record = tuple
 
 _SEPARATORS = (",", ":")
 # json.dumps(..., separators=...) constructs a fresh JSONEncoder per
@@ -95,14 +115,11 @@ def list_segments(directory: str | Path) -> list[Path]:
     return sorted(segments, key=_segment_first_seq)
 
 
-def encode_record_bytes(first_seq: int, events: Sequence[Event]) -> bytes:
-    """Render one journal line (CRC prefix + JSON payload) holding
-    ``events`` as columns; event *i* has sequence ``first_seq + i``."""
+def _encode_columns(
+    first_seq: int, types: Sequence, stamps: Sequence, attrs: Sequence
+) -> bytes:
     data = _encode_json({
-        "seq": first_seq,
-        "type": [event.event_type for event in events],
-        "ts": [event.ts for event in events],
-        "attrs": [event.attrs or None for event in events],
+        "seq": first_seq, "type": types, "ts": stamps, "attrs": attrs,
     }).encode("utf-8")
     crc = zlib.crc32(data) & 0xFFFFFFFF
     return b"%08x %s\n" % (crc, data)
@@ -110,13 +127,14 @@ def encode_record_bytes(first_seq: int, events: Sequence[Event]) -> bytes:
 
 def encode_record(seq: int, event: Event) -> str:
     """Render one event as a one-row journal line (text)."""
-    return encode_record_bytes(seq, [event]).decode("utf-8")
+    return _encode_columns(
+        seq, [event.event_type], [event.ts], [event.attrs or None]
+    ).decode("utf-8")
 
 
-def decode_record(line: str) -> tuple[int, list[Event]]:
-    """Parse and CRC-check one journal line; returns the sequence of
-    its first event and its events (one for a per-event record).
-    Raises JournalError."""
+def _decode_columns(line: str) -> tuple[int, list, list, list]:
+    """Parse and CRC-check one journal line into the sequence of its
+    first row and its type, ts and attrs columns. Raises JournalError."""
     if len(line) < 10 or line[8] != " ":
         raise JournalError(f"malformed journal record: {line[:40]!r}")
     text = line[9:].rstrip("\n")
@@ -133,7 +151,7 @@ def decode_record(line: str) -> tuple[int, list[Event]]:
         seq = payload["seq"]
         types = payload["type"]
         if isinstance(types, str):  # the per-event shape
-            return seq, [Event(types, payload["ts"], payload.get("attrs"))]
+            return seq, [types], [payload["ts"]], [payload.get("attrs")]
         stamps = payload["ts"]
         attrs = payload["attrs"]
         if not len(types) == len(stamps) == len(attrs) > 0:
@@ -141,25 +159,44 @@ def decode_record(line: str) -> tuple[int, list[Event]]:
                 f"journal record at seq={seq} has columns of "
                 f"{len(types)}/{len(stamps)}/{len(attrs)} events"
             )
-        return seq, list(map(Event, types, stamps, attrs))
+        return seq, types, stamps, attrs
     except (ValueError, KeyError, TypeError) as error:
         raise JournalError(
             f"journal record payload is invalid: {error!r}"
         ) from error
 
 
+def decode_record(line: str) -> tuple[int, list[Event]]:
+    """Parse and CRC-check one journal line; returns the sequence of
+    its first event and its events (one for a per-event record).
+    Raises JournalError."""
+    seq, types, stamps, attrs = _decode_columns(line)
+    return seq, list(map(Event, types, stamps, attrs))
+
+
 class EventJournal:
-    """Append-only, segment-rotating journal writer.
+    """Append-only, segment-rotating write-ahead log, and the owner of
+    the checkpoint generations written beside it.
 
     Opening a directory that already holds segments continues from
     the next sequence number after the last *valid* record (a torn
-    final record is dropped and overwritten by position — the writer
-    truncates it away so the new tail is clean).
+    final record is truncated away so the new tail is clean). A
+    directory holding ``commits/`` — the router WAL's older ingest-lane
+    layout — is refused with :class:`~repro.errors.CheckpointError`.
+
+    Every write-ahead log in the system is one of these: the supervised
+    engine appends each ingest call as one record (:meth:`append_batch`);
+    a durable shard appends each delivered batch of ``(type, ts,
+    attrs)`` records (:meth:`append_records`) and re-seeds a restarted
+    worker from :meth:`replay`, which yields that shape back; the router
+    stages events (:meth:`stage`) and group-commits them as one record
+    ahead of every batch send (:meth:`commit`), under one lock because a
+    scrape thread may commit concurrently with ingest.
 
     Parameters
     ----------
     directory:
-        Where segments live; created if missing.
+        Where segments and checkpoints live; created if missing.
     segment_bytes:
         Rotate to a fresh segment once the current one reaches this
         size (checked before each append).
@@ -170,7 +207,8 @@ class EventJournal:
     registry:
         Optional obs registry (``journal_records_total``,
         ``journal_bytes_total``, ``journal_fsyncs_total``,
-        ``journal_backlog_bytes`` gauge).
+        ``journal_backlog_bytes`` gauge; ``router_wal_appends_total``
+        counts what :meth:`commit` writes).
     """
 
     def __init__(
@@ -190,12 +228,20 @@ class EventJournal:
         if fsync_interval <= 0:
             raise ValueError("fsync_interval must be positive")
         self.directory = Path(directory)
+        if (self.directory / "commits").is_dir():
+            raise CheckpointError(
+                f"{self.directory} holds a router WAL in the ingest-lane "
+                f"layout (lane-NN/ journals sealed by commits/ markers), "
+                f"which this version does not read; recover it with the "
+                f"version that wrote it, or start from an empty directory"
+            )
         self.directory.mkdir(parents=True, exist_ok=True)
         self._segment_bytes = segment_bytes
         self._fsync = fsync
         self._fsync_interval = fsync_interval
         self._since_fsync = 0
         registry = resolve_registry(registry)
+        self._registry = registry
         self._m_records = registry.counter(
             "journal_records_total", "events appended to the journal"
         )
@@ -210,10 +256,23 @@ class EventJournal:
             "bytes appended since the last fsync (durability backlog)",
         )
         self._handle = None
-        self._segment_path: Path | None = None
         self._segment_size = 0
         self.backlog_bytes = 0
         self.next_seq = 0
+        #: Serializes ``stage`` vs ``commit`` (see the class doc).
+        self._lock = threading.Lock()
+        self._pending: list[Event] = []
+        # journal_seq of the retained checkpoint generations, oldest
+        # first (a corrupt one can never be fallen back to: skipped).
+        self._checkpoint_seqs: deque[int] = deque(
+            maxlen=RETAIN_CHECKPOINTS
+        )
+        for path in list_checkpoints(self.directory):
+            try:
+                state = load_checkpoint(path)
+            except CheckpointError:
+                continue
+            self._checkpoint_seqs.append(state["journal_seq"])
         self._resume()
 
     # ----- opening ---------------------------------------------------------
@@ -233,24 +292,24 @@ class EventJournal:
                 if not raw.endswith(b"\n"):
                     break  # torn: partial final line
                 try:
-                    seq, events = decode_record(raw.decode("utf-8"))
+                    seq, types, _, _ = _decode_columns(raw.decode("utf-8"))
                 except (JournalError, UnicodeDecodeError):
                     break  # torn: CRC-failing final line
-                last_seq = seq + len(events) - 1
+                last_seq = seq + len(types) - 1
                 valid_end += len(raw)
         if valid_end < last.stat().st_size:
             with open(last, "r+b") as handle:
                 handle.truncate(valid_end)
         self.next_seq = last_seq + 1
-        self._segment_path = last
         self._segment_size = valid_end
         self._handle = open(last, "ab", buffering=0)
 
     def _open_segment(self, first_seq: int) -> None:
         if self._handle is not None:
             self._handle.close()
-        self._segment_path = self.directory / _segment_name(first_seq)
-        self._handle = open(self._segment_path, "ab", buffering=0)
+        self._handle = open(
+            self.directory / _segment_name(first_seq), "ab", buffering=0
+        )
         self._segment_size = 0
         self.next_seq = first_seq
 
@@ -270,53 +329,133 @@ class EventJournal:
         durable before dispatch), ``"interval"`` counts every event
         toward the interval.
         """
-        if self._handle is None:
-            raise JournalError("journal is closed")
         if not events:
             return self.next_seq
+        return self._write(
+            [event.event_type for event in events],
+            [event.ts for event in events],
+            [event.attrs or None for event in events],
+        )
+
+    def append_records(self, records: list[Record]) -> int:
+        """:meth:`append_batch` for rows already shaped as
+        ``(type, ts, attrs|None)`` records — no :class:`Event` is built."""
+        if not records:
+            return self.next_seq
+        return self._write(*zip(*records))
+
+    def _write(
+        self, types: Sequence, stamps: Sequence, attrs: Sequence
+    ) -> int:
+        if self._handle is None:
+            raise JournalError("journal is closed")
         if self._segment_size >= self._segment_bytes:
             self._open_segment(self.next_seq)
         first = self.next_seq
-        line = encode_record_bytes(first, events)
+        count = len(types)
+        line = _encode_columns(first, types, stamps, attrs)
         # Unbuffered binary handle: one write() syscall pushes the
-        # record to the OS, so a process crash never loses a flushed
-        # append (fsync policy only matters for machine failures).
+        # record to the OS, so a process crash never loses an append
+        # (fsync policy only matters for machine failures).
         self._handle.write(line)
         size = len(line)
         self._segment_size += size
         self.backlog_bytes += size
-        self.next_seq = first + len(events)
-        self._m_records.inc(len(events))
+        self.next_seq = first + count
+        self._m_records.inc(count)
         self._m_bytes.inc(size)
         if self._fsync == "always":
             self.sync()
         elif self._fsync == "interval":
-            self._since_fsync += len(events)
+            self._since_fsync += count
             if self._since_fsync >= self._fsync_interval:
                 self.sync()
         else:
             self._g_backlog.set(self.backlog_bytes)
         return first
 
+    # ----- group commit (the router) ---------------------------------------
+
+    @property
+    def ingest_seq(self) -> int:
+        """The next sequence counting staged events (== events ever
+        appended, committed or still staged)."""
+        return self.next_seq + len(self._pending)
+
+    def stage(self, event: Event) -> int:
+        """Hold one event for the next :meth:`commit`; returns its
+        sequence. Durable only after that commit."""
+        with self._lock:
+            self._pending.append(event)
+            return self.next_seq + len(self._pending) - 1
+
+    def commit(self, records: list[Record] | None = None) -> None:
+        """Write every staged event as one record, then ``records`` (a
+        batch journaled whole, after what was staged before it) as the
+        next, so the journal order is the ingest order.
+
+        The router calls this ahead of every batch send, so anything a
+        shard ever received is in a record that was whole on disk
+        before the send; a torn final record is dropped at replay and
+        was never delivered.
+        """
+        with self._lock:
+            pending = self._pending
+            if pending:
+                self.append_batch(pending)
+                self._pending = []
+            committed = len(pending)
+            if records:
+                self.append_records(records)
+                committed += len(records)
+        if committed:
+            self._registry.counter(
+                "router_wal_appends_total",
+                "events committed to the router's WAL",
+            ).inc(committed)
+
+    # ----- reading ---------------------------------------------------------
+
+    def replay(self, start_seq: int = 0) -> Iterator[tuple[int, Record]]:
+        """Yield ``(seq, record)`` for every journaled row with
+        ``seq >= start_seq`` — the shard re-seed read; see
+        :func:`read_journal` for what it tolerates and raises."""
+        for seq, types, stamps, attrs in _read_columns(
+            self.directory, start_seq
+        ):
+            yield from enumerate(zip(types, stamps, attrs), seq)
+
+    # ----- durability ------------------------------------------------------
+
     def sync(self) -> None:
-        """Flush buffered records and fsync the current segment."""
+        """fsync the current segment."""
         if self._handle is None:
             return
-        self._handle.flush()
         os.fsync(self._handle.fileno())
         self._since_fsync = 0
         self.backlog_bytes = 0
         self._m_fsyncs.inc()
         self._g_backlog.set(0)
 
-    def flush(self) -> None:
-        """Flush to the OS without forcing the disk write."""
-        if self._handle is not None:
-            self._handle.flush()
+    def checkpoint(self, state: dict[str, Any]) -> Path:
+        """Persist one checkpoint generation beside the segments and
+        prune the segments no retained generation replays from.
+
+        The journal is made durable up to ``state["journal_seq"]`` first
+        (the caller builds the state from this journal's position with
+        no append in between), or replay-from-checkpoint could miss
+        events after a machine failure. Returns the checkpoint's path.
+        """
+        self.commit()
+        self.sync()
+        path = write_checkpoint(self.directory, state)
+        self._checkpoint_seqs.append(state["journal_seq"])
+        prune_segments(self.directory, self._checkpoint_seqs[0])
+        return path
 
     def close(self) -> None:
         if self._handle is not None:
-            self._handle.flush()
+            self.commit()
             self._handle.close()
             self._handle = None
 
@@ -327,14 +466,53 @@ class EventJournal:
         self.close()
 
 
+class MemoryShardLog:
+    """The non-durable twin of :class:`EventJournal` for a shard without
+    a journal directory: the same ``next_seq`` / :meth:`append_records`
+    / :meth:`replay` / :meth:`checkpoint` / :meth:`close` surface, over
+    a list of the records delivered since the last checkpoint.
+
+    :meth:`checkpoint` forgets the prefix that checkpoint has made
+    redundant, so memory stays bounded as long as checkpoints are
+    taken; the worker handle holds only the newest checkpoint, so
+    nothing older needs the prefix.
+    """
+
+    def __init__(self) -> None:
+        self._base = 0
+        self._records: list[Record] = []
+
+    @property
+    def next_seq(self) -> int:
+        return self._base + len(self._records)
+
+    def append_records(self, records: list[Record]) -> None:
+        self._records.extend(records)
+
+    def replay(self, start_seq: int = 0) -> Iterator[tuple[int, Record]]:
+        start = max(0, start_seq - self._base)
+        return enumerate(list(self._records[start:]), self._base + start)
+
+    def checkpoint(self, state: dict[str, Any]) -> None:
+        """Forget records below the checkpoint's ``journal_seq``."""
+        drop = min(
+            len(self._records), max(0, state["journal_seq"] - self._base)
+        )
+        if drop:
+            del self._records[:drop]
+            self._base += drop
+
+    def close(self) -> None:
+        self._records.clear()
+
+
 def prune_segments(directory: str | Path, upto_seq: int) -> list[Path]:
     """Delete whole segments fully covered by ``seq < upto_seq``.
 
     A segment is prunable when the *next* segment starts at or below
     ``upto_seq`` — every record it holds is then older than the cutoff.
-    The active (last) segment is never deleted. Used by the shard and
-    router journals once every retained checkpoint makes the prefix
-    redundant. Returns the removed paths.
+    The active (last) segment is never deleted. Returns the removed
+    paths.
     """
     segments = list_segments(directory)
     removed: list[Path] = []
@@ -364,6 +542,16 @@ def read_journal(
     the requested start were pruned or lost, and replaying from later
     would skip events silently.
     """
+    for seq, types, stamps, attrs in _read_columns(directory, start_seq):
+        yield from enumerate(map(Event, types, stamps, attrs), seq)
+
+
+def _read_columns(
+    directory: str | Path, start_seq: int
+) -> Iterator[tuple[int, list, list, list]]:
+    """The one journal reader: each record from the one holding
+    ``start_seq`` on, as ``(seq, types, stamps, attrs)`` with the rows
+    below ``start_seq`` cut off (so ``seq`` is its first kept row)."""
     segments = list_segments(directory)
     # Skip whole segments that end before start_seq: a segment can be
     # skipped when the *next* segment starts at or below start_seq.
@@ -385,7 +573,9 @@ def read_journal(
                 torn = not raw.endswith(b"\n")
                 if not torn:
                     try:
-                        seq, events = decode_record(raw.decode("utf-8"))
+                        seq, types, stamps, attrs = _decode_columns(
+                            raw.decode("utf-8")
+                        )
                     except (JournalError, UnicodeDecodeError):
                         torn = True
                 if torn:
@@ -405,7 +595,11 @@ def read_journal(
                         f"journal sequence jumped from {expected - 1} "
                         f"to {seq} in {segment.name}"
                     )
-                expected = seq + len(events)
+                expected = seq + len(types)
                 if expected > start_seq:
                     skip = max(0, start_seq - seq)
-                    yield from enumerate(events[skip:], seq + skip)
+                    if skip:
+                        types = types[skip:]
+                        stamps = stamps[skip:]
+                        attrs = attrs[skip:]
+                    yield seq + skip, types, stamps, attrs

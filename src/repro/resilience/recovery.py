@@ -161,9 +161,8 @@ def recover(
         if checkpoint_every_events or checkpoint_every_ms:
             engine.attach_checkpointer(
                 Checkpointer(
-                    directory,
                     engine,
-                    journal=journal,
+                    journal,
                     every_events=checkpoint_every_events,
                     every_ms=checkpoint_every_ms,
                     registry=registry,

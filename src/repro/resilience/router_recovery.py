@@ -1,37 +1,38 @@
-"""Router durability: a staged router WAL + exact router recovery.
+"""Router durability: exact recovery of a sharded engine from its WAL.
 
 The sharded engine's last single point of failure was the router
 process itself: per-shard journals could rebuild any *worker*, but a
 SIGKILL'd router lost its local lane, its merge bookkeeping, and every
-in-flight batch. This module closes that hole with the same recipe
-the per-shard path uses — write-ahead journal plus periodic
-checkpoint — applied one level up:
+in-flight batch. The router closes that hole with the same recipe
+every durable directory uses — one
+:class:`~repro.resilience.journal.EventJournal` owning its write-ahead
+segments and checkpoint generations — applied one level up:
 
-* :class:`RouterLog` — one :class:`~repro.resilience.journal.EventJournal`
-  whose segments sit directly in the router directory. ``append`` is an
-  in-memory push (cheap enough to ride the ingest hot path);
-  :meth:`RouterLog.commit` **group-commits** everything staged as one
-  journal record — one CRC'd line, one ``write()``. The journal's
-  torn-tail rule is the atomic commit point: a SIGKILL mid-commit
-  leaves a torn final line that the reader drops whole, and none of
-  its events can have reached a shard, because the engine commits
-  *before every batch send*. The journal sequence is the global
-  ingest sequence;
+* the router's WAL is an ``EventJournal`` whose segments sit directly
+  in the router directory (shard journals under ``shards/``). The
+  engine stages each event in memory (``stage``, cheap enough to ride
+  the ingest hot path) and **group-commits** everything staged as one
+  journal record (``commit``) — one CRC'd line, one ``write()`` —
+  ahead of every batch send; a columnar batch is committed whole, as
+  its own record after what was staged before it. The journal's torn-tail rule is the atomic commit point:
+  a SIGKILL mid-commit leaves a torn final line that the reader drops
+  whole, and none of its events can have reached a shard. The journal
+  sequence is the global ingest sequence;
 * :func:`recover_router` — rebuilds a
   :class:`~repro.engine.sharded.ShardedStreamEngine` after a router
   crash: load the router checkpoint, re-register its query texts,
   restart workers seeded from *their own* checkpoints + journals,
   then replay the WAL suffix through the router with per-shard
-  **count-skip** — routing is deterministic, so the k-th replayed
-  record bound for shard *i* is skipped iff k is below that shard's
-  recovered journal tail (the worker already holds it).
+  **count-skip** — routing is deterministic per row, so the k-th
+  replayed record bound for shard *i* is skipped iff k is below that
+  shard's recovered journal tail (the worker already holds it).
 
 Why this is exact (under the ``"block"`` overload policy):
 
-1. the engine calls :meth:`RouterLog.commit` before any batch leaves
-   for a shard, and a shard-journal append happens only after a
-   successful send — so every shard journal is a strict by-count
-   prefix-subset of the committed WAL;
+1. the engine commits the WAL before any batch leaves for a shard, and
+   a shard-journal append happens only after a successful send — so
+   every shard journal is a strict by-count prefix-subset of the
+   committed WAL;
 2. journals are unbuffered (one ``write()`` per commit group), so a
    SIGKILL loses at most the *final commit group* — records that were
    never sent anywhere. ``flush()`` commits, so it is the durability
@@ -40,13 +41,13 @@ Why this is exact (under the ``"block"`` overload policy):
    ingested after the last flush/send;
 3. the router checkpoint flushes all worker buffers first, so its
    per-shard delivered watermarks are honest, and its cadence check
-   runs before the next append, so it never covers a half-routed
-   event;
+   runs before the next event or batch is journaled, so it never
+   covers a half-routed one;
 4. WAL segments are pruned only below the *oldest* retained checkpoint
-   generation (:class:`~repro.resilience.checkpointer.JournalCheckpoints`),
-   so falling back over a corrupt newest checkpoint still finds its
-   whole suffix — and ``read_journal`` raises rather than replay a
-   suffix with a hole.
+   generation (:meth:`~repro.resilience.journal.EventJournal
+   .checkpoint`), so falling back over a corrupt newest checkpoint
+   still finds its whole suffix — and ``read_journal`` raises rather
+   than replay a suffix with a hole.
 
 ``shed_oldest`` deliberately drops records, so replay after recovery
 may re-deliver what the crashed run shed (or vice versa) — recovery is
@@ -55,16 +56,13 @@ then best-effort, exactly as the live path is.
 
 from __future__ import annotations
 
-import threading
 from pathlib import Path
 from typing import Any, Mapping, Sequence
 
 from repro.errors import CheckpointError
-from repro.events.event import Event
 from repro.obs.logging import get_logger
 from repro.obs.registry import MetricsRegistry, resolve_registry
 from repro.resilience.checkpointer import (
-    JournalCheckpoints,
     apply_engine_metrics,
     apply_engine_state,
     load_latest_checkpoint,
@@ -73,103 +71,6 @@ from repro.resilience.journal import EventJournal, read_journal
 from repro.resilience.recovery import replay_detached
 
 _log = get_logger("router_recovery")
-
-
-class RouterLog:
-    """The router's write-ahead log: one staged journal in ``directory``.
-
-    ``append`` only stages events in memory; ``commit`` — called by the
-    engine ahead of every batch send, and by ``sync``/``close`` —
-    writes everything staged as one journal record. Group commit keeps
-    the WAL off the ingest critical path, and it is safe because a
-    record cannot be *delivered* before the commit that covers it
-    returns. Reopening after a crash continues the journal's sequence.
-
-    A directory in the older ingest-lane layout (``lane-NN/`` journals
-    sealed by a ``commits/`` marker journal) is refused with a
-    :class:`~repro.errors.CheckpointError` rather than read as an
-    empty WAL.
-    """
-
-    def __init__(
-        self,
-        directory: str | Path,
-        fsync: str = "never",
-        segment_bytes: int = 4 * 1024 * 1024,
-        registry: MetricsRegistry | None = None,
-    ):
-        self.directory = Path(directory)
-        if (self.directory / "commits").is_dir():
-            raise CheckpointError(
-                f"{self.directory} holds a router WAL in the ingest-lane "
-                f"layout (lane-NN/ journals sealed by commits/ markers), "
-                f"which this version does not read; recover it with the "
-                f"version that wrote it, or start from an empty directory"
-            )
-        registry = resolve_registry(registry)
-        self._journal = EventJournal(
-            self.directory,
-            fsync=fsync,
-            segment_bytes=segment_bytes,
-            registry=registry,
-        )
-        self._checkpoints = JournalCheckpoints(self.directory)
-        self._m_appends = registry.counter(
-            "router_wal_appends_total",
-            "events committed to the router's WAL",
-        )
-        #: Serializes ``append`` vs ``commit`` (the scrape thread may
-        #: flush — and therefore commit — concurrently with ingest).
-        self._lock = threading.Lock()
-        self._pending: list[Event] = []
-
-    @property
-    def ingest_seq(self) -> int:
-        """The next global ingest sequence (== events ever appended,
-        committed or still staged)."""
-        return self._journal.next_seq + len(self._pending)
-
-    def append(self, event: Event) -> int:
-        """Stage one event for the WAL; returns its global ingest
-        sequence. Durable only after the next :meth:`commit`."""
-        with self._lock:
-            self._pending.append(event)
-            return self._journal.next_seq + len(self._pending) - 1
-
-    def commit(self) -> None:
-        """Write every staged event as one journal record.
-
-        The engine calls this ahead of every batch send (under the
-        worker's buffer lock), so anything a shard ever received is in
-        a record that was whole on disk before the send; a torn final
-        record is dropped at replay and was never delivered.
-        """
-        with self._lock:
-            pending = self._pending
-            if not pending:
-                return
-            self._journal.append_batch(pending)
-            self._pending = []
-            self._m_appends.inc(len(pending))
-
-    def sync(self) -> None:
-        self.commit()
-        self._journal.sync()
-
-    def checkpoint(self, state: dict[str, Any]) -> None:
-        """Persist a router progress document and prune the segments no
-        retained generation replays from.
-
-        The caller (the engine's ``router_checkpoint``) builds the
-        state *from this log's current position* with no appends in
-        between, so ``state["journal_seq"]`` is the committed tail.
-        """
-        self.sync()
-        self._checkpoints.write(state)
-
-    def close(self) -> None:
-        self.commit()
-        self._journal.close()
 
 
 def recover_router(
@@ -308,9 +209,9 @@ def recover_router(
         routing = router.get("routing")
         if isinstance(routing, dict):
             engine._resume_routing = routing
-    # Opened before _start(): a directory the log refuses must not
+    # Opened before _start(): a directory the journal refuses must not
     # leave spawned workers behind.
-    log = RouterLog(directory, fsync=fsync, registry=registry)
+    log = EventJournal(directory, fsync=fsync, registry=registry)
     engine._start()
 
     # Restore the router's own bookkeeping and the local lane.

@@ -1,25 +1,23 @@
-"""Shard supervision: heartbeats, per-shard journals, restart health.
+"""Shard supervision: heartbeats and per-shard restart health.
 
 This module is the multiprocess analogue of
 :mod:`repro.resilience.supervisor`: where that module isolates a
 *registration* that raises inside a single process, this one watches
 whole worker *processes* on behalf of
-:class:`~repro.engine.sharded.ShardedStreamEngine` and gives the router
-what it needs to rebuild one exactly:
+:class:`~repro.engine.sharded.ShardedStreamEngine`:
 
 * :class:`HeartbeatSupervisor` — a daemon thread that pings every shard
   over its control pipe, tracks heartbeat age and consecutive misses,
   and calls back into the engine to revive a shard that died, wedged,
   or reported a poisoned executor;
-* :class:`MemoryShardLog` / :class:`DiskShardLog` — the per-shard
-  journal of every record the router successfully delivered to that
-  shard, replayable from a sequence offset so a restarted worker can be
-  re-seeded *exactly* (checkpoint + suffix replay).  The disk backend
-  reuses :class:`~repro.resilience.journal.EventJournal`, partitioned
-  one directory per shard, and persists the shard's engine checkpoints
-  next to its segments;
 * :class:`ShardHealth` — the per-shard record the ops plane surfaces
   (restarts, failures, heartbeat age, degraded flag).
+
+What makes a revive *exact* — each shard's log of delivered records
+(an :class:`~repro.resilience.journal.EventJournal` under
+``journal_dir``, else its in-memory twin
+:class:`~repro.resilience.journal.MemoryShardLog`) plus the shard's
+checkpoints — lives with the journal, not here.
 
 Everything here is engine-agnostic on purpose: the supervisor talks to
 the router through two callbacks (``ping`` and ``revive``) and never
@@ -32,123 +30,12 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass, field
-from pathlib import Path
-from typing import Any, Callable, Iterator
+from typing import Any, Callable
 
-from repro.events.event import Event
 from repro.obs.logging import get_logger
 from repro.obs.registry import MetricsRegistry, resolve_registry
-from repro.resilience.checkpointer import JournalCheckpoints
-from repro.resilience.journal import EventJournal, read_journal
 
 _log = get_logger("shard_supervisor")
-
-#: One routed record as it crosses the pipe: ``(type, ts, attrs|None)``.
-ShardRecord = tuple
-
-
-# ----- per-shard journal ----------------------------------------------------
-
-
-class MemoryShardLog:
-    """In-memory per-shard record log (the default backend).
-
-    Holds every record delivered to one shard since the shard's last
-    checkpoint; :meth:`checkpoint` forgets the prefix that checkpoint
-    has made redundant, so memory stays bounded as long as checkpoints
-    are taken. The worker handle holds only the newest checkpoint, so
-    nothing older needs the prefix.
-    """
-
-    def __init__(self) -> None:
-        self._base = 0
-        self._records: list[ShardRecord] = []
-
-    @property
-    def next_seq(self) -> int:
-        return self._base + len(self._records)
-
-    def append(self, records: list[ShardRecord]) -> None:
-        self._records.extend(records)
-
-    def replay_seqs(
-        self, start_seq: int = 0
-    ) -> Iterator[tuple[int, ShardRecord]]:
-        """Replay with each record's journal sequence (dedup tags)."""
-        start = max(0, start_seq - self._base)
-        base = self._base
-        for offset, record in enumerate(list(self._records[start:])):
-            yield (base + start + offset, record)
-
-    def checkpoint(self, state: dict[str, Any]) -> None:
-        """Forget records below the checkpoint's ``journal_seq``."""
-        drop = min(
-            len(self._records), max(0, state["journal_seq"] - self._base)
-        )
-        if drop:
-            del self._records[:drop]
-            self._base += drop
-
-    def close(self) -> None:
-        self._records.clear()
-
-
-class DiskShardLog:
-    """Durable per-shard record log backed by an :class:`EventJournal`.
-
-    One journal directory per shard (``<dir>/shard-NN``); the shard's
-    engine checkpoints are written into the same directory
-    (:class:`~repro.resilience.checkpointer.JournalCheckpoints`), so
-    the whole re-seed recipe for one shard lives in one place.
-    Segments are pruned below the oldest retained checkpoint.
-    """
-
-    def __init__(
-        self,
-        directory: str | Path,
-        fsync: str = "never",
-        registry: MetricsRegistry | None = None,
-    ):
-        self.directory = Path(directory)
-        self._journal = EventJournal(
-            self.directory, fsync=fsync, registry=registry
-        )
-        self._checkpoints = JournalCheckpoints(self.directory)
-
-    @property
-    def next_seq(self) -> int:
-        return self._journal.next_seq
-
-    def append(self, records: list[ShardRecord]) -> None:
-        self._journal.append_batch(
-            [Event(t, ts, attrs) for t, ts, attrs in records]
-        )
-
-    def replay_seqs(
-        self, start_seq: int = 0
-    ) -> Iterator[tuple[int, ShardRecord]]:
-        """Replay with each record's journal sequence (dedup tags)."""
-        self._journal.flush()
-        for seq, event in read_journal(self.directory, start_seq=start_seq):
-            yield (seq, (event.event_type, event.ts, event.attrs or None))
-
-    def checkpoint(self, state: dict[str, Any]) -> None:
-        self._checkpoints.write(state)
-
-    def close(self) -> None:
-        self._journal.close()
-
-
-def open_shard_log(
-    directory: str | Path | None,
-    fsync: str = "never",
-    registry: MetricsRegistry | None = None,
-) -> MemoryShardLog | DiskShardLog:
-    """The shard-log backend for one shard: disk when a directory is
-    given (crash-durable, prunable segments), memory otherwise."""
-    if directory is None:
-        return MemoryShardLog()
-    return DiskShardLog(directory, fsync=fsync, registry=registry)
 
 
 # ----- health bookkeeping ---------------------------------------------------

@@ -462,7 +462,9 @@ class SupervisedStreamEngine(StreamEngine):
                 "no checkpointer attached; use restart() instead"
             )
         self._health_of(name)
-        state, _ = load_latest_checkpoint(self._checkpointer.directory)
+        state, _ = load_latest_checkpoint(
+            self._checkpointer.journal.directory
+        )
         if state is None:
             raise CheckpointError("no loadable engine checkpoint found")
         apply_engine_state(self, state, only=name)

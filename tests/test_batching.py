@@ -282,7 +282,7 @@ def test_supervised_batch_checkpoints_on_batch_boundaries(tmp_path):
         parse_query("PATTERN SEQ(A, B) AGG COUNT WITHIN 30 ms"), name="count"
     )
     checkpointer = Checkpointer(
-        tmp_path / "ckpt", engine, every_events=100
+        engine, EventJournal(tmp_path / "ckpt"), every_events=100
     )
     engine.attach_checkpointer(checkpointer)
     engine.process_batch([Event("A", i) for i in range(99)])
@@ -298,7 +298,9 @@ def test_checkpointer_maybe_checkpoint_credits_event_count(tmp_path):
     engine.register(
         parse_query("PATTERN SEQ(A, B) AGG COUNT WITHIN 30 ms"), name="count"
     )
-    checkpointer = Checkpointer(tmp_path, engine, every_events=10)
+    checkpointer = Checkpointer(
+        engine, EventJournal(tmp_path), every_events=10
+    )
     assert checkpointer.maybe_checkpoint(events=9) is None
     assert checkpointer.maybe_checkpoint(events=1) is not None
 

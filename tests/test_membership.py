@@ -43,6 +43,7 @@ from repro.obs.inspect import health_snapshot
 from repro.obs.registry import MetricsRegistry
 from repro.query import parse_query
 from repro.resilience.faults import FaultPlan, fault_seed
+from repro.resilience.journal import EventJournal
 from repro.resilience.membership import (
     DEAD,
     JOIN,
@@ -51,7 +52,7 @@ from repro.resilience.membership import (
     _parse_member,
     registry_from_cli,
 )
-from repro.resilience.router_recovery import RouterLog, recover_router
+from repro.resilience.router_recovery import recover_router
 
 SEEDS = [fault_seed(0) * 211 + offset for offset in (0, 1, 2)]
 
@@ -712,7 +713,7 @@ def test_routing_table_rides_router_checkpoints(tmp_path):
         journal_dir=tmp_path / "shards",
         router_checkpoint_every=100,
     )
-    engine.attach_router_log(RouterLog(tmp_path))
+    engine.attach_router_log(EventJournal(tmp_path))
     for event in events[:300]:
         engine.process(event)
     registry.register("m-c")
@@ -762,7 +763,7 @@ def test_recovery_replaces_owners_that_never_returned(tmp_path):
         journal_dir=tmp_path / "shards",
         router_checkpoint_every=100,
     )
-    engine.attach_router_log(RouterLog(tmp_path))
+    engine.attach_router_log(EventJournal(tmp_path))
     for event in events[:450]:
         engine.process(event)
     engine.flush()

@@ -22,6 +22,7 @@ from repro.resilience.checkpointer import (
     write_checkpoint,
 )
 from repro.resilience.faults import corrupt_latest_checkpoint
+from repro.resilience.journal import EventJournal
 from repro.resilience.supervisor import SupervisedStreamEngine
 
 
@@ -116,7 +117,9 @@ def test_validate_rejects_malformed_documents():
 
 def test_checkpointer_every_n_events(tmp_path):
     engine = make_engine()
-    checkpointer = Checkpointer(tmp_path, engine, every_events=10)
+    checkpointer = Checkpointer(
+        engine, EventJournal(tmp_path), every_events=10
+    )
     engine.attach_checkpointer(checkpointer)
     feed(engine, 35)
     assert len(list_checkpoints(tmp_path)) == 3
@@ -124,7 +127,7 @@ def test_checkpointer_every_n_events(tmp_path):
 
 def test_checkpointer_retention_prunes_old_generations(tmp_path):
     engine = make_engine()
-    checkpointer = Checkpointer(tmp_path, engine, every_events=5)
+    checkpointer = Checkpointer(engine, EventJournal(tmp_path), every_events=5)
     engine.attach_checkpointer(checkpointer)
     feed(engine, 40)
     assert len(list_checkpoints(tmp_path)) == 3
@@ -132,7 +135,7 @@ def test_checkpointer_retention_prunes_old_generations(tmp_path):
 
 def test_checkpointer_time_trigger(tmp_path):
     engine = make_engine()
-    checkpointer = Checkpointer(tmp_path, engine, every_ms=0.01)
+    checkpointer = Checkpointer(engine, EventJournal(tmp_path), every_ms=0.01)
     engine.attach_checkpointer(checkpointer)
     feed(engine, 3)
     assert len(list_checkpoints(tmp_path)) >= 1
@@ -143,7 +146,7 @@ def test_checkpointer_metrics(tmp_path):
     engine = SupervisedStreamEngine(registry=registry)
     engine.register(seq("A", "B").count().named("ab").build())
     checkpointer = Checkpointer(
-        tmp_path, engine, every_events=5, registry=registry
+        engine, EventJournal(tmp_path), every_events=5, registry=registry
     )
     engine.attach_checkpointer(checkpointer)
     feed(engine, 20)
@@ -155,9 +158,9 @@ def test_checkpointer_metrics(tmp_path):
 def test_checkpointer_rejects_bad_schedule(tmp_path):
     engine = make_engine()
     with pytest.raises(ValueError):
-        Checkpointer(tmp_path, engine, every_events=0)
+        Checkpointer(engine, EventJournal(tmp_path), every_events=0)
     with pytest.raises(ValueError):
-        Checkpointer(tmp_path, engine, every_ms=-1)
+        Checkpointer(engine, EventJournal(tmp_path), every_ms=-1)
 
 
 # ----- typed checkpoint errors (satellite) ----------------------------------

@@ -125,7 +125,7 @@ def test_chaos_everything_at_once(tmp_path):
     journal = EventJournal(tmp_path, fsync="interval", fsync_interval=32)
     engine.attach_journal(journal)
     engine.attach_checkpointer(
-        Checkpointer(tmp_path, engine, journal=journal, every_events=31)
+        Checkpointer(engine, journal, every_events=31)
     )
     engine.register(ab_query("healthy"), plan.bursty_sink())
     engine.register_executor(

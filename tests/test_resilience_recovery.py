@@ -11,7 +11,7 @@ import random
 import pytest
 
 from repro.engine.sinks import CollectSink
-from repro.errors import CheckpointError
+from repro.errors import CheckpointError, JournalError
 from repro.events import Event
 from repro.obs.registry import MetricsRegistry
 from repro.query import seq
@@ -21,6 +21,9 @@ from repro.resilience import (
     FaultPlan,
     SupervisedStreamEngine,
     list_checkpoints,
+    list_segments,
+    load_checkpoint,
+    load_latest_checkpoint,
     recover,
 )
 
@@ -69,10 +72,7 @@ def crash_run(tmp_path, queries, events, crash, checkpoint_every=23,
     journal = EventJournal(tmp_path, fsync=fsync)
     engine.attach_journal(journal)
     engine.attach_checkpointer(
-        Checkpointer(
-            tmp_path, engine, journal=journal,
-            every_events=checkpoint_every,
-        )
+        Checkpointer(engine, journal, every_events=checkpoint_every)
     )
     for query in queries:
         engine.register(query)
@@ -213,7 +213,7 @@ def test_replay_does_not_re_emit_to_sinks(tmp_path):
     journal = EventJournal(tmp_path)
     engine.attach_journal(journal)
     engine.attach_checkpointer(
-        Checkpointer(tmp_path, engine, journal=journal, every_events=30)
+        Checkpointer(engine, journal, every_events=30)
     )
     pre_sink = CollectSink()
     engine.register(queries[0], pre_sink)
@@ -249,3 +249,68 @@ def test_recovery_metrics_exported(tmp_path):
         == recovered.events_replayed
         == 90 - 80
     )
+
+
+# ----- the supervised directory is pruned like every other one --------------
+
+
+def pruned_run(tmp_path, queries, events):
+    """2,000 events under small segments and a 300-event cadence, then
+    the crash: enough generations that pruning has segments to drop."""
+    engine = SupervisedStreamEngine()
+    journal = EventJournal(tmp_path, segment_bytes=2048)
+    engine.attach_journal(journal)
+    engine.attach_checkpointer(
+        Checkpointer(engine, journal, every_events=300)
+    )
+    for query in queries:
+        engine.register(query)
+    for event in events:
+        engine.process(event)
+
+
+def test_supervised_checkpoints_prune_the_journal(tmp_path):
+    plan = FaultPlan()
+    queries = [QUERIES["groupby"](), QUERIES["sem"]()]
+    events = random_stream(random.Random(plan.seed + 2027), n=2000)
+    pruned_run(tmp_path, queries, events)
+    retained = [load_checkpoint(p) for p in list_checkpoints(tmp_path)]
+    assert len(retained) == 3
+    oldest = min(state["journal_seq"] for state in retained)
+    segments = list_segments(tmp_path)
+    starts = [int(p.name[len("journal-"):-len(".wal")]) for p in segments]
+    assert starts[0] > 0  # the prefix below every generation is gone
+    # No segment lies wholly below the oldest retained generation: the
+    # one after each segment starts past that generation's seq.
+    assert all(start > oldest for start in starts[1:])
+
+
+def test_supervised_fallback_over_a_corrupt_newest_checkpoint(tmp_path):
+    """The pruned journal still holds the oldest generation's whole
+    suffix, so falling back over a corrupt newest checkpoint is exact
+    and replays exactly the events since the fallback."""
+    plan = FaultPlan()
+    queries = [QUERIES["groupby"](), QUERIES["sem"]()]
+    events = random_stream(random.Random(plan.seed + 2029), n=2400)
+    crash_at = 2000
+    pruned_run(tmp_path, queries, events[:crash_at])
+    list_checkpoints(tmp_path)[-1].write_text("{ torn")
+    fallback, _ = load_latest_checkpoint(tmp_path)
+    recovered = recover(tmp_path, queries=queries)
+    assert recovered.events_replayed == crash_at - fallback["journal_seq"]
+    for event in events[crash_at:]:
+        recovered.process(event)
+    assert recovered.results() == oracle_results(queries, events)
+
+
+def test_supervised_recovery_refuses_a_journal_with_a_hole(tmp_path):
+    """With every generation corrupt, replay from offset 0 would skip
+    the pruned prefix: recovery raises instead."""
+    plan = FaultPlan()
+    queries = [QUERIES["sem"]()]
+    events = random_stream(random.Random(plan.seed + 2039), n=2000)
+    pruned_run(tmp_path, queries, events)
+    for path in list_checkpoints(tmp_path):
+        path.write_text("{ torn")
+    with pytest.raises(JournalError):
+        recover(tmp_path, queries=queries)

@@ -137,9 +137,7 @@ def test_restart_from_checkpoint_restores_state(tmp_path):
     engine = SupervisedStreamEngine(quarantine_after=2)
     journal = EventJournal(tmp_path)
     engine.attach_journal(journal)
-    checkpointer = Checkpointer(
-        tmp_path, engine, journal=journal, every_events=10
-    )
+    checkpointer = Checkpointer(engine, journal, every_events=10)
     engine.attach_checkpointer(checkpointer)
     engine.register(ab_query("ab"))
     events = stream(20)
@@ -436,9 +434,7 @@ def test_checkpoint_cadence_and_recovery_from_every_entry_point(
     ]
     journal = EventJournal(tmp_path)
     engine = SupervisedStreamEngine(journal=journal)
-    checkpointer = Checkpointer(
-        tmp_path, engine, journal=journal, every_events=100
-    )
+    checkpointer = Checkpointer(engine, journal, every_events=100)
     engine.attach_checkpointer(checkpointer)
     for query in queries:
         engine.register(query)

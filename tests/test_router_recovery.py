@@ -48,8 +48,8 @@ from repro.resilience.checkpointer import (
     load_latest_checkpoint,
 )
 from repro.resilience.faults import FaultPlan, fault_seed, tear_journal_tail
-from repro.resilience.journal import list_segments, read_journal
-from repro.resilience.router_recovery import RouterLog, recover_router
+from repro.resilience.journal import EventJournal, list_segments, read_journal
+from repro.resilience.router_recovery import recover_router
 
 SEEDS = [fault_seed(0) * 101 + offset for offset in (0, 1, 2)]
 
@@ -100,7 +100,7 @@ def _journaled(tmp_path, shards, checkpoint_every=150,
     engine = ShardedStreamEngine(**settings)
     for name, text in QUERIES.items():
         engine.register(parse_query(text), name=name)
-    engine.attach_router_log(RouterLog(tmp_path))
+    engine.attach_router_log(EventJournal(tmp_path))
     return engine
 
 
@@ -173,14 +173,20 @@ def test_router_sigkill_mid_stream_is_exact(tmp_path, seed, shards):
 @pytest.mark.parametrize("seed", SEEDS)
 @pytest.mark.parametrize("transport", ["pipe", "tcp"])
 def test_router_sigkill_mid_columnar_stream_is_exact(
-    tmp_path, seed, transport
+    tmp_path, seed, transport, monkeypatch
 ):
     """The columnar ingest lane under a router SIGKILL: feed the stream
-    as struct-of-arrays batches (which the WAL-attached engine durably
-    journals per event), crash at a seeded offset, recover, finish the
-    stream columnar — merged results stay bit-identical over both
-    transports."""
+    as struct-of-arrays batches (which the WAL-attached engine journals
+    one record per batch and routes columnar — the per-event entry
+    point raises if anything falls back to it), crash at a seeded
+    offset, recover, finish the stream columnar — merged results stay
+    bit-identical over both transports."""
     from repro.events.batch import EventBatch
+
+    def no_per_event_lane(self, event):
+        raise AssertionError("a router WAL forced the per-event lane")
+
+    monkeypatch.setattr(ShardedStreamEngine, "process", no_per_event_lane)
 
     def feed_batches(engine, records):
         for start in range(0, len(records), 64):
@@ -264,10 +270,10 @@ def test_scrape_flush_commits_the_wal_before_it_sends(tmp_path):
     for event in events[:10]:  # below batch_size: nothing sent yet
         engine.process(event)
     assert [worker.log.next_seq for worker in engine._workers] == [0, 0]
-    assert log._journal.next_seq == 0
+    assert log.next_seq == 0
     engine.query_rows()  # the scrape flushes every buffer, best-effort
     assert sum(worker.log.next_seq for worker in engine._workers) == 10
-    assert log._journal.next_seq == 10 and not log._pending
+    assert log.next_seq == 10 and not log._pending
     _crash_router(engine)
     queries = [parse_query(text, name=name)
                for name, text in QUERIES.items()]
@@ -395,7 +401,7 @@ def test_true_sigkill_of_router_process_is_exact(tmp_path):
         from repro.engine.sharded import ShardedStreamEngine
         from repro.events.event import Event
         from repro.query import parse_query
-        from repro.resilience.router_recovery import RouterLog
+        from repro.resilience.journal import EventJournal
 
         queries = {QUERIES!r}
         engine = ShardedStreamEngine(
@@ -406,7 +412,7 @@ def test_true_sigkill_of_router_process_is_exact(tmp_path):
         )
         for name, text in queries.items():
             engine.register(parse_query(text), name=name)
-        engine.attach_router_log(RouterLog({str(tmp_path)!r}))
+        engine.attach_router_log(EventJournal({str(tmp_path)!r}))
         with open({str(events_file)!r}, "rb") as handle:
             records = pickle.load(handle)
         for t, ts, attrs in records:
@@ -482,7 +488,7 @@ def test_router_checkpoint_metric_and_inspect(tmp_path):
     with ShardedStreamEngine(**settings) as engine:
         for name, text in QUERIES.items():
             engine.register(parse_query(text), name=name)
-        engine.attach_router_log(RouterLog(tmp_path, registry=registry))
+        engine.attach_router_log(EventJournal(tmp_path, registry=registry))
         for event in events:
             engine.process(event)
         engine.flush()  # commit the staged tail before reading counters
@@ -498,7 +504,7 @@ def test_attach_router_log_guards(tmp_path):
     with ShardedStreamEngine(shards=2) as engine:
         engine.register(parse_query(QUERIES["count"]), name="count")
         with pytest.raises(EngineError):
-            engine.attach_router_log(RouterLog(tmp_path))
+            engine.attach_router_log(EventJournal(tmp_path))
     # Attaching after ingestion started is refused.
     with ShardedStreamEngine(
         shards=2, journal_dir=tmp_path / "shards"
@@ -507,7 +513,7 @@ def test_attach_router_log_guards(tmp_path):
         for event in events:
             engine.process(event)
         with pytest.raises(EngineError):
-            engine.attach_router_log(RouterLog(tmp_path))
+            engine.attach_router_log(EventJournal(tmp_path))
 
 
 def test_recover_router_refuses_mismatched_shards(tmp_path):
@@ -529,31 +535,36 @@ def test_recover_router_requires_wal_or_queries(tmp_path):
         recover_router(tmp_path / "empty")
 
 
-# ----- the RouterLog itself -------------------------------------------------
+# ----- the router's journal: stage, group commit, checkpoint ----------------
 
 
 def test_router_log_resumes_global_sequence(tmp_path):
-    log = RouterLog(tmp_path)
+    log = EventJournal(tmp_path)
     for index in range(10):
-        assert log.append(Event("A", index, {"g": index})) == index
+        assert log.stage(Event("A", index, {"g": index})) == index
     assert log.ingest_seq == 10
     log.close()
-    reopened = RouterLog(tmp_path)
+    reopened = EventJournal(tmp_path)
     assert reopened.ingest_seq == 10
-    assert reopened.append(Event("A", 10, {"g": 3})) == 10
+    assert reopened.stage(Event("A", 10, {"g": 3})) == 10
     reopened.close()
 
 
 def test_router_log_replays_in_ingest_order(tmp_path):
-    log = RouterLog(tmp_path)
+    """Staged events and a batch committed whole keep ingest order:
+    the batch is its own record, after what was staged before it."""
+    log = EventJournal(tmp_path)
     originals = [
         Event("A", index, {"g": index % 7, "v": index})
         for index in range(60)
     ]
-    for index, event in enumerate(originals):
-        log.append(event)
+    for index, event in enumerate(originals[:40]):
+        log.stage(event)
         if index % 16 == 15:
             log.commit()
+    log.commit([(e.event_type, e.ts, e.attrs) for e in originals[40:50]])
+    for event in originals[50:]:
+        log.stage(event)
     log.close()
     replayed = list(read_journal(tmp_path))
     assert [seq for seq, _ in replayed] == list(range(60))
@@ -561,20 +572,20 @@ def test_router_log_replays_in_ingest_order(tmp_path):
 
 
 def test_router_log_staged_records_need_a_commit(tmp_path):
-    """Group commit: ``append`` stages in memory; only ``commit`` (or
-    ``sync``/``close``) makes the records durable."""
-    log = RouterLog(tmp_path)
+    """Group commit: ``stage`` holds events in memory; only ``commit``
+    (or ``checkpoint``/``close``) makes them durable."""
+    log = EventJournal(tmp_path)
     for index in range(5):
-        log.append(Event("A", index, None))
-    # Simulate a crash before any commit (close the journal without
+        log.stage(Event("A", index, None))
+    # Simulate a crash before any commit (drop the handle without
     # committing): reopen sees nothing, the five staged seqs recycle.
-    log._journal.close()
-    reopened = RouterLog(tmp_path)
+    log._handle.close()
+    reopened = EventJournal(tmp_path)
     assert reopened.ingest_seq == 0
-    reopened.append(Event("A", 9, None))
-    reopened.sync()  # durability ack
-    reopened._journal.close()
-    durable = RouterLog(tmp_path)
+    reopened.stage(Event("A", 9, None))
+    reopened.commit()  # durability ack
+    reopened._handle.close()
+    durable = EventJournal(tmp_path)
     assert durable.ingest_seq == 1
     assert [seq for seq, _ in read_journal(tmp_path)] == [0]
     durable.close()
@@ -583,16 +594,16 @@ def test_router_log_staged_records_need_a_commit(tmp_path):
 def test_router_log_drops_a_torn_commit_whole(tmp_path):
     """The journal's torn-tail rule is the commit point: a commit group
     torn mid-write is dropped whole on reopen, never in part."""
-    log = RouterLog(tmp_path)
+    log = EventJournal(tmp_path)
     for index in range(10):
-        log.append(Event("A", index, {"g": index}))
+        log.stage(Event("A", index, {"g": index}))
     log.commit()
     for index in range(10, 15):
-        log.append(Event("A", index, {"g": index}))
+        log.stage(Event("A", index, {"g": index}))
     log.commit()
-    log._journal.close()
+    log.close()
     assert tear_journal_tail(tmp_path, drop_bytes=7) == 7
-    reopened = RouterLog(tmp_path)
+    reopened = EventJournal(tmp_path)
     assert reopened.ingest_seq == 10
     assert [event.ts for _, event in read_journal(tmp_path)] == list(
         range(10)
@@ -605,11 +616,11 @@ def test_router_log_checkpoint_prunes_lane_segments(tmp_path):
     generation only, so every fallback generation keeps its suffix."""
     # Tiny segments, committed in small groups, so pruning has
     # something to drop.
-    log = RouterLog(tmp_path, segment_bytes=2048)
+    log = EventJournal(tmp_path, segment_bytes=2048)
     for index in range(500):
-        log.append(Event("A", index, {"g": 1, "v": index}))
+        log.stage(Event("A", index, {"g": 1, "v": index}))
         if index % 50 == 49:
-            log.sync()
+            log.commit()
     before = len(list_segments(tmp_path))
     state = {"version": 1, "registrations": [], "router": {}}
     for seq in (250, 500):
@@ -621,6 +632,12 @@ def test_router_log_checkpoint_prunes_lane_segments(tmp_path):
     with pytest.raises(JournalError):
         list(read_journal(tmp_path))
     log.close()
+    # Reopening seeds the retained generations from disk: the next
+    # checkpoint still prunes below the oldest (250), not its own seq.
+    reopened = EventJournal(tmp_path, segment_bytes=2048)
+    reopened.checkpoint(dict(state, journal_seq=500))
+    assert [seq for seq, _ in read_journal(tmp_path, 250)][0] == 250
+    reopened.close()
 
 
 def test_router_log_refuses_the_ingest_lane_layout(tmp_path):
@@ -629,7 +646,7 @@ def test_router_log_refuses_the_ingest_lane_layout(tmp_path):
     (tmp_path / "lane-00").mkdir()
     (tmp_path / "commits").mkdir()
     with pytest.raises(CheckpointError, match="ingest-lane layout"):
-        RouterLog(tmp_path)
+        EventJournal(tmp_path)
     alive = set(multiprocessing.active_children())
     with pytest.raises(CheckpointError, match="ingest-lane layout"):
         _recover(tmp_path, shards=2)
@@ -687,7 +704,7 @@ def test_fallback_over_a_corrupt_router_checkpoint_is_exact(tmp_path):
     engine.register(parse_query(local_text), before, name="flat")
     for name, text in QUERIES.items():
         engine.register(parse_query(text), name=name)
-    engine.attach_router_log(RouterLog(tmp_path, segment_bytes=2048))
+    engine.attach_router_log(EventJournal(tmp_path, segment_bytes=2048))
     for event in events[:crash_at]:
         engine.process(event)
     engine.flush()  # durability ack: the resume position is crash_at
