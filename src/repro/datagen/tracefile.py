@@ -10,8 +10,17 @@ persist reproducible streams to disk.
 
 Two readers share one line grammar (:func:`_parse_fields`):
 :func:`iter_trace` / :func:`read_trace` yield :class:`Event` objects a
-line at a time, and :func:`read_trace_batches` parses whole chunks of
+line at a time, and :func:`read_trace_batches` decodes whole chunks of
 lines straight into :class:`EventBatch` columns for the columnar lane.
+It has exactly two decode paths: a chunk of plain lines is read from
+its UTF-8 bytes with vectorised digit arithmetic (:func:`_byte_batch`),
+and any other chunk goes line by line through :func:`_parse_fields`.
+Both give the values ``int()`` / ``float()`` give: an integer of at most
+18 digits is exact in ``int64``, and a price read as ``mantissa /
+10.0 ** k`` divides two exact doubles (a mantissa of at most 15
+significant digits is below ``2**53``, ``10 ** k`` is exact for ``k <=
+22``) with one correctly rounded IEEE division, which is the correctly
+rounded decimal value ``float()`` returns.
 """
 
 from __future__ import annotations
@@ -130,14 +139,23 @@ def read_trace_batches(
     built. The batches are nevertheless exactly what
     ``batches_from_events(iter_trace(source), batch_size, schema)``
     yields — same rows per batch, same columns, dtypes and presence
-    masks, values from the same ``int()``/``float()`` calls, the schema
-    extended in first-seen order so type codes stay stable for the
-    engine's per-schema plan caches — and a malformed line raises the
-    same :class:`StreamError` with the same file line number. A chunk
-    whose lines all have the same 2–4 plain fields is split once as a
-    whole; a chunk holding anything else (comments, blank lines,
-    omitted or padded fields, a value beyond ``int64``) is parsed line
-    by line, and the next chunk is judged afresh.
+    masks, bit-identical values, the schema extended in first-seen
+    order so type codes stay stable for the engine's per-schema plan
+    caches — and a malformed line raises the same :class:`StreamError`
+    with the same file line number.
+
+    A chunk whose lines all have the same 2–4 plain fields is decoded
+    from its bytes as a whole: digit arithmetic is exact for integers
+    of at most 18 digits, and a price is ``mantissa / 10.0 ** k``, two
+    exact doubles and one correctly rounded division, hence the value
+    ``float()`` gives (see the module docstring). The byte path
+    declines, and the chunk is parsed line by line, when a line is a
+    comment or blank; a field is omitted or padded, or a fifth field
+    follows; a number has a sign, exponent, ``_``, whitespace or
+    non-ASCII digit; an integer has more than 18 digits; a price has
+    more than 15 significant digits or 18 bytes; a ticker is longer
+    than 8 bytes, holds a NUL byte or starts with ``#``; or the field
+    count changes within the chunk. The next chunk is judged afresh.
 
     Timestamp order is not checked here: feed the batches to
     :meth:`StreamEngine.process_event_batch` (or ``run``), whose
@@ -158,9 +176,10 @@ def _iter_batches(
 ) -> Iterator[EventBatch]:
     consumed = 0  # lines read so far: error messages carry file line numbers
     rows: list[Row] = []  # a line-by-line batch still short of batch_size
+    tickers: dict[int, str | None] = {}  # ticker key -> ticker, per file
     while lines := list(islice(handle, batch_size - len(rows))):
-        columns = None if rows else _regular_columns(lines)
-        if columns is None:
+        batch = None if rows else _byte_batch(lines, schema, tickers)
+        if batch is None:
             for line_number, line in enumerate(lines, start=consumed + 1):
                 row = _parse_fields(line, line_number)
                 if row is not None:
@@ -168,54 +187,183 @@ def _iter_batches(
             # Skipped lines leave room: keep reading until the batch is
             # as full as the per-event composition would make it.
             if len(rows) == batch_size:
-                columns = _ragged_columns(rows)
+                batch = EventBatch.from_columns(
+                    *_ragged_columns(rows), schema=schema
+                )
                 rows = []
         consumed += len(lines)
-        if columns is not None:
-            batch = EventBatch.from_columns(*columns, schema=schema)
+        if batch is not None:
             schema = batch.schema
             yield batch
     if rows:
         yield EventBatch.from_columns(*_ragged_columns(rows), schema=schema)
 
 
-def _regular_columns(lines: list[str]) -> Columns | None:
-    """``from_columns`` arguments for a chunk in which every line has
-    the same 2–4 fields, all filled and no ticker padded; None when any
-    line needs :func:`_parse_fields` (or is malformed)."""
+#: Zero bytes around a chunk, so that the right-aligned digit windows
+#: and the 8-byte ticker windows never index outside it.
+_PAD = b"\0" * 24
+#: The most bytes a number may have on the byte path: any 18 digits fit
+#: ``int64``, with or without a price's dot.
+_MAX_DIGITS = 18
+#: Price mantissas below this (at most 15 significant digits) are exact
+#: doubles, and so is ``10.0 ** k`` for every ``k`` up to 22.
+_MANTISSA_LIMIT = 10**15
+_POW10 = 10 ** np.arange(_MAX_DIGITS + 1, dtype=np.int64)
+_POW10_FLOAT = _POW10.astype(np.float64)
+_COLUMNS = ("symbol", "price", "volume")
+_TICKER_BYTES = np.arange(8)[:, None]
+#: ``'0'``, and what a ``'.'`` becomes in a digit window.
+_ZERO, _DOT = ord("0"), (ord(".") - ord("0")) % 256
+
+
+def _byte_batch(
+    lines: list[str],
+    schema: BatchSchema | None,
+    tickers: dict[int, str | None],
+) -> EventBatch | None:
+    """The chunk decoded from its bytes, or None when the byte path
+    declines it (the cases :func:`read_trace_batches` lists).
+
+    Fields are laid out one row per field position (``ends[f][i]`` is
+    one past field ``f`` of line ``i``), so every array operation runs
+    along the lines of the chunk. A ticker is keyed by its bytes read
+    as one little-endian ``uint64``; ``tickers`` maps each key met so
+    far in the file to its ticker, or to None when the byte path
+    declines that ticker, so only a chunk's distinct keys are looked up
+    and only new ones are decoded.
+    """
     width = lines[0].count(",") + 1
     if not 2 <= width <= 4:
         return None
     text = "".join(lines)
-    if "#" in text:
-        return None
-    if not text.endswith("\n"):
-        text += "\n"  # the file's last line
-    # One split for the whole chunk. Each line yields its fields and
-    # then a "\n" token, so every line has exactly `width` fields iff
-    # the newline tokens are the ones at every (width + 1)th place.
-    tokens = text.replace("\n", ",\n,").split(",")
-    n = len(lines)
-    stride = width + 1
-    if len(tokens) != n * stride + 1 or tokens[width::stride] != ["\n"] * n:
-        return None
-    tickers = tokens[0:-1:stride]
-    for ticker in dict.fromkeys(tickers):
-        if ticker != ticker.strip():
-            return None
     try:
-        # Filling an int64/float64 array from strings calls int()/float()
-        # on each, which accept the surrounding whitespace _parse_fields
-        # strips and reject an empty field: success means equal values.
-        ts = np.array(tokens[1::stride], dtype=np.int64)
-        columns = {"symbol": np.array(tickers, dtype=np.str_)}
-        if width > 2:
-            columns["price"] = np.array(tokens[2::stride], dtype=np.float64)
-        if width > 3:
-            columns["volume"] = np.array(tokens[3::stride], dtype=np.int64)
-    except (ValueError, OverflowError):
+        data = text.encode()
+    except UnicodeEncodeError:  # a lone surrogate from a text source
         return None
-    return tickers, ts, columns
+    if not data.endswith(b"\n"):
+        data += b"\n"  # the file's last line
+    buffer = np.frombuffer(b"".join((_PAD, data, _PAD)), dtype=np.uint8)
+    # A chunk holds at most one newline per line, so every line has
+    # exactly `width` fields iff there are n * width separators and
+    # every width-th of them is a newline.
+    n = len(lines)
+    seps = np.flatnonzero((buffer == ord(",")) | (buffer == ord("\n")))
+    if len(seps) != n * width:
+        return None
+    ends = seps.reshape(n, width).T.copy()
+    if (buffer[ends[-1]] != ord("\n")).any():
+        return None
+    starts = np.empty_like(seps)
+    starts[0] = len(_PAD)
+    starts[1:] = seps[:-1] + 1
+    starts = starts.reshape(n, width).T.copy()
+
+    values = [_integers(buffer, starts[1], ends[1])]
+    if width > 2:
+        values.append(_prices(buffer, starts[2], ends[2]))
+    if width > 3:
+        values.append(_integers(buffer, starts[3], ends[3]))
+    if any(column is None for column in values):
+        return None
+
+    lengths = ends[0] - starts[0]
+    if lengths.max() > 8:
+        return None
+    window = buffer[starts[0] + _TICKER_BYTES]
+    window *= _TICKER_BYTES < lengths
+    if np.count_nonzero(window) != lengths.sum():
+        return None  # a NUL byte would alias a shorter ticker's key
+    distinct, inverse = np.unique(
+        window.T.copy().view("<u8").ravel(), return_inverse=True
+    )
+    names = []
+    for index, key in enumerate(distinct.tolist()):
+        if key not in tickers:
+            row = np.argmax(inverse == index)
+            ticker = buffer[starts[0][row]:ends[0][row]].tobytes().decode()
+            plain = ticker == ticker.strip() and not ticker.startswith("#")
+            tickers[key] = ticker if plain else None
+        names.append(tickers[key])
+    if None in names:
+        return None
+    # The schema grows by the chunk's new tickers in first-seen order,
+    # as from_columns grows it.
+    if schema is None:
+        schema = BatchSchema(())
+    new = [i for i, name in enumerate(names) if name not in schema.code_of]
+    if len(new) > 1:
+        first = np.unique(inverse, return_index=True)[1]
+        new.sort(key=first.__getitem__)
+    columns = _COLUMNS[: width - 1]
+    schema = schema.extended([names[i] for i in new], columns)
+    codes = np.array([schema.code_of[name] for name in names], np.int32)
+    # np.str_ sizes the column to the batch's longest ticker.
+    symbol = np.array(names, dtype=np.str_)[inverse]
+    return EventBatch(
+        schema,
+        codes[inverse],
+        values[0],
+        dict(zip(columns, [symbol, *values[1:]])),
+    )
+
+
+def _digit_window(
+    buffer: np.ndarray, starts: np.ndarray, ends: np.ndarray
+) -> np.ndarray | None:
+    """Each field's bytes minus ``ord('0')`` as one column, right-aligned
+    and zero-filled above; None when a field is empty or longer than
+    :data:`_MAX_DIGITS` bytes."""
+    lengths = ends - starts
+    width = int(lengths.max())
+    if width > _MAX_DIGITS or lengths.min() < 1:
+        return None
+    offsets = np.arange(-width, 0)[:, None]
+    window = buffer[ends + offsets]
+    window -= _ZERO  # uint8 wraps: exactly the digits land on 0..9
+    window *= offsets >= -lengths
+    return window
+
+
+def _integers(
+    buffer: np.ndarray, starts: np.ndarray, ends: np.ndarray
+) -> np.ndarray | None:
+    """Fields of plain ASCII digits as ``int64``, else None."""
+    digits = _digit_window(buffer, starts, ends)
+    if digits is None or digits.max() > 9:
+        return None
+    return _POW10[len(digits) - 1 :: -1] @ digits
+
+
+def _prices(
+    buffer: np.ndarray, starts: np.ndarray, ends: np.ndarray
+) -> np.ndarray | None:
+    """Fields of ASCII digits with at most one dot as ``float64``, else
+    None. A field is read as ``mantissa / 10.0 ** k`` (``k`` digits after
+    the dot): both operands are exact and IEEE division rounds correctly,
+    so the result is bit-identical to ``float()`` of the field."""
+    digits = _digit_window(buffer, starts, ends)
+    if digits is None:
+        return None
+    width = len(digits)
+    dots = digits == _DOT
+    # 32 + k per dot, k < 32 being the digits after it: one product
+    # gives every field's dot count (>> 5) and scale (& 31).
+    marks = np.arange(width + 31, 31, -1) @ dots
+    has_dot = marks >> 5
+    if has_dot.max() > 1 or (has_dot >= ends - starts).any():
+        return None  # "1.2.3" or a lone "."
+    digits[dots] = 0
+    if digits.max() > 9:
+        return None
+    # With the dot read as a 0 digit a field's value is
+    # head * 10**(k+1) + tail; its mantissa is head * 10**k + tail.
+    value = _POW10[width - 1 :: -1] @ digits
+    scale = marks & 31
+    shift = _POW10[scale]
+    mantissa = value - value // (shift * 10) * has_dot * 9 * shift
+    if mantissa.max() >= _MANTISSA_LIMIT:
+        return None
+    return mantissa / _POW10_FLOAT[scale]
 
 
 def _ragged_columns(rows: list[Row]) -> Columns:

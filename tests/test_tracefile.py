@@ -4,13 +4,14 @@ import io
 import tempfile
 from contextlib import contextmanager
 from pathlib import Path
+from unittest import mock
 
 import hypothesis.strategies as st
 import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from repro.datagen import StockTradeGenerator
+from repro.datagen import StockTradeGenerator, tracefile
 from repro.datagen.tracefile import (
     iter_trace,
     read_trace,
@@ -20,7 +21,7 @@ from repro.datagen.tracefile import (
 )
 from repro.errors import OutOfOrderError, StreamError
 from repro.events import Event
-from repro.events.batch import batches_from_events
+from repro.events.batch import EventBatch, batches_from_events
 
 
 class TestReading:
@@ -287,8 +288,10 @@ class TestBatchReader:
     def test_numeric_spellings_parse_as_int_and_float_do(
         self, field, spelling
     ):
-        # The whole-chunk path fills arrays from strings; it must accept,
-        # reject and round exactly as int()/float() in iter_trace do.
+        # The byte path reads digits itself and hands every other
+        # spelling to the per-line path; either way values must be
+        # accepted, rejected and rounded exactly as int()/float() in
+        # iter_trace do.
         lines = [["A", str(ts), "1.5", "3"] for ts in range(1, 9)]
         lines[4][field] = spelling
         text = "".join(",".join(fields) + "\n" for fields in lines)
@@ -312,6 +315,67 @@ class TestBatchReader:
         else:
             assert got == expected
 
+    @pytest.mark.parametrize("digits", [18, 19])
+    def test_long_timestamps_and_volumes(self, digits):
+        # 18 digits always fit int64 and take the byte path; 19 digits
+        # go line by line (a 19-digit volume past int64 stays exact in
+        # an object column).
+        ts = 10 ** (digits - 1)
+        text = "".join(
+            f"A,{ts + i},1.5,{10 ** digits - 1 - i}\n" for i in range(20)
+        )
+        assert_reader_matches_composition(text)
+
+    @pytest.mark.parametrize(
+        "price",
+        [
+            "123456789012345", "1.23456789012345", "12345678.9012345",
+            "0.000123456789012345", "1234567890123456", "1.234567890123456",
+            "9007199254740993", "9.007199254740993", "900719925474.0993",
+            "0.9007199254740993", "9007199254740993.0", "007.50", "-0.00",
+            "0.0", "5.", ".5", "000000000000000001",
+        ],
+    )
+    def test_price_mantissa_boundaries(self, price):
+        text = "".join(f"A,{ts},{price},3\n" for ts in range(20))
+        assert_reader_matches_composition(text)
+
+    @pytest.mark.parametrize(
+        "ticker, other",
+        [
+            ("A", "B"), ("ABCDEFGH", "B"), ("ABCDEFGH", "ABCDEFGI"),
+            ("ABCDEFGHI", "B"), ("ABCDEFGHI", "ABCDEFGHJ"),
+            ("LONGTICKER", "B"), ("Ünï", "B"), ("日本", "B"),
+        ],
+    )
+    def test_ticker_byte_lengths(self, ticker, other):
+        text = "".join(
+            f"{ticker if ts % 3 else other},{ts},1.5,3\n" for ts in range(20)
+        )
+        assert_reader_matches_composition(text)
+
+    def test_last_line_without_newline(self):
+        text = "".join(f"T{ts % 2},{ts},1.5,{ts}\n" for ts in range(20))
+        assert_reader_matches_composition(text.rstrip("\n"))
+
+    def test_field_count_changes_between_chunks(self):
+        shapes = ["A,{ts},1.5,3", "B,{ts},2.5", "C,{ts}", "A,{ts},1.5,3"]
+        text = "".join(
+            shape.format(ts=ts) + "\n"
+            for block, shape in enumerate(shapes)
+            for ts in range(7 * block, 7 * block + 7)
+        )
+        assert_reader_matches_composition(text)
+
+    def test_shorter_tickers_in_a_later_batch_narrow_the_symbol_column(self):
+        text = "".join(
+            f"{'LONGER' if ts < 7 else 'AB'},{ts},1.5,3\n" for ts in range(14)
+        )
+        first, second = read_trace_batches(io.StringIO(text), batch_size=7)
+        assert first.cols["symbol"].dtype == np.dtype("<U6")
+        assert second.cols["symbol"].dtype == np.dtype("<U2")
+        assert_reader_matches_composition(text)
+
     def test_order_is_left_to_the_consumer(self):
         # The reader does not check order; the batch's own check names
         # the same pair EventStream would.
@@ -321,6 +385,112 @@ class TestBatchReader:
         with pytest.raises(OutOfOrderError) as expected:
             list(read_trace(io.StringIO("DELL,5\nAMAT,3\n")))
         assert str(raised.value) == str(expected.value)
+
+
+@contextmanager
+def counting_line_parses():
+    """Count the calls of the per-line parser (the byte path's decline)."""
+    with mock.patch.object(
+        tracefile, "_parse_fields", wraps=tracefile._parse_fields
+    ) as spy:
+        yield spy
+
+
+def _spell_price(mantissa, scale, leading, trailing, bare):
+    """``mantissa / 10**scale`` written with ``leading`` zeros before it,
+    ``trailing`` zeros after its last digit and, when ``bare``, no
+    integer part (".5") or a dot with nothing after it ("5.")."""
+    digits = str(mantissa).rjust(scale + 1, "0")
+    head = "0" * leading + digits[: len(digits) - scale]
+    tail = digits[len(digits) - scale:] + "0" * trailing
+    if not tail:
+        return head + "." if bare else head
+    if bare and not head.strip("0"):
+        head = ""
+    return f"{head}.{tail}"
+
+
+_MANTISSAS = st.one_of(
+    st.integers(0, 10**15 - 1),
+    st.integers(10**15 - 50, 10**15 + 50),
+    st.integers(2**53 - 50, 2**53 + 50),
+    st.integers(0, 10**18),
+)
+
+
+class TestBytePath:
+    """The chunk decoder that reads digits straight from the bytes."""
+
+    def test_ledger_shaped_trace_never_parses_a_line(self, tmp_path):
+        # A benchmark-shaped trace saved by a Windows tool (BOM, CRLF)
+        # must be decoded wholly on the byte path: with the per-line
+        # parser and from_columns both refusing, the read still equals
+        # the composition.
+        rng = np.random.default_rng(12)
+        rows = 20_000
+        lines = [
+            f"T{code},{ts},{price!r},{volume}\r\n"
+            for code, ts, price, volume in zip(
+                rng.integers(0, 8, rows).tolist(),
+                np.cumsum(rng.integers(1, 3, rows)).tolist(),
+                (rng.integers(100, 10_000, rows) / 100.0).tolist(),
+                rng.integers(0, 64, rows).tolist(),
+            )
+        ]
+        path = tmp_path / "ledger.trace"
+        path.write_bytes(b"\xef\xbb\xbf" + "".join(lines).encode("ascii"))
+        sizes = (7, 256, 4096)
+        events = list(iter_trace(path))
+        want = {size: list(batches_from_events(events, size)) for size in sizes}
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the byte path declined a chunk")
+
+        with mock.patch.object(tracefile, "_parse_fields", refuse), \
+                mock.patch.object(EventBatch, "from_columns", refuse):
+            got = {size: list(read_trace_batches(path, size)) for size in sizes}
+        for size in sizes:
+            assert len(got[size]) == len(want[size])
+            for got_batch, want_batch in zip(got[size], want[size]):
+                assert_same_batch(got_batch, want_batch)
+
+    @pytest.mark.parametrize("digits, by_bytes", [(18, True), (19, False)])
+    def test_eighteen_digit_integers_stay_on_the_byte_path(
+        self, digits, by_bytes
+    ):
+        text = f"A,{10 ** (digits - 1)},1.5,3\n"
+        with counting_line_parses() as spy:
+            (batch,) = read_trace_batches(io.StringIO(text), 8)
+        assert batch.ts.tolist() == [10 ** (digits - 1)]
+        assert spy.called is not by_bytes
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        _MANTISSAS,
+        st.integers(0, 17),
+        st.integers(0, 3),
+        st.integers(0, 3),
+        st.booleans(),
+    )
+    def test_price_is_bit_identical_to_float_or_declined(
+        self, mantissa, scale, leading, trailing, bare
+    ):
+        # Within the bound (at most 15 significant digits, counting
+        # trailing zeros, in at most 18 bytes) the byte path's
+        # mantissa / 10.0**k is float() to the bit; past it the chunk
+        # must go to the per-line path, never round on its own.
+        spelling = _spell_price(mantissa, scale, leading, trailing, bare)
+        within = (
+            int(spelling.replace(".", "")) < 10**15 and len(spelling) <= 18
+        )
+        with counting_line_parses() as spy:
+            (batch,) = read_trace_batches(
+                io.StringIO(f"A,1,{spelling}\nA,2,1.5\n"), 8
+            )
+        assert spy.called is not within, spelling
+        got = batch.cols["price"][:1].view(np.int64)
+        want = np.array([float(spelling)]).view(np.int64)
+        assert got.tolist() == want.tolist(), spelling
 
 
 class TestWriting:
