@@ -230,11 +230,11 @@ def build_parser() -> argparse.ArgumentParser:
         "--columnar",
         action="store_true",
         help="ingest as struct-of-arrays event batches through the "
-        "zero-object columnar lane (implies the routed vectorized "
-        "engine; a --trace file is parsed straight into batches; "
-        "non-vectorizable queries fall back per batch with "
-        "identical results; composes with --shards via the "
-        "flat-buffer shard wire)",
+        "single-process zero-object columnar lane (implies the routed "
+        "vectorized engine; a --trace file is parsed straight into "
+        "batches; non-vectorizable queries fall back per batch with "
+        "identical results; --shards always ingests this way, so it "
+        "changes nothing there)",
     )
     perf.add_argument(
         "--shards",
@@ -243,7 +243,8 @@ def build_parser() -> argparse.ArgumentParser:
         default=0,
         help="run N worker processes, hash-partitioned on the GROUP "
         "BY / equivalence attribute; non-partitionable queries run "
-        "in-process (0 = single process)",
+        "in-process (0 = single process); the source is read as "
+        "columnar batches, shipped to workers as flat buffers",
     )
     perf.add_argument(
         "--transport",
@@ -427,6 +428,18 @@ def _check_flags(args: argparse.Namespace) -> None:
             "--workers-file/--membership-listen require --shards N",
         ),
         (
+            not args.journal and args.checkpoint_every,
+            "--checkpoint-every requires --journal",
+        ),
+        (
+            not args.router_journal and args.router_checkpoint_every,
+            "--router-checkpoint-every requires --router-journal",
+        ),
+        (
+            args.admin_port is None and args.admin_linger,
+            "--admin-linger requires --admin-port",
+        ),
+        (
             supervised and args.columnar,
             "--columnar is not supported with --journal/--recover (the "
             "supervised engine journals per-event)",
@@ -474,15 +487,16 @@ def _load_source(
     args: argparse.Namespace,
 ) -> Iterable[Event] | Iterator[EventBatch]:
     """The event source: ``Event``s, or ``EventBatch``es under
-    ``--columnar``.
+    ``--columnar`` and ``--shards N``.
 
-    A ``--columnar`` trace file is parsed straight into columns — no
+    A batch-lane trace file is parsed straight into columns — no
     ``Event`` and no ``EventStream``; the engine's vectorised per-batch
     check enforces stream order instead. The reorder buffer and the
     generators produce events, so those are columnarized from events.
     """
+    batched = args.columnar or args.shards > 0
     if args.trace is not None:
-        if args.columnar and not args.reorder_slack_ms:
+        if batched and not args.reorder_slack_ms:
             return read_trace_batches(args.trace, _columnar_batch_size(args))
         events: Iterable[Event] = read_trace(
             args.trace, enforce_order=args.reorder_slack_ms == 0
@@ -492,7 +506,7 @@ def _load_source(
         events = generator.events(args.events)
     if args.reorder_slack_ms:
         events = reordered(events, slack_ms=args.reorder_slack_ms)
-    if args.columnar:
+    if batched:
         return batches_from_events(events, _columnar_batch_size(args))
     return events
 
@@ -711,9 +725,9 @@ def _build_sharded(
     registry: MetricsRegistry,
     trace: TraceRecorder,
 ) -> _Lane:
-    """The ``--shards N`` lane: hash-partitioned worker processes. With
-    ``--columnar`` its run loop takes the batches natively and ships
-    each worker its partition as a flat buffer."""
+    """The ``--shards N`` lane: hash-partitioned worker processes. Its
+    run loop takes the source's batches natively and ships each worker
+    its partition of a batch as one flat buffer."""
     from repro.engine.sharded import ShardedStreamEngine
 
     supervise = args.heartbeat_interval > 0

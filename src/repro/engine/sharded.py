@@ -117,7 +117,6 @@ import threading
 import time
 import zlib
 from collections import deque
-from itertools import islice
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
@@ -390,16 +389,16 @@ def _worker_loop(
 
     Data-channel protocol (request, reply):
 
-    * ``("batch", {"r": [(type, ts, attrs), ...]})`` or ``("batch",
-      {"c": flat_buffer, "n": rows})`` — ingest, as records or as one
-      columnar :class:`EventBatch` wire buffer; no reply (the channel's
-      buffer provides natural backpressure via ``send``). Optional
-      keys: ``"t": [(offset, trace_id), ...]`` — the worker stamps a
-      ``shard_ingest`` span per traced record — and ``"q": base_seq``,
-      the shard-journal sequence of the first record, which drives
-      worker-side dedup: records below the worker's applied watermark
-      (set by the last seed) are skipped, so a recovering router may
-      redeliver conservatively and never double-counts.
+    * ``("batch", {"c": flat_buffer, "n": rows})`` — ingest one
+      :class:`EventBatch` wire buffer, the only row shape a shard gets,
+      live or replayed; no reply (the channel's buffer provides natural
+      backpressure via ``send``). Optional keys: ``"t": [(offset,
+      trace_id), ...]`` — the worker stamps a ``shard_ingest`` span per
+      traced row — and ``"q": base_seq``, the shard-journal sequence of
+      the first row, which drives worker-side dedup: rows below the
+      worker's applied watermark (set by the last seed) are sliced off,
+      so a recovering router may redeliver conservatively and never
+      double-counts. A frame that does not decode poisons the engine.
     * ``("collect", watermark_ms)`` — advance clocks to the global
       watermark, reply ``("ok", {"partials": {name: partial}, "obs":
       ...})`` with composable partial results (see :func:`_partial_of`)
@@ -430,7 +429,7 @@ def _worker_loop(
     """
     outbox = _SpanOutbox()
     failure: str | None = None
-    #: Shard-journal watermark of applied records (dedup cursor).
+    #: Shard-journal watermark of applied rows (dedup cursor).
     applied_seq = 0
     deadline = (
         time.monotonic() + orphan_timeout_s if orphan_timeout_s else None
@@ -486,61 +485,26 @@ def _worker_loop(
         except CHANNEL_ERRORS:
             return "eof"
         if command == "batch":
-            records = payload.get("r")
-            total = payload["n"] if records is None else len(records)
-            base = payload.get("q")
-            skip = 0
-            if base is not None:
-                # Worker-side dedup of redelivered (lane, seq) pairs:
-                # a recovering router replays conservatively; records
-                # already folded in by the seed are dropped here.
-                skip = max(0, min(total, applied_seq - base))
-                applied_seq = max(applied_seq, base + total)
-            traced = payload.get("t", ())
-            if skip and records is not None:
-                records = records[skip:]
-                traced = [
-                    (offset - skip, trace_id)
-                    for offset, trace_id in traced
-                    if offset >= skip
-                ]
-            if tracer.enabled and traced:
-                now = time.time()
-                for offset, trace_id in traced:
-                    # A corrupt offset must degrade to a missing
-                    # span, never crash the worker main loop.
-                    try:
-                        if not 0 <= offset < len(records):
-                            continue
-                        rtype, rts, _ = records[offset]
-                    except (TypeError, ValueError):
-                        continue
-                    tracer.record(
-                        Stage.SHARD_INGEST,
-                        rts,
-                        rtype,
-                        f"shard={index}",
-                        trace_id=trace_id,
-                        wall=now,
-                    )
-            if failure is not None:
-                continue  # poisoned: drain silently until restarted
             try:
-                if records is None:
-                    # Columnar flat buffer: decode straight into an
-                    # EventBatch for the engine's columnar lane. The
-                    # router already enforced stream order; shard-local
-                    # subsequences inherit it.
-                    cbatch = EventBatch.from_wire(payload["c"])
-                    if skip:
-                        cbatch = cbatch.islice(skip, len(cbatch))
-                    if len(cbatch):
-                        engine.process_event_batch(
-                            cbatch, enforce_order=False
-                        )
-                elif records:
-                    engine.process_batch(
-                        [Event(t, ts, attrs) for t, ts, attrs in records]
+                batch = EventBatch.from_wire(payload["c"])
+                base = payload.get("q")
+                skip = 0
+                if base is not None:
+                    # Worker-side dedup of redelivered rows: a recovering
+                    # router replays conservatively; rows already folded
+                    # in by the seed are sliced off here.
+                    skip = max(0, min(len(batch), applied_seq - base))
+                    applied_seq = max(applied_seq, base + len(batch))
+                if tracer.enabled and payload.get("t"):
+                    _stamp_shard_ingest(
+                        tracer, batch, payload["t"], f"shard={index}", skip
+                    )
+                # Poisoned: drain silently until restarted. The router
+                # already enforced stream order; shard-local
+                # subsequences inherit it.
+                if failure is None and skip < len(batch):
+                    engine.process_event_batch(
+                        batch.islice(skip, len(batch)), enforce_order=False
                     )
             except Exception as error:  # reported via pong + collect
                 failure = f"{type(error).__name__}: {error}"
@@ -583,6 +547,30 @@ def _worker_loop(
         elif command == "stop":
             conn.send(("ok", engine.metrics.events))
             return "stop"
+
+
+def _stamp_shard_ingest(
+    tracer: TraceRecorder, batch: EventBatch, traced: Any, detail: str,
+    skip: int = 0,
+) -> None:
+    """One ``shard_ingest`` span per traced row a shard applies (offsets
+    index ``batch`` before a dedup cut of ``skip`` rows). A corrupt
+    offset degrades to a missing span, never a dead worker."""
+    now = time.time()
+    types = batch.schema.types
+    for entry in traced:
+        try:
+            offset, trace_id = entry
+            if not skip <= offset < len(batch):
+                continue
+            event_type = types[batch.codes[offset]]
+            ts = int(batch.ts[offset])
+        except (TypeError, ValueError, IndexError):
+            continue
+        tracer.record(
+            Stage.SHARD_INGEST, ts, event_type, detail,
+            trace_id=trace_id, wall=now,
+        )
 
 
 def _answer(engine: StreamEngine, command: str, payload: Any) -> Any:
@@ -688,7 +676,7 @@ class _Worker:
         self.process: Any = None
         self.conn: Any = None
         self.control: Any = None
-        self.buffer: list[tuple[str, int, dict | None]] = []
+        self.buffer: list[Event] = []
         #: Guards every mutation of ``buffer``/``traced``: the ingest
         #: thread appends and flushes, the admin scrape thread flushes
         #: via ``_try_flush``. Held across capture *and* send so two
@@ -701,7 +689,7 @@ class _Worker:
         #: EventJournal under ``journal_dir``, else a MemoryShardLog.
         self.log: Any = None
         #: Journal seq at first spawn — a disk journal resumed from a
-        #: previous router run must not replay the old run's records.
+        #: previous router run must not replay the old run's rows.
         self.replay_base = 0
         #: Latest engine checkpoint document (with ``journal_seq``).
         self.checkpoint: dict[str, Any] | None = None
@@ -710,7 +698,7 @@ class _Worker:
         #: In-process fold lane once this shard is degraded.
         self.fold: StreamEngine | None = None
         self.generation = 0
-        #: Sampled trace ids pinned to buffered records: (offset, id).
+        #: Sampled trace ids pinned to buffered events: (offset, id).
         self.traced: list[tuple[int, str]] = []
         #: Latest shipped metrics snapshot: (generation, state list).
         self.obs_state: tuple[int, list[dict]] | None = None
@@ -1587,36 +1575,35 @@ class ShardedStreamEngine:
 
     def _restore(
         self, worker: _Worker, apply_checkpoint: Callable[[dict], Any]
-    ) -> Iterator[tuple[int, list[tuple[str, int, dict | None]]]]:
+    ) -> Iterator[tuple[int, EventBatch]]:
         """The restore recipe, whatever the target: hand the shard's
         latest checkpoint to ``apply_checkpoint``, then yield the
-        journal suffix past it as ``(base_seq, records)`` chunks for
-        the caller to feed the target. Revive, migration, router
-        recovery and degrade-to-fold all rebuild a shard this way."""
+        journal suffix past it as ``(base_seq, batch)`` pairs for the
+        caller to feed the target. Revive, migration, router recovery
+        and degrade-to-fold all rebuild a shard this way."""
         start_seq = worker.replay_base
         if worker.checkpoint is not None:
             apply_checkpoint(worker.checkpoint)
             start_seq = max(
                 start_seq, int(worker.checkpoint.get("journal_seq", 0))
             )
-        if worker.log is None:
-            return
-        suffix = worker.log.replay(start_seq)
-        while chunk := list(islice(suffix, self.batch_size)):
-            yield chunk[0][0], [record for _, record in chunk]
+        if worker.log is not None:
+            yield from worker.log.replay(start_seq)
 
     def _seed_worker(self, worker: _Worker) -> int:
         """Re-seed a fresh worker exactly (see :meth:`_restore`). Replay
-        chunks carry their base journal sequence so the worker's dedup
+        batches carry their base journal sequence so the worker's dedup
         cursor tracks exactly what it has applied — a later
         conservative redelivery (router recovery) is then skippable
-        worker-side. Returns the number of journal records replayed."""
+        worker-side. Returns the number of journal rows replayed."""
         replayed = 0
-        for base, chunk in self._restore(
+        for base, batch in self._restore(
             worker, lambda state: self._roundtrip(worker, "seed", state)
         ):
-            worker.conn.send(("batch", {"r": chunk, "q": base}))
-            replayed += len(chunk)
+            worker.conn.send(
+                ("batch", {"c": batch.to_wire(), "n": len(batch), "q": base})
+            )
+            replayed += len(batch)
         return replayed
 
     def _degrade_locked(self, worker: _Worker, reason: str) -> None:
@@ -1639,8 +1626,8 @@ class ShardedStreamEngine:
         for name, query in self._sharded.items():
             fold.register(query, name=name)
         dropped = sum(
-            _feed_fold(fold, chunk)
-            for _, chunk in self._restore(
+            _feed_fold(fold, batch)
+            for _, batch in self._restore(
                 worker, lambda state: apply_engine_state(fold, state)
             )
         )
@@ -2053,10 +2040,10 @@ class ShardedStreamEngine:
         """Route one event: local lane always, worker lane by key.
 
         ``skip`` is router recovery's count-skip cursor — per shard,
-        how many more records that shard's journal already holds.
+        how many more rows that shard's journal already holds.
         Routing is deterministic, so during WAL replay the *k*-th
-        record bound for shard *i* lands on the journal sequence it had
-        in the crashed run; while the cursor is positive the record is
+        event bound for shard *i* lands on the journal sequence it had
+        in the crashed run; while the cursor is positive the event is
         already inside the worker (seeded from checkpoint + journal)
         and is skipped — delivered and journaled otherwise. Replay is
         not traced (spans describe the original run, not the recovery).
@@ -2070,7 +2057,6 @@ class ShardedStreamEngine:
             # No sharded pattern reacts to this type; workers sync their
             # clocks from the watermark at collect time instead.
             return
-        record = (event.event_type, ts, event.attrs or None)
         key = event.get(self.shard_attribute, _MISSING)
         trace_id = None
         if key is _MISSING:
@@ -2101,7 +2087,7 @@ class ShardedStreamEngine:
             if skip is not None and skip[worker.index] > 0:
                 skip[worker.index] -= 1  # applied via checkpoint + journal
                 continue
-            self._buffer(worker, record, trace_id)
+            self._buffer(worker, event, trace_id)
 
     def process_event_batch(self, batch: EventBatch) -> int:
         """Route one columnar batch: local lane columnar, workers by key.
@@ -2131,7 +2117,7 @@ class ShardedStreamEngine:
             return count
         if log is not None:
             self._router_checkpoint_due(count)
-            log.commit(batch.to_records())
+            log.commit(batch)
         # Order check + local-lane consumption (raises before any row
         # of an out-of-order batch reaches metrics or the workers).
         self._local.process_event_batch(batch)
@@ -2192,27 +2178,22 @@ class ShardedStreamEngine:
                 sub = batch
             else:
                 sub = batch.take(np.asarray(bucket, dtype=np.int64))
-            # Per-event records buffered before this batch must reach
-            # the worker first, or the shard would see time run
+            # Events buffered by process() before this batch must
+            # reach the worker first, or the shard would see time run
             # backwards; the flush also keeps journal order == arrival
             # order for replay.
             self._flush_worker(worker)
             with worker.lock:
-                self._send_records(
-                    worker, sub.to_records(), wire=sub.to_wire()
-                )
+                self._send_batch(worker, sub)
         return count
 
     def _buffer(
-        self,
-        worker: _Worker,
-        record: tuple[str, int, dict | None],
-        trace_id: str | None = None,
+        self, worker: _Worker, event: Event, trace_id: str | None = None
     ) -> None:
         with worker.buffer_lock:
             if trace_id is not None:
                 worker.traced.append((len(worker.buffer), trace_id))
-            worker.buffer.append(record)
+            worker.buffer.append(event)
             if len(worker.buffer) < self.batch_size:
                 return
         self._flush_worker(worker)
@@ -2242,10 +2223,11 @@ class ShardedStreamEngine:
             worker.buffer_lock.release()
 
     def _flush_locked(self, worker: _Worker) -> None:
-        """The one place buffered records leave the router (both worker
-        locks held): commit the router WAL, capture the buffer, send.
+        """The one place buffered events leave the router (both worker
+        locks held): commit the router WAL, capture the buffer as one
+        :class:`EventBatch`, send.
 
-        Every record in the buffer was staged in the WAL before it was
+        Every event in the buffer was staged in the WAL before it was
         buffered (``process`` order), so the group commit ahead of the
         send is what keeps the shard journals a subset of the durable
         WAL — for every caller, because there is no other send. A
@@ -2262,17 +2244,18 @@ class ShardedStreamEngine:
         worker.buffer = []
         worker.traced = []
         try:
-            self._send_records(worker, buffer, traced=traced or None)
+            self._send_batch(
+                worker, EventBatch.from_events(buffer), traced or None
+            )
         except Exception:
             worker.buffer, worker.traced = buffer, traced
             raise
 
-    def _send_records(
+    def _send_batch(
         self,
         worker: _Worker,
-        records: list[tuple[str, int, dict | None]],
+        batch: EventBatch,
         traced: list[tuple[int, str]] | None = None,
-        wire: bytes | None = None,
     ) -> None:
         """Deliver one batch with the backpressure guard (lock held).
 
@@ -2281,42 +2264,27 @@ class ShardedStreamEngine:
         checkpoint + journal-suffix replay reconstructs precisely what
         the worker had consumed.  ``traced`` rides along as batch
         offsets so the worker can stamp ``shard_ingest`` spans; the
-        journal stores plain records only (replay is untraced).
-
-        ``wire`` switches the pipe payload to the columnar flat buffer
-        (``records`` must be its record form): the worker decodes it
-        straight into an :class:`EventBatch` while the journal and the
-        fold lane keep consuming plain records.
+        journal keeps the batch alone (replay is untraced).
         """
         if worker.fold is not None:
             if traced:
                 # Degraded lane: the "shard" stage happens in-process.
-                for offset, trace_id in traced:
-                    event_type, ts, _ = records[offset]
-                    self._trace.record(
-                        Stage.SHARD_INGEST,
-                        ts,
-                        event_type,
-                        f"shard={worker.index} lane=fold",
-                        trace_id=trace_id,
-                        wall=time.time(),
-                    )
-            self._fold_feed(worker, records)
+                _stamp_shard_ingest(
+                    self._trace, batch, traced,
+                    f"shard={worker.index} lane=fold",
+                )
+            self._fold_feed(worker, batch)
             return
         # The base journal sequence travels with the batch: the worker
         # advances its dedup cursor by it, so redelivery after a
         # router recovery can never double-apply.  A revive inside the
         # retry loop below does not move ``next_seq`` (replay stops
         # exactly there), so the base stays valid across attempts.
-        base = worker.log.next_seq if worker.log is not None else None
-        payload: dict[str, Any] = (
-            {"r": records} if wire is None
-            else {"c": wire, "n": len(records)}
-        )
+        payload: dict[str, Any] = {"c": batch.to_wire(), "n": len(batch)}
+        if worker.log is not None:
+            payload["q"] = worker.log.next_seq
         if traced:
             payload["t"] = traced
-        if base is not None:
-            payload["q"] = base
         attempts = 0
         while True:
             failed = None
@@ -2331,16 +2299,16 @@ class ShardedStreamEngine:
                         f"{self._send_timeout_s}s"
                     )
                 if self._overload_policy == "shed_oldest":
-                    self.shed_events += len(records)
-                    self._m_shed.inc(len(records))
+                    self.shed_events += len(batch)
+                    self._m_shed.inc(len(batch))
                     _log.warning(
                         "shard_shed",
                         message=(
-                            f"shed {len(records)} events to stalled "
+                            f"shed {len(batch)} events to stalled "
                             f"shard {worker.index} (shed_oldest policy)"
                         ),
                         shard=worker.index,
-                        events=len(records),
+                        events=len(batch),
                     )
                     return  # dropped, never journaled
                 # "block" policy: a restart both unwedges the pipe and
@@ -2356,10 +2324,10 @@ class ShardedStreamEngine:
                 )
             self._handle_failure(worker, failed)
             if worker.fold is not None:
-                self._fold_feed(worker, records)
+                self._fold_feed(worker, batch)
                 return
         if worker.log is not None:
-            worker.log.append_records(records)
+            worker.log.append_event_batch(batch)
             worker.batches_since_checkpoint += 1
             if (
                 self._checkpoint_every
@@ -2399,12 +2367,8 @@ class ShardedStreamEngine:
                 shard=worker.index,
             )
 
-    def _fold_feed(
-        self,
-        worker: _Worker,
-        records: list[tuple[str, int, dict | None]],
-    ) -> None:
-        dropped = _feed_fold(worker.fold, records)
+    def _fold_feed(self, worker: _Worker, batch: EventBatch) -> None:
+        dropped = _feed_fold(worker.fold, batch)
         if dropped:
             _log.warning(
                 "fold_dropped",
@@ -2840,16 +2804,14 @@ class ShardedStreamEngine:
         }
 
 
-def _feed_fold(
-    fold: StreamEngine, records: list[tuple[str, int, dict | None]]
-) -> int:
-    """Feed replayed/live records to a fold lane one by one; a poison
-    record is dropped (and counted) rather than wedging the degraded
-    shard forever or taking its whole batch down with it."""
+def _feed_fold(fold: StreamEngine, batch: EventBatch) -> int:
+    """Feed a replayed/live batch to a fold lane one event at a time; a
+    poison event is dropped (and counted) rather than wedging the
+    degraded shard forever or taking its whole batch down with it."""
     dropped = 0
-    for event_type, ts, attrs in records:
+    for event in batch.to_events():
         try:
-            fold.process(Event(event_type, ts, attrs))
+            fold.process(event)
         except Exception:
             dropped += 1
     return dropped

@@ -45,13 +45,12 @@ TCP frames are hardened for real networks. Each frame is
   dies instead, the receiver's magic scan re-synchronizes past any
   torn bytes on a reconnected socket.
 
-Data-channel batch messages come in two shapes, transparent to the
-transport: the per-event form ``{"r": records, ...}`` (pickled event
-tuples) and the columnar form ``{"c": wire, "n": count, "q": seq}``
-where ``wire`` is an :meth:`EventBatch.to_wire` flat buffer (u32
-header length + JSON header + raw array segments) and ``"q"``/``"n"``
-carry the same per-worker sequence numbering the recovery count-skip
-dedup uses for pickled records.
+Data-channel batch messages, live or replayed, have one shape,
+transparent to the transport: ``{"c": wire, "n": count, "q": seq}``
+(``"t"``: sampled trace offsets), where ``wire`` is an
+:meth:`EventBatch.to_wire` flat buffer (u32 header length + JSON header
++ raw array segments) and ``"q"`` the shard-journal sequence of its
+first row, which drives the worker's count-skip dedup.
 
 Channel contract (both transports satisfy it):
 

@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import json
 import pickle
+import re
 import struct
 from itertools import islice
 from typing import Any, Iterable, Iterator, Sequence
@@ -49,6 +50,14 @@ from repro.events.event import Event
 ABSENT = object()
 
 _HEADER = struct.Struct("<I")
+
+#: Segment kinds of a wire frame and the numpy dtype kinds each may
+#: have (``O``: a pickled object column).
+_SEGMENT_KINDS = {"codes": "i", "ts": "i", "mask": "b", "col": "biufcSUO"}
+
+#: The plain-array ``dtype.str`` spellings a segment may carry (numpy
+#: parses anything else with its own, wider, set of exceptions).
+_PLAIN_DTYPE = re.compile(r"[<>|=][biufcSU][1-9][0-9]{0,5}")
 
 #: Wire format version (bump on incompatible layout changes).
 WIRE_VERSION = 1
@@ -147,6 +156,33 @@ def _column_array(
     for i, v in enumerate(values):
         column[i] = None if v is ABSENT else v
     return column, present
+
+
+def _decode_segment(kind: str, raw: bytes, dtype: str | None) -> np.ndarray:
+    """One wire segment as an array (``dtype`` None: a pickled list).
+    Raises StreamError, or TypeError/ValueError on a malformed entry."""
+    if dtype is None:
+        try:
+            values = pickle.loads(raw)
+        except Exception as error:
+            raise StreamError(
+                f"unpicklable columnar object segment: {error!r}"
+            ) from None
+        array = np.empty(len(values), dtype=object)
+        for i, value in enumerate(values):
+            array[i] = value
+    elif _PLAIN_DTYPE.fullmatch(dtype):
+        array = np.frombuffer(raw, dtype=np.dtype(dtype))
+    else:
+        raise StreamError(f"columnar segment dtype {dtype!r} is not plain")
+    if array.dtype.kind not in _SEGMENT_KINDS[kind]:
+        raise StreamError(f"columnar {kind} segment of dtype {array.dtype}")
+    # Code points past U+10FFFF would make tolist() fail, not decode.
+    if array.dtype.kind == "U" and array.view(
+        np.dtype(np.uint32).newbyteorder(array.dtype.byteorder)
+    ).max(initial=0) > 0x10FFFF:
+        raise StreamError(f"columnar {kind} segment is not valid text")
+    return array
 
 
 class EventBatch:
@@ -356,34 +392,6 @@ class EventBatch:
             self._events = events
         return self._events
 
-    def to_records(self) -> list[tuple[str, int, dict | None]]:
-        """Shard-journal records ``(type, ts, attrs|None)`` — the same
-        tuples the per-event sharded router journals, so replay and
-        recovery code never sees a new record shape."""
-        if self._events is not None:
-            return [
-                (event.event_type, event.ts, event.attrs or None)
-                for event in self._events
-            ]
-        types = self.schema.types
-        codes = self.codes.tolist()
-        ts = self.ts.tolist()
-        cols = {name: col.tolist() for name, col in self.cols.items()}
-        present = {
-            name: mask.tolist() for name, mask in self.present.items()
-        }
-        records: list[tuple[str, int, dict | None]] = []
-        for i in range(len(codes)):
-            attrs: dict[str, Any] | None = None
-            for name, values in cols.items():
-                mask = present.get(name)
-                if mask is None or mask[i]:
-                    if attrs is None:
-                        attrs = {}
-                    attrs[name] = values[i]
-            records.append((types[codes[i]], ts[i], attrs))
-        return records
-
     # ----- flat-buffer wire -------------------------------------------------
 
     def to_wire(self) -> bytes:
@@ -423,7 +431,10 @@ class EventBatch:
     @classmethod
     def from_wire(cls, data: bytes) -> "EventBatch":
         """Decode :meth:`to_wire` output (arrays may be read-only views
-        over the buffer; consumers never mutate batch columns)."""
+        over the buffer; consumers never mutate batch columns). The only
+        shard decoder: a frame whose segments do not all hold ``n`` rows,
+        whose codes leave ``[0, len(types))``, whose masks are not
+        ``bool``, or that is malformed anywhere raises StreamError."""
         if len(data) < _HEADER.size:
             raise StreamError("truncated columnar batch frame")
         (header_len,) = _HEADER.unpack_from(data)
@@ -434,43 +445,52 @@ class EventBatch:
             raise StreamError(
                 f"corrupt columnar batch header: {error}"
             ) from None
-        if header.get("v") != WIRE_VERSION:
-            raise StreamError(
-                f"unsupported columnar wire version {header.get('v')!r}"
-            )
         offset += header_len
-        n = int(header["n"])
-        codes: np.ndarray | None = None
-        ts: np.ndarray | None = None
+        codes = ts = None
         cols: dict[str, np.ndarray] = {}
         present: dict[str, np.ndarray] = {}
-        for kind, name, dtype, nbytes in header["segs"]:
-            raw = data[offset:offset + nbytes]
-            if len(raw) != nbytes:
-                raise StreamError("truncated columnar batch segment")
-            offset += nbytes
-            if dtype is None:
-                array = np.empty(n, dtype=object)
-                values = pickle.loads(raw)
-                for i, value in enumerate(values):
-                    array[i] = value
-            else:
-                array = np.frombuffer(raw, dtype=np.dtype(dtype))
-            if kind == "codes":
-                codes = array
-            elif kind == "ts":
-                ts = array
-            elif kind == "mask":
-                present[name] = array
-            elif kind == "col":
-                cols[name] = array
-            else:
+        try:
+            if header["v"] != WIRE_VERSION:
                 raise StreamError(
-                    f"unknown columnar segment kind {kind!r}"
+                    f"unsupported columnar wire version {header['v']!r}"
                 )
+            n, types = header["n"], header["types"]
+            if not all(isinstance(name, str) for name in types):
+                raise ValueError("type names must be strings")
+            for kind, name, dtype, nbytes in header["segs"]:
+                raw = data[offset:offset + nbytes]
+                if len(raw) != nbytes:
+                    raise StreamError("truncated columnar batch segment")
+                offset += nbytes
+                array = _decode_segment(kind, raw, dtype)
+                if len(array) != n:
+                    raise StreamError(
+                        f"columnar {kind} segment {name!r} holds "
+                        f"{len(array)} rows, the frame {n}"
+                    )
+                if kind == "col":
+                    cols[name] = array
+                elif kind == "mask":
+                    present[name] = array
+                elif kind == "codes":
+                    codes = array
+                else:
+                    ts = array
+        except (KeyError, TypeError, ValueError) as error:
+            raise StreamError(
+                f"malformed columnar batch header: {error!r}"
+            ) from None
+        if offset != len(data):
+            raise StreamError("bytes trail the columnar batch frame")
         if codes is None or ts is None:
             raise StreamError("columnar batch frame lacks code/ts arrays")
-        schema = BatchSchema(header["types"], tuple(cols))
+        if not present.keys() <= cols.keys():
+            raise StreamError("columnar batch mask without its column")
+        if n and (codes.min() < 0 or codes.max() >= len(types)):
+            raise StreamError(
+                f"columnar batch codes outside [0, {len(types)})"
+            )
+        schema = BatchSchema(types, tuple(cols))
         return cls(schema, codes, ts, cols, present)
 
     def __repr__(self) -> str:

@@ -46,7 +46,9 @@ deletes every segment wholly below the *oldest* retained generation's
 ``journal_seq``, so a fallback over a corrupt newest generation still
 finds its whole suffix. The supervised engine's directory, each durable
 shard's and the router's follow this one rule; :class:`MemoryShardLog`
-is the non-durable twin a shard without a directory keeps.
+is the non-durable twin a shard without a directory keeps. Either holds
+the :class:`~repro.events.batch.EventBatch` objects a shard was sent,
+one record per batch, and replays them as batches.
 
 Durability policy (``fsync``): ``"never"`` leaves flushing to the OS
 (fastest, loses the tail on power failure), ``"interval"`` fsyncs once
@@ -67,6 +69,7 @@ from pathlib import Path
 from typing import Any, Iterator, Sequence
 
 from repro.errors import CheckpointError, JournalError
+from repro.events.batch import EventBatch
 from repro.events.event import Event
 from repro.obs.registry import MetricsRegistry, resolve_registry
 from repro.resilience.checkpointer import (
@@ -79,9 +82,6 @@ from repro.resilience.checkpointer import (
 SEGMENT_PREFIX = "journal-"
 SEGMENT_SUFFIX = ".wal"
 FSYNC_POLICIES = ("never", "interval", "always")
-
-#: One row as a shard sees it: ``(type, ts, attrs|None)``.
-Record = tuple
 
 _SEPARATORS = (",", ":")
 # json.dumps(..., separators=...) constructs a fresh JSONEncoder per
@@ -186,12 +186,12 @@ class EventJournal:
 
     Every write-ahead log in the system is one of these: the supervised
     engine appends each ingest call as one record (:meth:`append_batch`);
-    a durable shard appends each delivered batch of ``(type, ts,
-    attrs)`` records (:meth:`append_records`) and re-seeds a restarted
-    worker from :meth:`replay`, which yields that shape back; the router
-    stages events (:meth:`stage`) and group-commits them as one record
-    ahead of every batch send (:meth:`commit`), under one lock because a
-    scrape thread may commit concurrently with ingest.
+    a durable shard appends each :class:`~repro.events.batch.EventBatch`
+    it delivered (:meth:`append_event_batch`) and re-seeds a restarted
+    worker from :meth:`replay`, which yields those batches back; the
+    router stages events (:meth:`stage`) and group-commits them as one
+    record ahead of every batch send (:meth:`commit`), under one lock
+    because a scrape thread may commit concurrently with ingest.
 
     Parameters
     ----------
@@ -337,12 +337,9 @@ class EventJournal:
             [event.attrs or None for event in events],
         )
 
-    def append_records(self, records: list[Record]) -> int:
-        """:meth:`append_batch` for rows already shaped as
-        ``(type, ts, attrs|None)`` records — no :class:`Event` is built."""
-        if not records:
-            return self.next_seq
-        return self._write(*zip(*records))
+    def append_event_batch(self, batch: EventBatch) -> int:
+        """:meth:`append_batch` for a columnar batch (the same line)."""
+        return self.append_batch(batch.to_events())
 
     def _write(
         self, types: Sequence, stamps: Sequence, attrs: Sequence
@@ -389,10 +386,10 @@ class EventJournal:
             self._pending.append(event)
             return self.next_seq + len(self._pending) - 1
 
-    def commit(self, records: list[Record] | None = None) -> None:
-        """Write every staged event as one record, then ``records`` (a
-        batch journaled whole, after what was staged before it) as the
-        next, so the journal order is the ingest order.
+    def commit(self, batch: EventBatch | None = None) -> None:
+        """Write every staged event as one record, then ``batch`` (an
+        ingest batch journaled whole, after what was staged before it)
+        as the next, so the journal order is the ingest order.
 
         The router calls this ahead of every batch send, so anything a
         shard ever received is in a record that was whole on disk
@@ -405,9 +402,9 @@ class EventJournal:
                 self.append_batch(pending)
                 self._pending = []
             committed = len(pending)
-            if records:
-                self.append_records(records)
-                committed += len(records)
+            if batch is not None and len(batch):
+                self.append_event_batch(batch)
+                committed += len(batch)
         if committed:
             self._registry.counter(
                 "router_wal_appends_total",
@@ -416,14 +413,17 @@ class EventJournal:
 
     # ----- reading ---------------------------------------------------------
 
-    def replay(self, start_seq: int = 0) -> Iterator[tuple[int, Record]]:
-        """Yield ``(seq, record)`` for every journaled row with
-        ``seq >= start_seq`` — the shard re-seed read; see
+    def replay(self, start_seq: int = 0) -> Iterator[tuple[int, EventBatch]]:
+        """Yield ``(first_seq, batch)`` per journaled record holding a
+        row at or past ``start_seq``, the record holding ``start_seq``
+        cut to start there — the shard re-seed read; see
         :func:`read_journal` for what it tolerates and raises."""
         for seq, types, stamps, attrs in _read_columns(
             self.directory, start_seq
         ):
-            yield from enumerate(zip(types, stamps, attrs), seq)
+            yield seq, EventBatch.from_events(
+                list(map(Event, types, stamps, attrs))
+            )
 
     # ----- durability ------------------------------------------------------
 
@@ -468,42 +468,44 @@ class EventJournal:
 
 class MemoryShardLog:
     """The non-durable twin of :class:`EventJournal` for a shard without
-    a journal directory: the same ``next_seq`` / :meth:`append_records`
+    a journal directory: the same ``next_seq`` / :meth:`append_event_batch`
     / :meth:`replay` / :meth:`checkpoint` / :meth:`close` surface, over
-    a list of the records delivered since the last checkpoint.
+    the batches delivered since the last checkpoint, kept as sent.
 
-    :meth:`checkpoint` forgets the prefix that checkpoint has made
-    redundant, so memory stays bounded as long as checkpoints are
-    taken; the worker handle holds only the newest checkpoint, so
-    nothing older needs the prefix.
+    :meth:`checkpoint` forgets the whole batches that checkpoint has made
+    redundant, so memory stays bounded as long as checkpoints are taken;
+    the worker handle holds only the newest checkpoint, so nothing older
+    needs the prefix.
     """
 
     def __init__(self) -> None:
+        #: Sequence of the first row of ``_batches[0]``.
         self._base = 0
-        self._records: list[Record] = []
+        self._batches: deque[EventBatch] = deque()
+        self.next_seq = 0
 
-    @property
-    def next_seq(self) -> int:
-        return self._base + len(self._records)
+    def append_event_batch(self, batch: EventBatch) -> None:
+        self._batches.append(batch)
+        self.next_seq += len(batch)
 
-    def append_records(self, records: list[Record]) -> None:
-        self._records.extend(records)
-
-    def replay(self, start_seq: int = 0) -> Iterator[tuple[int, Record]]:
-        start = max(0, start_seq - self._base)
-        return enumerate(list(self._records[start:]), self._base + start)
+    def replay(self, start_seq: int = 0) -> Iterator[tuple[int, EventBatch]]:
+        """:meth:`EventJournal.replay` over the kept batches."""
+        seq = self._base
+        for batch in list(self._batches):
+            skip = max(0, start_seq - seq)
+            if skip < len(batch):
+                yield seq + skip, batch.islice(skip, len(batch))
+            seq += len(batch)
 
     def checkpoint(self, state: dict[str, Any]) -> None:
-        """Forget records below the checkpoint's ``journal_seq``."""
-        drop = min(
-            len(self._records), max(0, state["journal_seq"] - self._base)
-        )
-        if drop:
-            del self._records[:drop]
-            self._base += drop
+        """Forget the batches wholly below the checkpoint's
+        ``journal_seq``."""
+        batches, upto = self._batches, state["journal_seq"]
+        while batches and self._base + len(batches[0]) <= upto:
+            self._base += len(batches.popleft())
 
     def close(self) -> None:
-        self._records.clear()
+        self._batches.clear()
 
 
 def prune_segments(directory: str | Path, upto_seq: int) -> list[Path]:

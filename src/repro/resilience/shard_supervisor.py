@@ -13,7 +13,7 @@ whole worker *processes* on behalf of
 * :class:`ShardHealth` — the per-shard record the ops plane surfaces
   (restarts, failures, heartbeat age, degraded flag).
 
-What makes a revive *exact* — each shard's log of delivered records
+What makes a revive *exact* — each shard's log of delivered batches
 (an :class:`~repro.resilience.journal.EventJournal` under
 ``journal_dir``, else its in-memory twin
 :class:`~repro.resilience.journal.MemoryShardLog`) plus the shard's

@@ -181,6 +181,12 @@ class TestErrors:
              "--columnar runs A-Seq executors"),
             (_RUN + ["--columnar", "--shared"],
              "--columnar and --shared are mutually exclusive"),
+            (_RUN + ["--checkpoint-every", "100"],
+             "--checkpoint-every requires --journal"),
+            (_RUN + ["--shards", "2", "--router-checkpoint-every", "100"],
+             "--router-checkpoint-every requires --router-journal"),
+            (_RUN + ["--admin-linger", "5"],
+             "--admin-linger requires --admin-port"),
         ],
     )
     def test_incompatible_flags_are_refused_before_anything_opens(
@@ -294,11 +300,8 @@ class TestColumnarTraceSource:
         assert stats_positions(["--columnar"]) == expected
         assert stats_positions(["--journal", str(tmp_path / "j")]) == expected
         assert stats_positions(["--shards", "2", "--columnar"]) == expected
-        # The event router ingests one event at a time (--batch-size is
-        # its worker flush size), so it reports like the per-event lane.
-        assert stats_positions(["--shards", "2"]) == [
-            "events=1,000", "events=2,000", "events=3,000",
-        ]
+        # The sharded lane always ingests batches, --columnar or not.
+        assert stats_positions(["--shards", "2"]) == expected
 
     def test_reorder_slack_still_columnarizes_from_events(
         self, tmp_path, capsys
@@ -384,6 +387,23 @@ class TestLanes:
             assert sharded == finals, flags
             # The sharded engine emits the merged finals, once.
             assert [value for _, value in every] == finals, flags
+
+    def test_sharded_lane_ingests_batches_without_columnar(
+        self, trace, capsys, monkeypatch
+    ):
+        """``--shards N`` reads its source as batches whether or not
+        ``--columnar`` is given: the router's per-event entry point
+        never runs, and the finals are the single-process ones."""
+        from repro.engine.sharded import ShardedStreamEngine
+
+        finals, _, _ = self.run(capsys, trace)
+
+        def per_event(self, event):
+            raise AssertionError("the sharded lane went per event")
+
+        monkeypatch.setattr(ShardedStreamEngine, "process", per_event)
+        sharded, _, _ = self.run(capsys, trace, "--shards", "2")
+        assert sharded == finals
 
     def test_recovery_resumes_where_the_journal_stopped(
         self, trace, tmp_path, capsys

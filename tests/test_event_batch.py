@@ -8,9 +8,14 @@ masks and the pickled ``object`` fallback for heterogeneous columns.
 """
 
 import io
+import json
+import pickle
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.datagen import (
     ClickStreamGenerator,
@@ -157,13 +162,6 @@ class TestDerivation:
         assert taken.to_events() == [events[0], events[2], events[4]]
         assert sliced.to_events() == events[1:4]
 
-    def test_to_records_matches_router_shape(self):
-        events = sample_events()
-        batch = EventBatch.from_events(events)
-        assert batch.to_records() == [
-            (e.event_type, e.ts, e.attrs or None) for e in events
-        ]
-
 
 class TestWire:
     def test_roundtrip_numeric_string_and_object_columns(self):
@@ -204,6 +202,137 @@ class TestWire:
                              "segs": []}).encode()
         with pytest.raises(StreamError):
             EventBatch.from_wire(struct.pack("<I", len(header)) + header)
+
+
+def _frame(segments, n=3, types=("A", "B"), tail=b"", **header):
+    """A wire frame from ``(kind, name, dtype, bytes)`` segments."""
+    head = {
+        "v": 1, "n": n, "types": list(types),
+        "segs": [[kind, name, dtype, len(raw)]
+                 for kind, name, dtype, raw in segments],
+        **header,
+    }
+    data = json.dumps(head).encode()
+    return (
+        struct.pack("<I", len(data)) + data
+        + b"".join(raw for *_, raw in segments) + tail
+    )
+
+
+def _int32(*values):
+    return np.array(values, dtype=np.int32).tobytes()
+
+
+def _int64(*values):
+    return np.array(values, dtype=np.int64).tobytes()
+
+
+_CODES = ("codes", "", "<i4", _int32(0, 1, 0))
+_TS = ("ts", "", "<i8", _int64(1, 2, 3))
+_COL = ("col", "v", "<i8", _int64(7, 8, 9))
+
+#: Frames the decoder must refuse, each one defect away from valid.
+_MALFORMED = {
+    "negative-code": [("codes", "", "<i4", _int32(-1, 0, 1)), _TS],
+    "code-past-types": [("codes", "", "<i4", _int32(0, 2, 1)), _TS],
+    "short-column": [_CODES, _TS, ("col", "v", "<i8", _int64(7))],
+    "short-codes-and-ts": [
+        ("codes", "", "<i4", _int32(0)), ("ts", "", "<i8", _int64(1)),
+    ],
+    "int-mask": [
+        _CODES, _TS, ("mask", "v", "<i1", bytes([1, 0, 1])), _COL,
+    ],
+    "mask-without-column": [_CODES, _TS, ("mask", "v", "|b1", b"\1\0\1")],
+    "float-codes": [("codes", "", "<f8", np.zeros(3).tobytes()), _TS],
+    "pickled-codes": [("codes", "", None, pickle.dumps([0, 1, 0])), _TS],
+    "unpicklable-column": [_CODES, _TS, ("col", "o", None, b"not a pickle")],
+    "object-column-of-one-row": [
+        _CODES, _TS, ("col", "o", None, pickle.dumps(["x"])),
+    ],
+    "unknown-dtype": [_CODES, _TS, ("col", "v", "zz9", _int64(7, 8, 9))],
+    "object-dtype": [_CODES, _TS, ("col", "v", "|O", _int64(7, 8, 9))],
+    "unknown-kind": [_CODES, _TS, ("extra", "v", "<i8", _int64(7, 8, 9))],
+    "no-ts": [_CODES],
+}
+
+
+class TestMalformedWire:
+    def test_the_frame_helper_makes_valid_frames(self):
+        batch = EventBatch.from_wire(_frame([_CODES, _TS, _COL]))
+        assert [(e.event_type, e.ts, e.attrs) for e in batch.to_events()] == [
+            ("A", 1, {"v": 7}), ("B", 2, {"v": 8}), ("A", 3, {"v": 9}),
+        ]
+
+    @pytest.mark.parametrize(
+        "frame",
+        [_frame(segments) for segments in _MALFORMED.values()]
+        + [
+            _frame([_CODES, _TS], tail=b"\0"),
+            _frame([_CODES, _TS], n="3"),
+            _frame([_CODES, _TS], n=-1),
+            _frame([_CODES, _TS], types=("A", 1)),
+            _frame([_CODES, _TS], segs="codes"),
+            _frame([_TS]),
+            struct.pack("<I", 2) + b"[]",
+        ],
+        ids=list(_MALFORMED) + [
+            "trailing-byte", "string-n", "negative-n", "non-string-type",
+            "segs-not-a-list", "ts-only", "header-not-an-object",
+        ],
+    )
+    def test_malformed_frame_raises_stream_error(self, frame):
+        with pytest.raises(StreamError):
+            EventBatch.from_wire(frame)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_mutated_frame_decodes_whole_or_raises(self, data):
+        """Any one mutation of a valid frame's header fields or segment
+        bytes either raises StreamError or decodes to a batch whose
+        arrays all hold ``n`` rows and whose codes all name a type."""
+        events = [
+            Event("A", 1, {"v": 1, "s": "x", "o": [1]}),
+            Event("B", 2, {"v": 2, "o": (2,)}),
+            Event("C", 4, {"s": "yy", "o": None, "f": 0.5}),
+        ]
+        wire = EventBatch.from_events(events).to_wire()
+        (size,) = struct.unpack_from("<I", wire)
+        header = json.loads(wire[4:4 + size])
+        body = bytearray(wire[4 + size:])
+        values = st.one_of(
+            st.integers(-2, 8), st.none(), st.booleans(),
+            st.sampled_from(["codes", "ts", "mask", "col", "v", "<i4",
+                             "<i8", "|b1", "<f8", "<U2", "|O", "zz"]),
+        )
+        target = data.draw(st.sampled_from(["n", "types", "seg", "bytes"]))
+        if target == "n":
+            header["n"] = data.draw(values)
+        elif target == "types":
+            header["types"] = data.draw(
+                st.lists(st.sampled_from(["A", "B", "C", "D", 0]),
+                         max_size=4)
+            )
+        elif target == "seg":
+            segment = data.draw(st.sampled_from(header["segs"]))
+            segment[data.draw(st.integers(0, 3))] = data.draw(values)
+        else:
+            for _ in range(data.draw(st.integers(1, 4))):
+                body[data.draw(st.integers(0, len(body) - 1))] = data.draw(
+                    st.integers(0, 255)
+                )
+        encoded = json.dumps(header).encode()
+        frame = struct.pack("<I", len(encoded)) + encoded + bytes(body)
+        try:
+            batch = EventBatch.from_wire(frame)
+        except StreamError:
+            return
+        n = header["n"]
+        arrays = [batch.codes, batch.ts, *batch.cols.values(),
+                  *batch.present.values()]
+        assert all(len(array) == n for array in arrays)
+        codes = batch.codes
+        assert ((codes >= 0) & (codes < len(header["types"]))).all()
+        assert len(batch.to_events()) == n
 
 
 class TestBatchesFromEvents:

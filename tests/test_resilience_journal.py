@@ -7,10 +7,12 @@ import pytest
 
 from repro.errors import JournalError
 from repro.events import Event
+from repro.events.batch import EventBatch
 from repro.obs.registry import MetricsRegistry
 from repro.resilience.faults import FaultPlan, tear_journal_tail
 from repro.resilience.journal import (
     EventJournal,
+    MemoryShardLog,
     decode_record,
     encode_record,
     list_segments,
@@ -325,3 +327,38 @@ def test_fsync_interval_counts_events_not_records(tmp_path):
         assert registry.value("journal_fsyncs_total") == 1
         journal.append(Event("A", 99))
         assert registry.value("journal_fsyncs_total") == 2
+
+
+@pytest.mark.parametrize("durable", [False, True], ids=["memory", "disk"])
+def test_shard_log_replays_batches_cut_at_the_start_seq(tmp_path, durable):
+    """A shard log holds the batches it was given: ``replay`` from a
+    sequence inside one yields that batch cut to start there, then the
+    later batches whole; ``checkpoint`` drops whole batches only, so
+    the one the checkpoint falls inside is still replayable in full."""
+    log = (
+        EventJournal(tmp_path, segment_bytes=1) if durable
+        else MemoryShardLog()
+    )
+    events = some_events(30)
+    for start, stop in ((0, 10), (10, 25), (25, 30)):
+        log.append_event_batch(EventBatch.from_events(events[start:stop]))
+    assert log.next_seq == 30
+
+    def replayed(start_seq):
+        pairs = list(log.replay(start_seq))
+        assert all(isinstance(batch, EventBatch) for _, batch in pairs)
+        return pairs
+
+    pairs = replayed(13)
+    assert [(seq, len(batch)) for seq, batch in pairs] == [(13, 12), (25, 5)]
+    assert pairs[0][1].to_events()[0] == events[13]
+    assert [e for _, batch in pairs for e in batch.to_events()] == events[13:]
+
+    log.checkpoint({"journal_seq": 13})
+    pairs = replayed(10)
+    assert [(seq, len(batch)) for seq, batch in pairs] == [(10, 15), (25, 5)]
+    assert [e for _, batch in pairs for e in batch.to_events()] == events[10:]
+    assert [(seq, len(batch)) for seq, batch in replayed(13)] == [
+        (13, 12), (25, 5),
+    ]
+    log.close()

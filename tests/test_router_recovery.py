@@ -41,6 +41,7 @@ from conftest import random_events
 from repro.engine.engine import StreamEngine
 from repro.engine.sharded import ShardedStreamEngine
 from repro.errors import CheckpointError, EngineError, JournalError
+from repro.events.batch import EventBatch
 from repro.events.event import Event
 from repro.query import parse_query
 from repro.resilience.checkpointer import (
@@ -562,7 +563,7 @@ def test_router_log_replays_in_ingest_order(tmp_path):
         log.stage(event)
         if index % 16 == 15:
             log.commit()
-    log.commit([(e.event_type, e.ts, e.attrs) for e in originals[40:50]])
+    log.commit(EventBatch.from_events(originals[40:50]))
     for event in originals[50:]:
         log.stage(event)
     log.close()

@@ -21,6 +21,7 @@ import pytest
 from repro.engine.engine import StreamEngine
 from repro.engine.sharded import ShardedStreamEngine
 from repro.engine.sinks import CallbackSink, Output
+from repro.events.batch import EventBatch
 from repro.events.event import Event
 from repro.obs.export import to_prometheus
 from repro.obs.registry import MetricsRegistry
@@ -422,7 +423,10 @@ class TestWorkerTraceStamping:
                     (
                         "batch",
                         {
-                            "r": [("A", 1, {"g": 1, "v": 1})],
+                            "c": EventBatch.from_events(
+                                [Event("A", 1, {"g": 1, "v": 1})]
+                            ).to_wire(),
+                            "n": 1,
                             "t": [(99, "t-oob"), (-7, "t-neg"),
                                   ("x", "t-type")],
                         },
