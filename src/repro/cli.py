@@ -148,7 +148,8 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="N",
         default=64,
         help="with --shards and --dump-trace, stamp a cross-process "
-        "trace id on every Nth routed event (default 64)",
+        "trace id on every Nth keyed row the router sends to a shard, "
+        "batch or per-event ingest alike (default 64)",
     )
     obs.add_argument(
         "--history-every",
@@ -648,17 +649,24 @@ def _build_supervised(
 
     names = _names(queries)
     checkpoint_every = args.checkpoint_every or None
+    # One engine configuration for a fresh run and a recovered one.
+    engine_kwargs = dict(
+        vectorized=args.engine == "vectorized",
+        registry=registry,
+        trace=trace,
+        quarantine_after=args.quarantine_after,
+        routed=args.batch_size > 1,
+        batch_size=max(0, args.batch_size),
+        sink_retries=max(0, args.sink_retries),
+    )
     if args.recover:
         engine = recover(
             args.journal,
             sinks={name: list(sinks) for name in names},
             queries=queries,
-            registry=registry,
-            trace=trace,
             checkpoint_every_events=checkpoint_every,
             fsync=args.fsync,
-            quarantine_after=args.quarantine_after,
-            batch_size=max(0, args.batch_size),
+            **engine_kwargs,
         )
         _log.info(
             "recovered",
@@ -668,15 +676,7 @@ def _build_supervised(
             events_replayed=engine.events_replayed,
         )
     else:
-        engine = SupervisedStreamEngine(
-            vectorized=args.engine == "vectorized",
-            registry=registry,
-            trace=trace,
-            quarantine_after=args.quarantine_after,
-            routed=args.batch_size > 1,
-            batch_size=max(0, args.batch_size),
-            sink_retries=max(0, args.sink_retries),
-        )
+        engine = SupervisedStreamEngine(**engine_kwargs)
         journal = EventJournal(
             args.journal, fsync=args.fsync, registry=registry
         )

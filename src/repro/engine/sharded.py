@@ -65,16 +65,19 @@ Router durability (PR 7) closes the last single point of failure:
   keeps today's fork+two-pipe workers, ``transport="tcp"`` frames the
   same messages over TCP to ``python -m repro.shard_worker`` processes
   that may live on other hosts (``worker_addresses=``);
+* every row reaches the workers through one partition step
+  (``_send_partitions``): a columnar ingest batch directly, per-event
+  ingest once the router's pending batch flushes (``batch_size``
+  events, or ``flush()``), WAL replay record by record;
 * with a router WAL attached (an :class:`~repro.resilience.journal
-  .EventJournal`), every ingested event is staged in it *before*
-  routing and committed ahead of every send, and the router
-  periodically checkpoints its own progress (local-lane state,
-  per-shard delivered watermarks, WAL position). After a router
-  SIGKILL, :func:`~repro.resilience.router_recovery.recover_router`
-  rebuilds the engine, re-seeds every worker from its own
-  checkpoint+journal, and replays the WAL suffix with per-shard
-  count-skip so nothing is delivered twice — merged results stay
-  bit-identical;
+  .EventJournal`), each of those batches is one WAL record written
+  before any of its rows is sent, and the router periodically
+  checkpoints its own progress (local-lane state, per-shard delivered
+  watermarks, WAL position). After a router SIGKILL,
+  :func:`~repro.resilience.router_recovery.recover_router` rebuilds
+  the engine, re-seeds every worker from its own checkpoint+journal,
+  and replays the WAL suffix with per-shard count-skip so nothing is
+  delivered twice — merged results stay bit-identical;
 * workers deduplicate redelivered batches themselves: every journaled
   batch carries its base journal sequence, and a worker that was
   already seeded past it skips the overlap;
@@ -116,6 +119,7 @@ import signal
 import threading
 import time
 import zlib
+from bisect import bisect_left
 from collections import deque
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, Sequence
@@ -661,13 +665,13 @@ class _ShardUnresponsive(Exception):
 
 
 class _Worker:
-    """Parent-side handle: process, pipes, buffer, journal, recovery."""
+    """Parent-side handle: process, pipes, journal, recovery."""
 
     __slots__ = (
-        "index", "process", "conn", "control", "buffer", "lock",
+        "index", "process", "conn", "control", "lock",
         "log", "replay_base", "checkpoint", "checkpoint_disabled",
         "batches_since_checkpoint", "fold", "generation",
-        "traced", "obs_state", "last_rows", "profile", "buffer_lock",
+        "obs_state", "last_rows", "profile",
         "span_seen", "address",
     )
 
@@ -676,15 +680,9 @@ class _Worker:
         self.process: Any = None
         self.conn: Any = None
         self.control: Any = None
-        self.buffer: list[Event] = []
-        #: Guards every mutation of ``buffer``/``traced``: the ingest
-        #: thread appends and flushes, the admin scrape thread flushes
-        #: via ``_try_flush``. Held across capture *and* send so two
-        #: concurrent flushers cannot deliver batches out of order.
-        #: Lock order: ``buffer_lock`` before ``lock``, never reversed.
-        self.buffer_lock = threading.Lock()
         #: Serializes data-pipe use and revive between the router
-        #: thread and the heartbeat thread.
+        #: thread and the heartbeat thread. Lock order: the engine's
+        #: ``_pending_lock`` before ``lock``, never reversed.
         self.lock = threading.Lock()
         #: EventJournal under ``journal_dir``, else a MemoryShardLog.
         self.log: Any = None
@@ -698,8 +696,6 @@ class _Worker:
         #: In-process fold lane once this shard is degraded.
         self.fold: StreamEngine | None = None
         self.generation = 0
-        #: Sampled trace ids pinned to buffered events: (offset, id).
-        self.traced: list[tuple[int, str]] = []
         #: Latest shipped metrics snapshot: (generation, state list).
         self.obs_state: tuple[int, list[dict]] | None = None
         #: Last successful query_rows reply (stale-scrape fallback).
@@ -799,8 +795,9 @@ class ShardedStreamEngine:
         across worker revives. Defaults to on exactly when the router
         registry is enabled.
     ``trace`` / ``trace_sample``
-        Cross-process tracing: every ``trace_sample``-th routed event
-        gets a trace id that travels with its batch; ``drain_trace()``
+        Cross-process tracing: every ``trace_sample``-th routed keyed
+        row — per-event or columnar ingest alike — gets a trace id
+        that travels with its batch; ``drain_trace()``
         stitches router→shard→merge spans with wall-clock skew
         correction from heartbeat RTTs.
     ``profile``
@@ -934,6 +931,10 @@ class ShardedStreamEngine:
             "router_checkpoints_total",
             "router-side progress checkpoints written to the router log",
         )
+        self._m_wal_appends = obs.counter(
+            "router_wal_appends_total",
+            "events appended to the router's WAL",
+        )
         # ----- elastic membership (partition ownership) -----
         self._membership = membership
         if membership_wait_s < 0:
@@ -1040,6 +1041,13 @@ class ShardedStreamEngine:
         self._started = False
         self._closed = False
         self._clock_ms: int | None = None
+        #: Events ``process`` has handed the local lane but not yet the
+        #: router WAL or the workers; ``_flush_pending`` routes them as
+        #: one batch. Every WAL write and every worker send happens
+        #: under ``_pending_lock`` (the ingest thread and the scrape
+        #: thread both flush), so neither can run out of order.
+        self._pending: list[Event] = []
+        self._pending_lock = threading.Lock()
         # ----- router durability (see attach_router_log) -----
         self._router_log: EventJournal | None = None
         self._router_checkpoint_every = router_checkpoint_every
@@ -1052,7 +1060,7 @@ class ShardedStreamEngine:
         self._resume_checkpoints: dict[int, dict[str, Any]] = {}
         #: Events replayed into this engine by the last recovery.
         self.events_replayed = 0
-        # ----- columnar lane caches (see process_event_batch) -----
+        # ----- partition-step caches (see _send_partitions) -----
         #: Single-entry (schema, sharded-type LUT) routing cache; batch
         #: runs share one growing schema, so identity works as the key.
         self._columnar_route: tuple[Any, Any] | None = None
@@ -1252,7 +1260,9 @@ class ShardedStreamEngine:
 
     def close(self) -> None:
         """Stop workers with terminate→kill escalation; idempotent and
-        exception-safe (no leaked pipe fds, no zombie processes)."""
+        exception-safe (no leaked pipe fds, no zombie processes).
+        Events still pending are journaled, not sent: router recovery
+        delivers them."""
         if self._closed:
             return
         self._closed = True
@@ -1285,6 +1295,10 @@ class ShardedStreamEngine:
         log = self._router_log
         if log is not None:
             try:
+                if self._pending:
+                    log.append_batch(self._pending)
+                    self._m_wal_appends.inc(len(self._pending))
+                    self._pending = []
                 log.close()
             except Exception:
                 pass
@@ -1749,9 +1763,9 @@ class ShardedStreamEngine:
     def migrate_partition(self, index: int, member_id: str) -> float:
         """Move one partition to another live member, exactly.
 
-        The handoff: quiesce the partition at a batch boundary (flush
-        its buffer to the current owner), checkpoint the source worker
-        through ``engine_state`` and prune its journal, stop the source
+        The handoff: quiesce the partition at a batch boundary (take
+        its worker lock), checkpoint the source worker through
+        ``engine_state`` and prune its journal, stop the source
         gracefully, flip the routing entry (bumping the version), spawn
         on the new owner and re-seed from checkpoint + journal suffix.
         If the source cannot checkpoint, the stored checkpoint plus the
@@ -1776,9 +1790,8 @@ class ShardedStreamEngine:
         if self._routing[index] == member_id:
             return 0.0
         worker = self._workers[index]
-        with worker.buffer_lock:
-            with worker.lock:
-                return self._migrate_locked(worker, member_id)
+        with worker.lock:
+            return self._migrate_locked(worker, member_id)
 
     def _migrate_locked(self, worker: _Worker, member_id: str) -> float:
         if worker.fold is not None:
@@ -1787,14 +1800,10 @@ class ShardedStreamEngine:
                 f"there is no worker state to migrate"
             )
         started = time.perf_counter()
-        # Quiesce at a batch boundary: everything buffered goes to the
-        # current owner (and its journal) first, so the checkpoint
-        # below covers a consistent prefix of the partition's stream.
-        self._flush_locked(worker)
-        if worker.fold is not None:
-            # The flush exhausted the restart budget and degraded the
-            # partition; its key-range now runs in-process — done.
-            return time.perf_counter() - started
+        # Every send holds the worker lock, so holding it is a batch
+        # boundary: the checkpoint below covers exactly what the shard
+        # journal holds. Rows still pending in the router go to
+        # whichever member owns the partition when they are flushed.
         try:
             if not worker.checkpoint_disabled:
                 self._take_checkpoint(worker)
@@ -1823,11 +1832,10 @@ class ShardedStreamEngine:
         graceful handoff possible): destroy the dead endpoint, flip
         routing, spawn + re-seed from checkpoint + journal suffix."""
         worker = self._workers[index]
-        with worker.buffer_lock:
-            with worker.lock:
-                if worker.fold is not None or self._closed:
-                    return
-                self._move_locked(worker, dest, time.perf_counter())
+        with worker.lock:
+            if worker.fold is not None or self._closed:
+                return
+            self._move_locked(worker, dest, time.perf_counter())
 
     def _move_locked(
         self, worker: _Worker, prefer: str, started: float
@@ -1936,8 +1944,8 @@ class ShardedStreamEngine:
     def attach_router_log(self, log: EventJournal) -> None:
         """Attach the router's WAL (before ingestion).
 
-        With a journal attached every event is journaled *before*
-        routing (classic WAL discipline), and — when
+        With a journal attached every batch is journaled *before* any
+        of its rows reaches a worker (classic WAL discipline), and — when
         ``router_checkpoint_every`` is set — the router periodically
         persists its own progress document, so
         :func:`~repro.resilience.router_recovery.recover_router` can
@@ -1976,7 +1984,7 @@ class ShardedStreamEngine:
         if log is None:
             raise EngineError("no router log attached")
         self.flush()
-        state = engine_state(self._local, journal_seq=log.ingest_seq)
+        state = engine_state(self._local, journal_seq=log.next_seq)
         delivered: list[int] = []
         folds: dict[str, Any] = {}
         for worker in self._workers:
@@ -2024,109 +2032,122 @@ class ShardedStreamEngine:
         self._events_since_router_checkpoint += count
 
     def process(self, event: Event) -> None:
-        """Ingest one event: stage it in the router WAL (when one is
-        attached), then route it."""
+        """Ingest one event.
+
+        The local lane sees it now; the router WAL and the workers see
+        it when the router's pending batch flushes — once ``batch_size``
+        events are pending, or on :meth:`flush`, :meth:`router_checkpoint`,
+        :meth:`process_event_batch` or a ``query_rows`` scrape — as one
+        WAL record and one :meth:`_send_partitions` call. Until then
+        the event is neither durable nor in any shard.
+        """
         if not self._started:
             self._start()
-        log = self._router_log
-        if log is not None:
+        if self._router_log is not None:
             self._router_checkpoint_due(1)
-            # Group-committed WAL: staged now, written before any batch
-            # send (see _flush_locked); flush() is the durability ack.
-            log.stage(event)
-        self._route(event)
-
-    def _route(self, event: Event, skip: list[int] | None = None) -> None:
-        """Route one event: local lane always, worker lane by key.
-
-        ``skip`` is router recovery's count-skip cursor — per shard,
-        how many more rows that shard's journal already holds.
-        Routing is deterministic, so during WAL replay the *k*-th
-        event bound for shard *i* lands on the journal sequence it had
-        in the crashed run; while the cursor is positive the event is
-        already inside the worker (seeded from checkpoint + journal)
-        and is skipped — delivered and journaled otherwise. Replay is
-        not traced (spans describe the original run, not the recovery).
-        """
         self.metrics.events += 1
         ts = event.ts
         if self._clock_ms is None or ts > self._clock_ms:
             self._clock_ms = ts
         self._local.process(event)
-        if event.event_type not in self._sharded_types:
-            # No sharded pattern reacts to this type; workers sync their
-            # clocks from the watermark at collect time instead.
-            return
-        key = event.get(self.shard_attribute, _MISSING)
-        trace_id = None
-        if key is _MISSING:
-            # Keyless (e.g. a negated type without the attribute):
-            # every partition is affected — broadcast (HPC does the
-            # same across its in-process partitions).  Broadcasts are
-            # not traced: one trace id per shard would stitch wrong.
-            targets: Sequence[_Worker] = self._workers
-        else:
-            worker = self._workers[shard_of(key, self.shards)]
-            targets = (worker,)
-            if self._trace_on and skip is None:
-                self._route_seq += 1
-                if self._route_seq % self._trace_sample == 0:
-                    trace_id = f"e{self._route_seq}"
-                    self._trace.record(
-                        Stage.ROUTE,
-                        ts,
-                        event.event_type,
-                        f"shard={worker.index}",
-                        trace_id=trace_id,
-                        wall=time.time(),
-                    )
-                    self._pending_traces.append(
-                        (trace_id, worker.index, event.event_type, ts)
-                    )
-        for worker in targets:
-            if skip is not None and skip[worker.index] > 0:
-                skip[worker.index] -= 1  # applied via checkpoint + journal
-                continue
-            self._buffer(worker, event, trace_id)
+        if (
+            self._router_log is None
+            and event.event_type not in self._sharded_types
+        ):
+            return  # nothing downstream of the local lane needs it
+        with self._pending_lock:
+            pending = self._pending
+            pending.append(event)
+            if len(pending) >= self.batch_size:
+                self._flush_pending_locked()
 
     def process_event_batch(self, batch: EventBatch) -> int:
-        """Route one columnar batch: local lane columnar, workers by key.
+        """Ingest one columnar batch; returns its size.
 
-        The zero-object counterpart of :meth:`process`: the local lane
-        consumes the batch through its own columnar lane (which also
-        enforces the stream-order contract), and each worker receives
-        its hash-partition of the relevant rows as one flat-buffer
-        sub-batch over the data pipe. A router WAL gets the batch as
-        one record before any of its sends (recovery replays it per
-        event, which routes every row where this branch did); only
-        trace sampling falls back to :meth:`process` per event.
+        The batch must not run backwards past anything the router has
+        ingested (:class:`~repro.errors.OutOfOrderError` otherwise,
+        before any of it is journaled or routed). Pending events go
+        first; then the batch is one router WAL record, the local lane
+        consumes it through its columnar lane, and
+        :meth:`_send_partitions` hands each worker its share.
         """
         count = len(batch)
         if count == 0:
             return 0
         if not self._started:
             self._start()
+        batch.ensure_in_order(self._clock_ms)
         log = self._router_log
-        if log is not None or self._trace_on:
-            # Neither process() nor the WAL may see an out-of-order
-            # batch (the columnar branch checks via the local lane).
-            batch.ensure_in_order(self._clock_ms)
-        if self._trace_on:
-            for event in batch.to_events():
-                self.process(event)
-            return count
         if log is not None:
             self._router_checkpoint_due(count)
-            log.commit(batch)
-        # Order check + local-lane consumption (raises before any row
-        # of an out-of-order batch reaches metrics or the workers).
-        self._local.process_event_batch(batch)
-        self.metrics.events += count
+        with self._pending_lock:
+            self._flush_pending_locked()
+            if log is not None:
+                log.append_event_batch(batch)
+                self._m_wal_appends.inc(count)
+            self._ingest_batch(batch)
+        return count
+
+    def _ingest_batch(
+        self, batch: EventBatch, skip: list[int] | None = None
+    ) -> None:
+        """Everything but the WAL and the order gate: local lane,
+        counters, clock, then the partition step (router recovery's WAL
+        replay enters here)."""
+        self._local.process_event_batch(batch, enforce_order=False)
+        self.metrics.events += len(batch)
         last = batch.last_ts()
         if self._clock_ms is None or last > self._clock_ms:
             self._clock_ms = last
+        self._send_partitions(batch, skip)
+
+    def _flush_pending(self, timeout: float = -1) -> None:
+        """:meth:`_flush_pending_locked` under the pending lock; a
+        ``timeout`` lets the scrape path give up on a busy router."""
+        if not self._pending_lock.acquire(timeout=timeout):
+            return
+        try:
+            self._flush_pending_locked()
+        finally:
+            self._pending_lock.release()
+
+    def _flush_pending_locked(self) -> None:
+        """Journal the pending events as one router WAL record, then
+        route them as one batch (``_pending_lock`` held)."""
+        pending = self._pending
+        if not pending:
+            return
+        self._pending = []
+        if self._router_log is not None:
+            self._router_log.append_batch(pending)
+            self._m_wal_appends.inc(len(pending))
+        self._send_partitions(EventBatch.from_events(pending))
+
+    def _send_partitions(
+        self, batch: EventBatch, skip: list[int] | None = None
+    ) -> None:
+        """The router's one partition step: hand every worker the rows
+        of ``batch`` its partition owns, as one sub-batch each.
+
+        A row is relevant when a sharded query reacts to its type (a
+        per-schema LUT over the type codes). A relevant row with the
+        shard attribute goes to ``shard_of(key)``; one without it is
+        keyless and broadcast to every worker, as HPC does across its
+        in-process partitions. With tracing on, every
+        ``trace_sample``-th keyed row gets a trace id (a ``ROUTE`` span
+        here, its sub-batch offset in the ``"t"`` payload for the
+        worker's ``shard_ingest`` span).
+
+        ``skip`` is router recovery's count-skip cursor: per shard, how
+        many more rows that shard's journal already holds. Routing is
+        deterministic, so during WAL replay the *k*-th row bound for
+        shard *i* lands on the journal sequence it had in the crashed
+        run; the first ``skip[i]`` rows of shard *i*'s bucket are
+        already inside the worker and are dropped. Replay is not
+        traced (spans describe the original run, not the recovery).
+        """
         if not self._sharded:
-            return count
+            return
         schema = batch.schema
         route = self._columnar_route
         if route is None or route[0] is not schema:
@@ -2139,13 +2160,13 @@ class ShardedStreamEngine:
             self._columnar_route = route
         rows = np.flatnonzero(route[1][batch.codes])
         if not rows.size:
-            return count
+            return
         buckets: list[list[int]] = [[] for _ in self._workers]
+        traced: list[list[tuple[int, str]]] | None = None
         attribute = self.shard_attribute
         column = None if attribute is None else batch.cols.get(attribute)
         if column is None:
-            # No key column at all: every relevant row is keyless and
-            # broadcasts, exactly like the per-event path.
+            # No key column at all: every relevant row is keyless.
             row_list = rows.tolist()
             for bucket in buckets:
                 bucket.extend(row_list)
@@ -2171,85 +2192,70 @@ class ShardedStreamEngine:
                 except TypeError:  # unhashable key: hash it every time
                     index = shard_of(key, shards)
                 buckets[index].append(row)
+            if self._trace_on and skip is None:
+                traced = self._sample_routes(
+                    batch, rows, keys, keyed, buckets
+                )
+        count = len(batch)
         for worker, bucket in zip(self._workers, buckets):
+            if skip is not None and skip[worker.index] > 0:
+                applied = min(skip[worker.index], len(bucket))
+                skip[worker.index] -= applied  # in checkpoint + journal
+                bucket = bucket[applied:]
             if not bucket:
                 continue
             if len(bucket) == count:
                 sub = batch
             else:
                 sub = batch.take(np.asarray(bucket, dtype=np.int64))
-            # Events buffered by process() before this batch must
-            # reach the worker first, or the shard would see time run
-            # backwards; the flush also keeps journal order == arrival
-            # order for replay.
-            self._flush_worker(worker)
             with worker.lock:
-                self._send_batch(worker, sub)
-        return count
+                self._send_batch(
+                    worker, sub, traced and traced[worker.index]
+                )
 
-    def _buffer(
-        self, worker: _Worker, event: Event, trace_id: str | None = None
-    ) -> None:
-        with worker.buffer_lock:
-            if trace_id is not None:
-                worker.traced.append((len(worker.buffer), trace_id))
-            worker.buffer.append(event)
-            if len(worker.buffer) < self.batch_size:
-                return
-        self._flush_worker(worker)
-
-    def _flush_worker(self, worker: _Worker, timeout: float = -1) -> None:
-        """Capture-and-send one worker's buffer (any thread).
-
-        The whole operation runs under ``buffer_lock`` — the capture
-        so an append racing from another thread cannot land in the
-        orphaned list, the send so two concurrent flushers (ingest
-        thread + scrape thread) cannot deliver batches out of order —
-        and the send under ``lock``, in that order. ``timeout`` bounds
-        each acquisition for the scrape path, which gives up on a busy
-        lock rather than wait (the ingest path delivers the batch
-        later); the default blocks.
-        """
-        if not worker.buffer_lock.acquire(timeout=timeout):
-            return
-        try:
-            if not worker.buffer or not worker.lock.acquire(timeout=timeout):
-                return
-            try:
-                self._flush_locked(worker)
-            finally:
-                worker.lock.release()
-        finally:
-            worker.buffer_lock.release()
-
-    def _flush_locked(self, worker: _Worker) -> None:
-        """The one place buffered events leave the router (both worker
-        locks held): commit the router WAL, capture the buffer as one
-        :class:`EventBatch`, send.
-
-        Every event in the buffer was staged in the WAL before it was
-        buffered (``process`` order), so the group commit ahead of the
-        send is what keeps the shard journals a subset of the durable
-        WAL — for every caller, because there is no other send. A
-        failed send puts the batch back (no append raced us — that
-        needs ``buffer_lock`` — so the trace offsets are still exact)
-        and re-raises; the next flush delivers it.
-        """
-        buffer = worker.buffer
-        if not buffer:
-            return
-        if self._router_log is not None:
-            self._router_log.commit()
-        traced = worker.traced
-        worker.buffer = []
-        worker.traced = []
-        try:
-            self._send_batch(
-                worker, EventBatch.from_events(buffer), traced or None
+    def _sample_routes(
+        self,
+        batch: EventBatch,
+        rows: np.ndarray,
+        keys: list[Any],
+        keyed: list[bool],
+        buckets: list[list[int]],
+    ) -> list[list[tuple[int, str]]]:
+        """Trace sampling for one partition step: each keyed row
+        advances ``_route_seq``; every ``trace_sample``-th gets a trace
+        id, a ``ROUTE`` span, and a ``(sub-batch offset, id)`` entry in
+        its shard's list. Keyless broadcasts are not traced: one trace
+        id per shard would stitch wrong."""
+        traced: list[list[tuple[int, str]]] = [[] for _ in buckets]
+        sample = self._trace_sample
+        seq = self._route_seq
+        types = batch.schema.types
+        for row, key, has_key in zip(rows.tolist(), keys, keyed):
+            if not has_key:
+                continue
+            seq += 1
+            if seq % sample:
+                continue
+            index = shard_of(key, self.shards)
+            trace_id = f"e{seq}"
+            event_type = types[batch.codes[row]]
+            ts = int(batch.ts[row])
+            self._trace.record(
+                Stage.ROUTE,
+                ts,
+                event_type,
+                f"shard={index}",
+                trace_id=trace_id,
+                wall=time.time(),
             )
-        except Exception:
-            worker.buffer, worker.traced = buffer, traced
-            raise
+            self._pending_traces.append((trace_id, index, event_type, ts))
+            # Buckets hold ascending row numbers: the row's position in
+            # its bucket is its offset in the shard's sub-batch.
+            traced[index].append(
+                (bisect_left(buckets[index], row), trace_id)
+            )
+        self._route_seq = seq
+        return traced
 
     def _send_batch(
         self,
@@ -2381,16 +2387,12 @@ class ShardedStreamEngine:
             )
 
     def flush(self) -> None:
-        """Push every buffered event down to its worker.
+        """Journal and route every pending event (see :meth:`process`).
 
-        With a router log attached this is also the durability ack:
-        everything staged in the WAL is committed even when no worker
-        buffer holds it (events of non-sharded types, for instance).
+        With a router log attached this is the durability ack: every
+        event ingested before it is in the WAL afterwards.
         """
-        if self._router_log is not None:
-            self._router_log.commit()
-        for worker in self._workers:
-            self._flush_worker(worker)
+        self._flush_pending()
 
     def run(self, stream: Iterable[Event]) -> int:
         """Drain a stream; deliver merged finals to sharded-query sinks.
@@ -2561,12 +2563,18 @@ class ShardedStreamEngine:
         rows = {row["query"]: row for row in self._local.query_rows()}
         stale_queries: set[str] = set()
         if self._sharded and self._started:
+            if self._pending:  # unlocked peek: an idle router skips the wait
+                try:
+                    self._flush_pending(timeout=0.5)
+                except Exception as error:
+                    # Best-effort: a scrape must not raise. The rows
+                    # are journaled, and sends before the failing one
+                    # were delivered.
+                    _log.warning(
+                        "scrape_flush_failed",
+                        message=f"scrape-time flush failed: {error!r}",
+                    )
             for worker in self._workers:
-                if worker.buffer:  # unlocked peek: idle shards skip the wait
-                    try:
-                        self._flush_worker(worker, timeout=0.5)
-                    except Exception:
-                        pass  # best-effort: the batch was put back
                 shard_rows, stale = self._scrape_rows(worker)
                 if stale:
                     if shard_rows:
@@ -2815,10 +2823,3 @@ def _feed_fold(fold: StreamEngine, batch: EventBatch) -> int:
         except Exception:
             dropped += 1
     return dropped
-
-
-class _Missing:
-    __slots__ = ()
-
-
-_MISSING = _Missing()

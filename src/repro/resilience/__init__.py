@@ -11,7 +11,7 @@ per-registration failure isolation with a dead-letter queue and
 quarantine (:mod:`~repro.resilience.supervisor`), process-level shard
 supervision — heartbeats and restart health —
 (:mod:`~repro.resilience.shard_supervisor`), exact router recovery
-from the router's group-committed WAL
+from the router's batch-per-record WAL
 (:mod:`~repro.resilience.router_recovery`), and the seeded fault
 injection the chaos tests drive it all with
 (:mod:`~repro.resilience.faults`).

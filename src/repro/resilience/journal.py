@@ -34,8 +34,9 @@ can skip whole segments without parsing them.
 Torn writes: a crash mid-append leaves a partial or CRC-failing final
 line in the *last* segment. The reader tolerates exactly that — it
 stops cleanly at the first bad record of the last segment, dropping
-that record's whole batch. Nothing of it was dispatched: the engine
-journals a batch completely before any executor sees its first event.
+that record's whole batch. Nothing of it was dispatched: the
+supervised engine journals a batch completely before any executor sees
+its first event, and the sharded router before any shard does.
 A bad record anywhere else is real corruption and raises
 :class:`~repro.errors.JournalError`.
 
@@ -62,7 +63,6 @@ from __future__ import annotations
 
 import json
 import os
-import threading
 import zlib
 from collections import deque
 from pathlib import Path
@@ -189,9 +189,11 @@ class EventJournal:
     a durable shard appends each :class:`~repro.events.batch.EventBatch`
     it delivered (:meth:`append_event_batch`) and re-seeds a restarted
     worker from :meth:`replay`, which yields those batches back; the
-    router stages events (:meth:`stage`) and group-commits them as one
-    record ahead of every batch send (:meth:`commit`), under one lock
-    because a scrape thread may commit concurrently with ingest.
+    sharded router appends each batch it routes — its pending
+    per-event ingest or one columnar ingest batch — as one record
+    before any of it reaches a worker, and replays the same records as
+    batches at recovery. The journal itself is not thread-safe: every
+    writer serializes its own appends.
 
     Parameters
     ----------
@@ -207,8 +209,7 @@ class EventJournal:
     registry:
         Optional obs registry (``journal_records_total``,
         ``journal_bytes_total``, ``journal_fsyncs_total``,
-        ``journal_backlog_bytes`` gauge; ``router_wal_appends_total``
-        counts what :meth:`commit` writes).
+        ``journal_backlog_bytes`` gauge).
     """
 
     def __init__(
@@ -241,7 +242,6 @@ class EventJournal:
         self._fsync_interval = fsync_interval
         self._since_fsync = 0
         registry = resolve_registry(registry)
-        self._registry = registry
         self._m_records = registry.counter(
             "journal_records_total", "events appended to the journal"
         )
@@ -259,9 +259,6 @@ class EventJournal:
         self._segment_size = 0
         self.backlog_bytes = 0
         self.next_seq = 0
-        #: Serializes ``stage`` vs ``commit`` (see the class doc).
-        self._lock = threading.Lock()
-        self._pending: list[Event] = []
         # journal_seq of the retained checkpoint generations, oldest
         # first (a corrupt one can never be fallen back to: skipped).
         self._checkpoint_seqs: deque[int] = deque(
@@ -371,46 +368,6 @@ class EventJournal:
             self._g_backlog.set(self.backlog_bytes)
         return first
 
-    # ----- group commit (the router) ---------------------------------------
-
-    @property
-    def ingest_seq(self) -> int:
-        """The next sequence counting staged events (== events ever
-        appended, committed or still staged)."""
-        return self.next_seq + len(self._pending)
-
-    def stage(self, event: Event) -> int:
-        """Hold one event for the next :meth:`commit`; returns its
-        sequence. Durable only after that commit."""
-        with self._lock:
-            self._pending.append(event)
-            return self.next_seq + len(self._pending) - 1
-
-    def commit(self, batch: EventBatch | None = None) -> None:
-        """Write every staged event as one record, then ``batch`` (an
-        ingest batch journaled whole, after what was staged before it)
-        as the next, so the journal order is the ingest order.
-
-        The router calls this ahead of every batch send, so anything a
-        shard ever received is in a record that was whole on disk
-        before the send; a torn final record is dropped at replay and
-        was never delivered.
-        """
-        with self._lock:
-            pending = self._pending
-            if pending:
-                self.append_batch(pending)
-                self._pending = []
-            committed = len(pending)
-            if batch is not None and len(batch):
-                self.append_event_batch(batch)
-                committed += len(batch)
-        if committed:
-            self._registry.counter(
-                "router_wal_appends_total",
-                "events committed to the router's WAL",
-            ).inc(committed)
-
     # ----- reading ---------------------------------------------------------
 
     def replay(self, start_seq: int = 0) -> Iterator[tuple[int, EventBatch]]:
@@ -446,7 +403,6 @@ class EventJournal:
         no append in between), or replay-from-checkpoint could miss
         events after a machine failure. Returns the checkpoint's path.
         """
-        self.commit()
         self.sync()
         path = write_checkpoint(self.directory, state)
         self._checkpoint_seqs.append(state["journal_seq"])
@@ -455,7 +411,6 @@ class EventJournal:
 
     def close(self) -> None:
         if self._handle is not None:
-            self.commit()
             self._handle.close()
             self._handle = None
 

@@ -9,44 +9,47 @@ every durable directory uses — one
 segments and checkpoint generations — applied one level up:
 
 * the router's WAL is an ``EventJournal`` whose segments sit directly
-  in the router directory (shard journals under ``shards/``). The
-  engine stages each event in memory (``stage``, cheap enough to ride
-  the ingest hot path) and **group-commits** everything staged as one
-  journal record (``commit``) — one CRC'd line, one ``write()`` —
-  ahead of every batch send; a columnar batch is committed whole, as
-  its own record after what was staged before it. The journal's torn-tail rule is the atomic commit point:
-  a SIGKILL mid-commit leaves a torn final line that the reader drops
-  whole, and none of its events can have reached a shard. The journal
-  sequence is the global ingest sequence;
+  in the router directory (shard journals under ``shards/``). Every
+  batch the router routes is first appended as one journal record —
+  one CRC'd line, one ``write()``: a columnar ingest batch whole, and
+  per-event ingest as the router's pending batch when it flushes
+  (``batch_size`` events, or ``flush()``). The journal's torn-tail
+  rule is the atomic commit point: a SIGKILL mid-append leaves a torn
+  final line that the reader drops whole, and none of its events can
+  have reached a shard. The journal sequence is the global ingest
+  sequence;
 * :func:`recover_router` — rebuilds a
   :class:`~repro.engine.sharded.ShardedStreamEngine` after a router
   crash: load the router checkpoint, re-register its query texts,
   restart workers seeded from *their own* checkpoints + journals,
-  then replay the WAL suffix through the router with per-shard
-  **count-skip** — routing is deterministic per row, so the k-th
-  replayed record bound for shard *i* is skipped iff k is below that
-  shard's recovered journal tail (the worker already holds it).
+  then replay the WAL suffix record by record, each as one batch
+  through the router's own partition step, with per-shard
+  **count-skip** — routing is deterministic per row, so the first
+  ``skip[i]`` rows of shard *i*'s buckets are dropped, *skip[i]*
+  being how far that shard's recovered journal runs past the
+  checkpoint (the worker already holds those rows).
 
 Why this is exact (under the ``"block"`` overload policy):
 
-1. the engine commits the WAL before any batch leaves for a shard, and
-   a shard-journal append happens only after a successful send — so
-   every shard journal is a strict by-count prefix-subset of the
-   committed WAL;
-2. journals are unbuffered (one ``write()`` per commit group), so a
-   SIGKILL loses at most the *final commit group* — records that were
-   never sent anywhere. ``flush()`` commits, so it is the durability
-   ack: after recovery the source resumes from the recovered engine's
-   ``metrics.events``, which can only trail the crash point by records
-   ingested after the last flush/send;
-3. the router checkpoint flushes all worker buffers first, so its
+1. the engine appends to the WAL before any batch leaves for a shard,
+   and a shard-journal append happens only after a successful send —
+   so every shard journal is a strict by-count prefix-subset of the
+   WAL;
+2. journals are unbuffered (one ``write()`` per record), so a SIGKILL
+   loses at most the router's pending events and a torn final record
+   — rows that were never sent anywhere. ``flush()`` journals the
+   pending events, so it is the durability ack: after recovery the
+   source resumes from the recovered engine's ``metrics.events``,
+   which can only trail the crash point by events ingested after the
+   last flush;
+3. the router checkpoint flushes the pending events first, so its
    per-shard delivered watermarks are honest, and its cadence check
    runs before the next event or batch is journaled, so it never
    covers a half-routed one;
 4. WAL segments are pruned only below the *oldest* retained checkpoint
    generation (:meth:`~repro.resilience.journal.EventJournal
    .checkpoint`), so falling back over a corrupt newest checkpoint
-   still finds its whole suffix — and ``read_journal`` raises rather
+   still finds its whole suffix — and the journal reader raises rather
    than replay a suffix with a hole.
 
 ``shed_oldest`` deliberately drops records, so replay after recovery
@@ -67,7 +70,7 @@ from repro.resilience.checkpointer import (
     apply_engine_state,
     load_latest_checkpoint,
 )
-from repro.resilience.journal import EventJournal, read_journal
+from repro.resilience.journal import EventJournal
 from repro.resilience.recovery import replay_detached
 
 _log = get_logger("router_recovery")
@@ -100,9 +103,9 @@ def recover_router(
 
     The recovered engine's ``metrics.events`` is the resume position:
     the source should continue from that offset. It can trail the
-    crashed router's ingest count by at most one commit group (records
-    staged after the last flush/send), and those records were never
-    delivered to any shard or sink.
+    crashed router's ingest count by the events that were still
+    pending in the router (ingested after the last flush), and those
+    were never delivered to any shard.
 
     Recovery outline (the inverse of ``router_checkpoint``):
 
@@ -112,12 +115,13 @@ def recover_router(
        embedded in the router checkpoint;
     2. the local lane restores from the checkpoint document exactly
        like single-process recovery (executors + metrics);
-    3. the WAL suffix (``read_journal(directory, journal_seq)``, the
-       read :func:`~repro.resilience.recovery.recover` makes) replays
-       through the router with per-shard count-skip, so workers receive
-       only the records their journals do not already hold — anything
-       redelivered anyway (conservative overlap) is dropped by the
-       worker's own dedup cursor.
+    3. the WAL suffix (``EventJournal.replay(journal_seq)``) replays
+       one record batch at a time into the local lane (sinks
+       detached) and through the router's partition step with
+       per-shard count-skip, so workers receive only the rows their
+       journals do not already hold — anything redelivered anyway
+       (conservative overlap) is dropped by the worker's own dedup
+       cursor. ``events_replayed`` counts rows.
     """
     from repro.engine.sharded import ShardedStreamEngine
 
@@ -227,9 +231,9 @@ def recover_router(
         apply_engine_state(engine._local, state)
         apply_engine_metrics(engine._local, state)
 
-    # The count-skip cursor: how many more records each shard's journal
+    # The count-skip cursor: how many more rows each shard's journal
     # already holds past the checkpoint's delivered watermark. Captured
-    # *before* replay: replay appends past-tail records to the shard
+    # *before* replay: replay appends past-tail rows to the shard
     # journals, which must not widen the skip window.
     skip = [
         max(0, worker.log.next_seq - done)
@@ -238,11 +242,13 @@ def recover_router(
 
     # Local-lane sinks stay detached during replay — pre-crash outputs
     # were already delivered (same contract as single-process recover).
-    replayed = replay_detached(
+    resumed_at = engine.metrics.events
+    replay_detached(
         engine._local,
-        (event for _, event in read_journal(directory, start_seq)),
-        lambda event: engine._route(event, skip),
+        (batch for _, batch in log.replay(start_seq)),
+        lambda batch: engine._ingest_batch(batch, skip),
     )
+    replayed = engine.metrics.events - resumed_at
 
     engine.events_replayed = replayed
     m_replayed.inc(replayed)

@@ -422,6 +422,41 @@ class TestLanes:
         assert recovered == finals
         assert before + after == every
 
+    def test_supervised_recovery_keeps_the_engine_flags(
+        self, trace, tmp_path, capsys
+    ):
+        """``--recover`` builds the engine a fresh ``--journal`` run
+        builds: sink retries, the vectorized runtime and routing
+        survive a recovery."""
+        from repro.cli import _build_engine, build_parser
+        from repro.obs.registry import MetricsRegistry
+        from repro.obs.tracing import NULL_TRACER
+        from repro.query import parse_query
+
+        flags = [
+            "--journal", str(tmp_path / "j"), "--sink-retries", "3",
+            "--engine", "vectorized", "--batch-size", "64",
+        ]
+        self.run(capsys, trace, *flags)
+
+        def built(*extra):
+            args = build_parser().parse_args(
+                ["--query", self.QUERY, "--trace", str(trace), *flags,
+                 *extra]
+            )
+            engine = _build_engine(
+                args, [parse_query(self.QUERY)], MetricsRegistry(),
+                NULL_TRACER,
+            ).engine
+            settings = (
+                engine._sink_retries, engine._vectorized, engine._routed
+            )
+            engine.journal.close()
+            return settings
+
+        assert built() == (3, True, True)
+        assert built("--recover") == (3, True, True)
+
     def test_disagreeing_cross_check_exits_2_and_reports_no_run(
         self, trace, capsys, monkeypatch
     ):

@@ -11,12 +11,13 @@ their own checkpoints + journals; the WAL suffix replays with
 per-shard count-skip; anything conservatively redelivered is dropped
 by the workers' dedup cursors.
 
-The WAL is group-committed: ``append`` stages in memory and the engine
-commits ahead of every batch send, so a router death can lose records
-staged after the last send — records that provably reached no shard or
-sink. The recovered engine's ``metrics.events`` is therefore the
-resume position (the source continues from that offset), and
-``flush()`` is the explicit durability ack that pins it exactly.
+Per-event ingest waits in the router's pending batch, which is
+appended to the WAL as one record ahead of its sends, so a router
+death can lose events ingested after the last flush — events that
+provably reached no shard. The recovered engine's ``metrics.events``
+is therefore the resume position (the source continues from that
+offset), and ``flush()`` is the explicit durability ack that pins it
+exactly.
 
 Crashes are simulated two ways: in-process (stop the monitor, SIGKILL
 every worker, abandon the engine without close/flush — exactly the
@@ -39,7 +40,7 @@ import pytest
 
 from conftest import random_events
 from repro.engine.engine import StreamEngine
-from repro.engine.sharded import ShardedStreamEngine
+from repro.engine.sharded import ShardedStreamEngine, shard_of
 from repro.errors import CheckpointError, EngineError, JournalError
 from repro.events.batch import EventBatch
 from repro.events.event import Event
@@ -107,8 +108,8 @@ def _journaled(tmp_path, shards, checkpoint_every=150,
 
 def _crash_router(engine: ShardedStreamEngine) -> None:
     """Leave behind exactly what a SIGKILL'd router leaves: dead
-    workers, un-closed journals, no flush, no checkpoint — records
-    staged in the WAL since the last group commit are lost, just as a
+    workers, un-closed journals, no flush, no checkpoint — events
+    pending in the router since the last flush are lost, just as a
     real SIGKILL would lose them."""
     monitor = engine._monitor
     if monitor is not None:
@@ -274,7 +275,7 @@ def test_scrape_flush_commits_the_wal_before_it_sends(tmp_path):
     assert log.next_seq == 0
     engine.query_rows()  # the scrape flushes every buffer, best-effort
     assert sum(worker.log.next_seq for worker in engine._workers) == 10
-    assert log.next_seq == 10 and not log._pending
+    assert log.next_seq == 10 and not engine._pending
     _crash_router(engine)
     queries = [parse_query(text, name=name)
                for name, text in QUERIES.items()]
@@ -536,76 +537,131 @@ def test_recover_router_requires_wal_or_queries(tmp_path):
         recover_router(tmp_path / "empty")
 
 
-# ----- the router's journal: stage, group commit, checkpoint ----------------
+# ----- the router's journal: pending flush, records, checkpoint -------------
 
 
 def test_router_log_resumes_global_sequence(tmp_path):
     log = EventJournal(tmp_path)
-    for index in range(10):
-        assert log.stage(Event("A", index, {"g": index})) == index
-    assert log.ingest_seq == 10
+    events = [Event("A", index, {"g": index}) for index in range(10)]
+    assert log.append_batch(events) == 0
+    assert log.next_seq == 10
     log.close()
     reopened = EventJournal(tmp_path)
-    assert reopened.ingest_seq == 10
-    assert reopened.stage(Event("A", 10, {"g": 3})) == 10
+    assert reopened.next_seq == 10
+    assert reopened.append_batch([Event("A", 10, {"g": 3})]) == 10
     reopened.close()
 
 
 def test_router_log_replays_in_ingest_order(tmp_path):
-    """Staged events and a batch committed whole keep ingest order:
-    the batch is its own record, after what was staged before it."""
-    log = EventJournal(tmp_path)
-    originals = [
-        Event("A", index, {"g": index % 7, "v": index})
-        for index in range(60)
-    ]
-    for index, event in enumerate(originals[:40]):
-        log.stage(event)
-        if index % 16 == 15:
-            log.commit()
-    log.commit(EventBatch.from_events(originals[40:50]))
-    for event in originals[50:]:
-        log.stage(event)
-    log.close()
-    replayed = list(read_journal(tmp_path))
-    assert [seq for seq, _ in replayed] == list(range(60))
-    assert [event for _, event in replayed] == originals
+    """Per-event ingest and a columnar batch keep ingest order in the
+    WAL: the router's pending events are flushed as their own records
+    before the batch is appended whole, as the next record."""
+    events = _stream(FaultPlan(SEEDS[0]), 60)
+    engine = _journaled(tmp_path, 2, checkpoint_every=0)
+    try:
+        for event in events[:40]:
+            engine.process(event)
+        engine.process_event_batch(EventBatch.from_events(events[40:50]))
+        for event in events[50:]:
+            engine.process(event)
+        engine.flush()
+        replayed = list(read_journal(tmp_path))
+        assert [seq for seq, _ in replayed] == list(range(60))
+        assert [event for _, event in replayed] == events
+        records = [
+            len(batch) for _, batch in engine._router_log.replay()
+        ]
+        # batch_size 32: one full pending batch, the 8 left pending
+        # ahead of the columnar batch, the batch, the flushed tail.
+        assert records == [32, 8, 10, 10]
+    finally:
+        engine.close()
+
+
+def test_per_event_ingest_routes_one_batch_per_batch_size(
+    tmp_path, monkeypatch
+):
+    """Per-event ingest fills one router-level pending batch:
+    ``batch_size - 1`` events send nothing and write no WAL record; the
+    ``batch_size``-th writes one record and sends each affected worker
+    one batch."""
+    events = _stream(FaultPlan(SEEDS[0]), ENGINE_SETTINGS["batch_size"])
+    engine = _journaled(tmp_path, 2, checkpoint_every=0)
+    sends: list[tuple[int, int]] = []
+    send = ShardedStreamEngine._send_batch
+
+    def recording(self, worker, batch, traced=None):
+        sends.append((worker.index, len(batch)))
+        return send(self, worker, batch, traced)
+
+    monkeypatch.setattr(ShardedStreamEngine, "_send_batch", recording)
+    try:
+        for event in events[:-1]:
+            engine.process(event)
+        assert sends == []
+        assert list(read_journal(tmp_path)) == []
+        engine.process(events[-1])
+        assert [len(batch) for _, batch in engine._router_log.replay()] == [
+            len(events)
+        ]
+        affected = {shard_of(event.get("g"), 2) for event in events}
+        assert sorted(index for index, _ in sends) == sorted(affected)
+        assert sum(rows for _, rows in sends) == len(events)
+    finally:
+        engine.close()
 
 
 def test_router_log_staged_records_need_a_commit(tmp_path):
-    """Group commit: ``stage`` holds events in memory; only ``commit``
-    (or ``checkpoint``/``close``) makes them durable."""
-    log = EventJournal(tmp_path)
-    for index in range(5):
-        log.stage(Event("A", index, None))
-    # Simulate a crash before any commit (drop the handle without
-    # committing): reopen sees nothing, the five staged seqs recycle.
-    log._handle.close()
-    reopened = EventJournal(tmp_path)
-    assert reopened.ingest_seq == 0
-    reopened.stage(Event("A", 9, None))
-    reopened.commit()  # durability ack
-    reopened._handle.close()
+    """Per-event ingest waits in the router's pending batch: until a
+    flush (or ``batch_size`` pending events) nothing of it is in the
+    WAL, so a router crash loses it; ``flush()`` is the durability
+    ack."""
+    events = _stream(FaultPlan(SEEDS[1]), 8)
+    engine = _journaled(tmp_path, 2, checkpoint_every=0)
+    for event in events[:5]:
+        engine.process(event)
+    assert list(read_journal(tmp_path)) == []
+    engine.flush()
+    for event in events[5:]:
+        engine.process(event)
+    _crash_router(engine)
     durable = EventJournal(tmp_path)
-    assert durable.ingest_seq == 1
-    assert [seq for seq, _ in read_journal(tmp_path)] == [0]
+    assert durable.next_seq == 5
+    assert [event for _, event in read_journal(tmp_path)] == events[:5]
     durable.close()
 
 
+def test_close_journals_pending_events_for_recovery(tmp_path):
+    """A clean ``close()`` journals what is still pending without
+    sending it; router recovery then delivers it to the shards."""
+    events = _stream(FaultPlan(SEEDS[2]), 300)
+    expected = _reference(events)
+    engine = _journaled(tmp_path, 2, checkpoint_every=0)
+    for event in events[:10]:  # below batch_size: all still pending
+        engine.process(event)
+    engine.close()
+    recovered = _recover(tmp_path, shards=2)
+    try:
+        assert recovered.metrics.events == 10
+        for event in events[10:]:
+            recovered.process(event)
+        assert recovered.results() == expected
+    finally:
+        recovered.close()
+
+
 def test_router_log_drops_a_torn_commit_whole(tmp_path):
-    """The journal's torn-tail rule is the commit point: a commit group
-    torn mid-write is dropped whole on reopen, never in part."""
+    """The journal's torn-tail rule is the commit point: a record torn
+    mid-write is dropped whole on reopen, never in part."""
     log = EventJournal(tmp_path)
-    for index in range(10):
-        log.stage(Event("A", index, {"g": index}))
-    log.commit()
-    for index in range(10, 15):
-        log.stage(Event("A", index, {"g": index}))
-    log.commit()
+    log.append_batch([Event("A", index, {"g": index}) for index in range(10)])
+    log.append_batch(
+        [Event("A", index, {"g": index}) for index in range(10, 15)]
+    )
     log.close()
     assert tear_journal_tail(tmp_path, drop_bytes=7) == 7
     reopened = EventJournal(tmp_path)
-    assert reopened.ingest_seq == 10
+    assert reopened.next_seq == 10
     assert [event.ts for _, event in read_journal(tmp_path)] == list(
         range(10)
     )
@@ -615,13 +671,14 @@ def test_router_log_drops_a_torn_commit_whole(tmp_path):
 def test_router_log_checkpoint_prunes_lane_segments(tmp_path):
     """A checkpoint prunes segments below the *oldest* retained
     generation only, so every fallback generation keeps its suffix."""
-    # Tiny segments, committed in small groups, so pruning has
+    # Tiny segments, written in small records, so pruning has
     # something to drop.
     log = EventJournal(tmp_path, segment_bytes=2048)
-    for index in range(500):
-        log.stage(Event("A", index, {"g": 1, "v": index}))
-        if index % 50 == 49:
-            log.commit()
+    for first in range(0, 500, 50):
+        log.append_batch([
+            Event("A", index, {"g": 1, "v": index})
+            for index in range(first, first + 50)
+        ])
     before = len(list_segments(tmp_path))
     state = {"version": 1, "registrations": [], "router": {}}
     for seq in (250, 500):

@@ -188,6 +188,42 @@ class TestCrossProcessTracing:
         assert Stage.SHARD_INGEST in chain["stages"]
         assert chain["stages"][-1] == Stage.MERGE
 
+    def test_traced_batches_take_the_columnar_partition_step(
+        self, monkeypatch
+    ):
+        """Trace sampling rides the same partition step as untraced
+        batch ingest: the per-event entry point never runs, results
+        match an untraced run, and the workers still stamp the
+        sampled rows' ``shard_ingest`` spans."""
+        events = _events(600)
+        batches = [
+            EventBatch.from_events(events[start:start + 100])
+            for start in range(0, len(events), 100)
+        ]
+        with _engine() as engine:
+            engine.run(iter(batches))
+            expected = engine.results()
+
+        def per_event(self, event):
+            raise AssertionError("a traced batch went per event")
+
+        monkeypatch.setattr(ShardedStreamEngine, "process", per_event)
+        trace = TraceRecorder(capacity=4096)
+        with _engine(trace=trace, trace_sample=1) as engine:
+            engine.run(iter(batches))
+            assert engine.results() == expected
+            drained = engine.drain_trace()
+        routed = [
+            span for span in drained["spans"]
+            if span["stage"] == Stage.ROUTE
+        ]
+        assert len(routed) == len(events)  # every keyed row, sample 1
+        assert any(
+            span["stage"] == Stage.SHARD_INGEST
+            for span in drained["spans"]
+        )
+        assert any(chain["complete"] for chain in drained["stitched"])
+
     def test_drain_is_destructive(self):
         trace = TraceRecorder(capacity=4096)
         with _engine(trace=trace, trace_sample=1) as engine:

@@ -14,10 +14,13 @@ from repro.engine.sharded import (
     _merge_partials,
     shard_of,
 )
+from repro.engine.engine import StreamEngine
 from repro.engine.sinks import CollectSink
-from repro.errors import EngineError
+from repro.errors import EngineError, OutOfOrderError
+from repro.events.batch import EventBatch
 from repro.events.event import Event
 from repro.query import parse_query
+from repro.resilience.journal import EventJournal
 
 import random
 
@@ -256,3 +259,31 @@ def test_keyless_negated_events_broadcast_to_every_shard():
         engine.register(query, name="q")
         engine.run(events)
         assert engine.results() == reference.results()
+
+
+@pytest.mark.parametrize("wal", [False, True], ids=["no-wal", "wal"])
+def test_batch_order_gate_does_not_depend_on_the_wal(tmp_path, wal):
+    """A batch that runs backwards past per-event ingest is refused
+    whether or not a router WAL is attached, before any row of it is
+    counted, journaled or routed."""
+    query = parse_query(GROUPED.format(agg="COUNT"))
+    first = Event("A", 100, {"g": 1})
+    backwards = EventBatch.from_events(
+        [Event("B", 50, {"g": 1}), Event("B", 60, {"g": 2})]
+    )
+    reference = StreamEngine()
+    reference.register(query, name="q")
+    reference.process(first)
+    settings = dict(shards=2, batch_size=4)
+    if wal:
+        settings["journal_dir"] = tmp_path / "shards"
+    with ShardedStreamEngine(**settings) as engine:
+        engine.register(query, name="q")
+        if wal:
+            engine.attach_router_log(EventJournal(tmp_path / "wal"))
+        engine.process(first)
+        with pytest.raises(OutOfOrderError):
+            engine.process_event_batch(backwards)
+        assert engine.metrics.events == 1
+        assert engine.results() == reference.results()
+
