@@ -492,12 +492,16 @@ def _load_source(
 
     A batch-lane trace file is parsed straight into columns — no
     ``Event`` and no ``EventStream``; the engine's vectorised per-batch
-    check enforces stream order instead. The reorder buffer and the
-    generators produce events, so those are columnarized from events.
+    check enforces stream order instead. The ``--journal``/``--recover``
+    lane reads a trace that way too when ``--batch-size`` > 1, so each
+    batch is journaled as itself. The reorder buffer and the generators
+    produce events, so those are columnarized from events (or, on the
+    journal lane, stay events).
     """
     batched = args.columnar or args.shards > 0
     if args.trace is not None:
-        if batched and not args.reorder_slack_ms:
+        journaled = bool(args.journal or args.recover) and args.batch_size > 1
+        if (batched or journaled) and not args.reorder_slack_ms:
             return read_trace_batches(args.trace, _columnar_batch_size(args))
         events: Iterable[Event] = read_trace(
             args.trace, enforce_order=args.reorder_slack_ms == 0
@@ -715,6 +719,7 @@ def _build_supervised(
         f"(lifetime {engine.metrics.events:,} events)",
         settle=settle,
         written="",
+        closers=(engine.journal.close,),
     )
 
 

@@ -27,6 +27,8 @@ import time
 from itertools import chain, islice, repeat
 from typing import Any, Iterable, Sequence
 
+import numpy as np
+
 from repro.errors import EngineError
 from repro.events.batch import EventBatch
 from repro.events.event import Event
@@ -158,6 +160,9 @@ class StreamEngine:
         #: Closed-form groups of the columnar lane: (schema, executors,
         #: groups), see :meth:`_closed_form_groups`.
         self._groups: tuple[Any, list[Any], list[Any]] | None = None
+        #: Routed-row LUT of the guarded lane: (schema, route table,
+        #: bool per type code), see :meth:`_routed_rows`.
+        self._row_lut: tuple[Any, dict, np.ndarray] | None = None
         self._vectorized = vectorized
         self._batch_size = batch_size
         self.metrics = EngineMetrics()
@@ -210,9 +215,11 @@ class StreamEngine:
         )
         self._watermark_ms = float("-inf")
         self._time_anchor: tuple[float, int] | None = None
-        #: Engine clock: max event timestamp routed (routed mode tracks
-        #: it so executors skipped for irrelevant arrivals can still be
-        #: brought up to date before a result read).
+        #: Engine clock: the newest timestamp ingested through any entry
+        #: point (or pushed by :meth:`advance_clock`). The columnar
+        #: lane's order gate checks batches against it, and routed mode
+        #: brings executors skipped for irrelevant arrivals up to it
+        #: before a result read.
         self._clock_ms: int | None = None
         #: Sample per-registration latency every Nth event (0 disables);
         #: sampling keeps the two extra clock reads per registration off
@@ -227,9 +234,6 @@ class StreamEngine:
         funnel = resolve_funnel(funnel)
         self.funnel = funnel
         self._funnel_on = funnel.enabled
-        #: Last timestamp delivered through the columnar lane — the
-        #: cross-batch analog of EventStream's in-order enforcement.
-        self._batch_last_ts: int | None = None
         #: REPRO_FORCE_COLUMNAR=1 reroutes process_batch through the
         #: columnar lane (events → EventBatch → lane), pinning the
         #: batch→Event fallback materializer under every existing
@@ -365,10 +369,10 @@ class StreamEngine:
         a write-ahead log gave the event (-1: not journaled); it rides
         into any dead letter the event causes.
         """
+        ts = event.ts
+        if self._clock_ms is None or ts > self._clock_ms:
+            self._clock_ms = ts
         if self._routed:
-            ts = event.ts
-            if self._clock_ms is None or ts > self._clock_ms:
-                self._clock_ms = ts
             targets = self._routes.get(event.event_type)
             if targets is None:
                 targets = self._catch_all
@@ -470,9 +474,22 @@ class StreamEngine:
             return self.process_event_batch(
                 EventBatch.from_events(events), enforce_order=False
             )
-        count = len(events)
+        return self._ingest(events, len(events), events[-1].ts, first_seq)
+
+    def _ingest(
+        self,
+        events: list[Event],
+        count: int,
+        last_ts: int,
+        first_seq: int = -1,
+        rows: list[int] | None = None,
+    ) -> int:
+        """:meth:`process_batch`'s body, for an ingest batch of ``count``
+        events ending at ``last_ts`` of which ``events`` are dispatched:
+        all of them, or — with ``rows``, on the guarded lane only — the
+        ones some route reads, ``events[i]`` sitting at position
+        ``rows[i]`` of the ingest batch."""
         self.metrics.events += count
-        last_ts = events[-1].ts
         if self._clock_ms is None or last_ts > self._clock_ms:
             self._clock_ms = last_ts
         obs_on = self._obs_on
@@ -498,11 +515,13 @@ class StreamEngine:
                     self._drive_batch(registration, sub, obs_on)
         else:
             # Unrouted — or guarded, where every registration walks the
-            # whole batch (routing by its own types) so that each event
-            # keeps its position: its journal sequence and its ordinal
-            # in the stream.
+            # whole batch or its routed rows (routing by its own types)
+            # so that each event keeps its position: its journal
+            # sequence and its ordinal in the stream.
             for registration in self._all:
-                self._drive_batch(registration, events, obs_on, first_seq)
+                self._drive_batch(
+                    registration, events, obs_on, first_seq, rows, count
+                )
         if obs_on:
             finished = time.perf_counter()
             self._m_latency.observe((finished - started) * 1e6 / count)
@@ -512,14 +531,33 @@ class StreamEngine:
     def _check_batch_order(
         self, batch: EventBatch, enforce_order: bool
     ) -> int:
-        """The columnar lane's order gate; returns the batch's last
+        """The columnar lane's order gate — against the newest timestamp
+        ingested through any entry point; returns the batch's last
         timestamp. Nothing of a rejected batch has been ingested."""
         if enforce_order:
-            batch.ensure_in_order(self._batch_last_ts)
-        last_ts = batch.last_ts()
-        if self._batch_last_ts is None or last_ts > self._batch_last_ts:
-            self._batch_last_ts = last_ts
-        return last_ts
+            batch.ensure_in_order(self._clock_ms)
+        return batch.last_ts()
+
+    def _routed_rows(self, batch: EventBatch) -> list[int] | None:
+        """Positions of the rows of ``batch`` some registration's route
+        reads, through a type-code LUT cached per schema and route
+        table; None when every row is needed (unrouted, a catch-all
+        registration, or every row routed)."""
+        if not self._routed or self._catch_all:
+            return None
+        routes = self._routes
+        cached = self._row_lut
+        if cached is None or cached[0] is not batch.schema or (
+            cached[1] is not routes
+        ):
+            types = batch.schema.types
+            lut = np.fromiter(
+                (name in routes for name in types), dtype=bool,
+                count=len(types),
+            )
+            self._row_lut = cached = (batch.schema, routes, lut)
+        rows = np.flatnonzero(cached[2][batch.codes])
+        return None if len(rows) == len(batch) else rows.tolist()
 
     def _count_decline(self, registration: _Registration, reason: str) -> None:
         self.obs_registry.counter(
@@ -702,12 +740,15 @@ class StreamEngine:
         events: list[Event],
         obs_on: bool,
         first_seq: int = -1,
+        rows: list[int] | None = None,
+        count: int | None = None,
     ) -> None:
         """Feed one registration its slice of a batch and fan out sinks.
 
         A registration with a health record takes the guarded branch:
-        ``events`` is then the whole batch :meth:`process_batch` was
-        given, offered one event at a time so that a raising executor
+        ``events`` is then the whole ingest batch of ``count`` events —
+        or, with ``rows``, the routed ones at those positions of it —
+        offered one event at a time so that a raising executor
         dead-letters exactly the poison event under its own journal
         sequence, and nothing more is offered once it is quarantined.
         """
@@ -724,11 +765,15 @@ class StreamEngine:
             emitted_seqs: Iterable[int] = repeat(-1)
         else:
             types = registration.types if self._routed else None
-            first_seen = self.metrics.events - len(events) + 1
+            first_seen = self.metrics.events - (
+                len(events) if count is None else count
+            ) + 1
             emitted = []
-            rows = []
+            emitted_rows = []
             offered = 0
-            for row, event in enumerate(events):
+            for row, event in (
+                enumerate(events) if rows is None else zip(rows, events)
+            ):
                 if types is not None and event.event_type not in types:
                     continue
                 if health.quarantined and not self._readmit(
@@ -753,9 +798,9 @@ class StreamEngine:
                     health.consecutive_failures = 0
                 if fresh is not None:
                     emitted.append((event, fresh))
-                    rows.append(row)
+                    emitted_rows.append(row)
             emitted_seqs = (
-                [first_seq + row for row in rows]
+                [first_seq + row for row in emitted_rows]
                 if first_seq >= 0
                 else repeat(-1)
             )

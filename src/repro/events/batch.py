@@ -158,10 +158,15 @@ def _column_array(
     return column, present
 
 
-def _decode_segment(kind: str, raw: bytes, dtype: str | None) -> np.ndarray:
-    """One wire segment as an array (``dtype`` None: a pickled list).
-    Raises StreamError, or TypeError/ValueError on a malformed entry."""
+def _decode_segment(
+    kind: str, raw: bytes, dtype: str | None, pickled: bool
+) -> np.ndarray:
+    """One wire segment as an array (``dtype`` None: a pickled list,
+    refused unless ``pickled``). Raises StreamError, or
+    TypeError/ValueError on a malformed entry."""
     if dtype is None:
+        if not pickled:
+            raise StreamError(f"columnar {kind} segment is a pickle")
         try:
             values = pickle.loads(raw)
         except Exception as error:
@@ -429,12 +434,14 @@ class EventBatch:
         return b"".join([_HEADER.pack(len(header)), header, *parts])
 
     @classmethod
-    def from_wire(cls, data: bytes) -> "EventBatch":
+    def from_wire(cls, data: bytes, pickled: bool = True) -> "EventBatch":
         """Decode :meth:`to_wire` output (arrays may be read-only views
         over the buffer; consumers never mutate batch columns). The only
         shard decoder: a frame whose segments do not all hold ``n`` rows,
         whose codes leave ``[0, len(types))``, whose masks are not
-        ``bool``, or that is malformed anywhere raises StreamError."""
+        ``bool``, or that is malformed anywhere raises StreamError; so
+        does, with ``pickled=False``, a frame with an ``object`` segment,
+        before anything is unpickled (the journal's reading)."""
         if len(data) < _HEADER.size:
             raise StreamError("truncated columnar batch frame")
         (header_len,) = _HEADER.unpack_from(data)
@@ -462,7 +469,7 @@ class EventBatch:
                 if len(raw) != nbytes:
                     raise StreamError("truncated columnar batch segment")
                 offset += nbytes
-                array = _decode_segment(kind, raw, dtype)
+                array = _decode_segment(kind, raw, dtype, pickled)
                 if len(array) != n:
                     raise StreamError(
                         f"columnar {kind} segment {name!r} holds "

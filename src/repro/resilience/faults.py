@@ -43,7 +43,7 @@ from pathlib import Path
 from repro.engine.sinks import Output, ResultSink
 from repro.events.event import Event
 from repro.resilience.checkpointer import list_checkpoints
-from repro.resilience.journal import list_segments
+from repro.resilience.journal import iter_records, list_segments
 
 ENV_SEED = "REPRO_FAULT_SEED"
 
@@ -155,10 +155,11 @@ def tear_journal_tail(
     data = last.read_bytes()
     if not data:
         return 0
-    # Size of the final record: from after the previous newline to EOF.
-    body = data[:-1] if data.endswith(b"\n") else data
-    previous_newline = body.rfind(b"\n")
-    final_record_len = len(data) - (previous_newline + 1)
+    # Size of the final record: from the last record boundary before
+    # EOF (a frame record's bytes may hold newlines of their own).
+    ends = [0] + [end for end, _, _ in iter_records(data)]
+    final_start = ends[-1] if ends[-1] < len(data) else ends[-2]
+    final_record_len = len(data) - final_start
     if final_record_len <= 1:
         return 0
     if drop_bytes is None:

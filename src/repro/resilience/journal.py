@@ -8,37 +8,59 @@ counters, see :mod:`repro.core.checkpoint`), the journal only ever
 needs to cover the short gap since the last checkpoint — but it is
 written unconditionally so *any* crash point is recoverable.
 
-Format: JSON-lines segments. Each append call writes one record, one
-line, for the whole batch it was given::
+Format: segments of records, each append call writing one record for
+the whole batch it was given. A record is one of two kinds, chosen by
+the shape of the append — there is no knob:
 
-    <crc32-of-payload, 8 hex chars> <payload JSON>\\n
+* a *frame record*, for a columnar
+  :class:`~repro.events.batch.EventBatch`
+  (:meth:`EventJournal.append_event_batch`)::
 
-    5debfd2a {"seq":17,"type":["DELL","IPIX"],"ts":[421,425],
-              "attrs":[{"price":12.5},null]}
+      <crc32, 8 hex chars> @<seq> <nbytes>\n<batch.to_wire()>\n
 
-(one line on disk). ``seq`` is the sequence number of the record's
-first event; event *i* of the record holds ``seq + i``, so sequence
-numbers stay per event — checkpoints, dead letters and count-skip
-dedup never see the record boundary, and a reader starting at a
-sequence inside a record skips that record's earlier events. The three
-columns must be of equal length; a record whose columns disagree is
-corruption, never truncated to the shortest. The per-event shape
-earlier versions wrote (``{"seq":17,"type":"DELL","ts":421,
-"attrs":{...}}``, attrs omitted when empty) is still read, so a
-journal written before the batch record recovers unchanged; a
-directory may hold both shapes. Segments rotate at a byte threshold
-and are named by the sequence number of their first record
-(``journal-000000000000.wal``), so a reader replaying from offset *n*
-can skip whole segments without parsing them.
+  The CRC covers the ``@<seq> <nbytes>\n`` header and the ``nbytes``
+  frame bytes. The frame is read back with
+  :meth:`~repro.events.batch.EventBatch.from_wire`, so replay yields
+  the batch itself with no ``Event`` in between;
+* a *column record*, one JSON line, for a list of events
+  (:meth:`EventJournal.append_batch`) and for a batch holding an
+  ``object`` column (whose frame would carry a pickle — no pickle is
+  ever written to or read from a journal; a frame whose header
+  declares an object segment is refused before anything is
+  unpickled)::
+
+      <crc32-of-payload, 8 hex chars> <payload JSON>\n
+
+      5debfd2a {"seq":17,"type":["DELL","IPIX"],"ts":[421,425],
+                "attrs":[{"price":12.5},null]}
+
+  (one line on disk).
+
+``seq`` is the sequence number of the record's first event; event *i*
+of the record holds ``seq + i``, so sequence numbers stay per event —
+checkpoints, dead letters and count-skip dedup never see the record
+boundary, and a reader starting at a sequence inside a record skips
+that record's earlier events. A column record's three columns must be
+of equal length; a record whose columns disagree is corruption, never
+truncated to the shortest. The per-event shape earlier versions wrote
+(``{"seq":17,"type":"DELL","ts":421,"attrs":{...}}``, attrs omitted
+when empty) is still read, so a journal written before the batch
+record recovers unchanged; a directory may hold every kind, in any
+order. Segments rotate at a byte threshold and are named by the
+sequence number of their first record (``journal-000000000000.wal``),
+so a reader replaying from offset *n* can skip whole segments without
+parsing them.
 
 Torn writes: a crash mid-append leaves a partial or CRC-failing final
-line in the *last* segment. The reader tolerates exactly that — it
-stops cleanly at the first bad record of the last segment, dropping
-that record's whole batch. Nothing of it was dispatched: the
-supervised engine journals a batch completely before any executor sees
-its first event, and the sharded router before any shard does.
-A bad record anywhere else is real corruption and raises
-:class:`~repro.errors.JournalError`.
+record in the *last* segment — a column line without its newline, or a
+frame that is short, lacks its trailing newline, fails its CRC or fails
+``from_wire``. :func:`iter_records` stops at the first such record; the
+readers tolerate exactly that at the end of the last segment, dropping
+that record's whole batch, and the next writer truncates it away.
+Nothing of it was dispatched: the supervised engine journals a batch
+completely before any executor sees its first event, and the sharded
+router before any shard does. A bad record anywhere else is real
+corruption and raises :class:`~repro.errors.JournalError`.
 
 Checkpoints live beside the segments, and the journal owns them:
 :meth:`EventJournal.checkpoint` writes one generation (the newest
@@ -66,9 +88,9 @@ import os
 import zlib
 from collections import deque
 from pathlib import Path
-from typing import Any, Iterator, Sequence
+from typing import Any, Callable, Iterator, Sequence
 
-from repro.errors import CheckpointError, JournalError
+from repro.errors import CheckpointError, JournalError, StreamError
 from repro.events.batch import EventBatch
 from repro.events.event import Event
 from repro.obs.registry import MetricsRegistry, resolve_registry
@@ -125,6 +147,12 @@ def _encode_columns(
     return b"%08x %s\n" % (crc, data)
 
 
+def _encode_frame(first_seq: int, wire: bytes) -> bytes:
+    head = b"@%d %d\n" % (first_seq, len(wire))
+    crc = zlib.crc32(wire, zlib.crc32(head)) & 0xFFFFFFFF
+    return b"".join((b"%08x " % crc, head, wire, b"\n"))
+
+
 def encode_record(seq: int, event: Event) -> str:
     """Render one event as a one-row journal line (text)."""
     return _encode_columns(
@@ -174,6 +202,64 @@ def decode_record(line: str) -> tuple[int, list[Event]]:
     return seq, list(map(Event, types, stamps, attrs))
 
 
+def _decode_frame(
+    data: bytes, start: int, newline: int
+) -> tuple[int, EventBatch, int]:
+    """The frame record whose header line is ``data[start:newline]``:
+    its first sequence, its batch and the offset just past it. Raises
+    JournalError for a short, unterminated, CRC-failing, undecodable or
+    object-carrying frame."""
+    head = data[start + 9:newline + 1]
+    try:
+        stored_crc = int(data[start:start + 8], 16)
+        seq_text, size_text = head[1:-1].split(b" ")
+        seq, size = int(seq_text), int(size_text)
+    except ValueError as error:
+        raise JournalError(f"malformed frame header {head!r}") from error
+    body = newline + 1
+    end = body + size
+    if size <= 0 or end >= len(data) or data[end] != 0x0A:
+        raise JournalError("frame record is short or unterminated")
+    wire = data[body:end]
+    if zlib.crc32(wire, zlib.crc32(head)) & 0xFFFFFFFF != stored_crc:
+        raise JournalError("frame record failed its CRC check")
+    try:
+        batch = EventBatch.from_wire(wire, pickled=False)
+    except StreamError as error:
+        raise JournalError(f"frame record is invalid: {error}") from error
+    if not len(batch):
+        raise JournalError(f"frame record at seq={seq} holds no rows")
+    return seq, batch, end + 1
+
+
+def iter_records(
+    data: bytes,
+) -> Iterator[tuple[int, int, EventBatch | list[Event]]]:
+    """The one record reader: each record of one segment's bytes as
+    ``(end offset, first seq, rows)`` — an :class:`EventBatch` for a
+    frame record, a list of events for a column record. Stops silently
+    at the first torn or corrupt record, so a last ``end`` short of
+    ``len(data)`` marks where the valid prefix ends."""
+    start, size = 0, len(data)
+    while start < size:
+        newline = data.find(b"\n", start)
+        if newline < 0:
+            return  # torn: a record without its line end
+        try:
+            if data[start + 8:start + 10] == b" @":
+                seq, rows, end = _decode_frame(data, start, newline)
+            else:
+                end = newline + 1
+                seq, types, stamps, attrs = _decode_columns(
+                    data[start:end].decode("utf-8")
+                )
+                rows = list(map(Event, types, stamps, attrs))
+        except (JournalError, UnicodeDecodeError):
+            return
+        yield end, seq, rows
+        start = end
+
+
 class EventJournal:
     """Append-only, segment-rotating write-ahead log, and the owner of
     the checkpoint generations written beside it.
@@ -185,12 +271,14 @@ class EventJournal:
     layout — is refused with :class:`~repro.errors.CheckpointError`.
 
     Every write-ahead log in the system is one of these: the supervised
-    engine appends each ingest call as one record (:meth:`append_batch`);
-    a durable shard appends each :class:`~repro.events.batch.EventBatch`
-    it delivered (:meth:`append_event_batch`) and re-seeds a restarted
-    worker from :meth:`replay`, which yields those batches back; the
-    sharded router appends each batch it routes — its pending
-    per-event ingest or one columnar ingest batch — as one record
+    engine appends each ingest call as one record — a columnar batch
+    as a frame record (:meth:`append_event_batch`), an event list as a
+    column record (:meth:`append_batch`); a durable shard appends each
+    :class:`~repro.events.batch.EventBatch` it delivered as a frame
+    record and re-seeds a restarted worker from :meth:`replay`, which
+    yields those batches back straight from their frames; the sharded
+    router appends each batch it routes — its pending per-event ingest
+    as a column record, one columnar ingest batch as a frame record —
     before any of it reaches a worker, and replays the same records as
     batches at recovery. The journal itself is not thread-safe: every
     writer serializes its own appends.
@@ -282,19 +370,12 @@ class EventJournal:
         last = segments[-1]
         # Find the byte offset of the end of the last valid record so a
         # torn tail from a previous crash is truncated, not appended to.
+        data = last.read_bytes()
         valid_end = 0
         last_seq = _segment_first_seq(last) - 1
-        with open(last, "rb") as handle:
-            for raw in handle:
-                if not raw.endswith(b"\n"):
-                    break  # torn: partial final line
-                try:
-                    seq, types, _, _ = _decode_columns(raw.decode("utf-8"))
-                except (JournalError, UnicodeDecodeError):
-                    break  # torn: CRC-failing final line
-                last_seq = seq + len(types) - 1
-                valid_end += len(raw)
-        if valid_end < last.stat().st_size:
+        for valid_end, seq, rows in iter_records(data):
+            last_seq = seq + len(rows) - 1
+        if valid_end < len(data):
             with open(last, "r+b") as handle:
                 handle.truncate(valid_end)
         self.next_seq = last_seq + 1
@@ -317,9 +398,9 @@ class EventJournal:
         return self.append_batch([event])
 
     def append_batch(self, events: list[Event]) -> int:
-        """Durably record a micro-batch as one record in one ``write()``
-        syscall; returns the sequence of the first event (event *i*
-        holds sequence ``first + i``).
+        """Durably record a micro-batch as one column record in one
+        ``write()`` syscall; returns the sequence of the first event
+        (event *i* holds sequence ``first + i``).
 
         Durability policy is applied once per batch: ``"always"`` issues
         one fsync for the whole batch (the batch is the atom being made
@@ -328,31 +409,40 @@ class EventJournal:
         """
         if not events:
             return self.next_seq
-        return self._write(
+        return self._write(len(events), lambda first: _encode_columns(
+            first,
             [event.event_type for event in events],
             [event.ts for event in events],
             [event.attrs or None for event in events],
-        )
+        ))
 
     def append_event_batch(self, batch: EventBatch) -> int:
-        """:meth:`append_batch` for a columnar batch (the same line)."""
-        return self.append_batch(batch.to_events())
+        """:meth:`append_batch` for a columnar batch: one frame record
+        holding ``batch.to_wire()``, or — when a column is ``object``,
+        whose frame segment would be a pickle — one column record."""
+        if not len(batch):
+            return self.next_seq
+        if any(column.dtype == object for column in batch.cols.values()):
+            return self.append_batch(batch.to_events())
+        wire = batch.to_wire()
+        return self._write(
+            len(batch), lambda first: _encode_frame(first, wire)
+        )
 
-    def _write(
-        self, types: Sequence, stamps: Sequence, attrs: Sequence
-    ) -> int:
+    def _write(self, count: int, encode: Callable[[int], bytes]) -> int:
+        """Append the record ``encode(first sequence)`` of ``count``
+        events; returns that first sequence."""
         if self._handle is None:
             raise JournalError("journal is closed")
         if self._segment_size >= self._segment_bytes:
             self._open_segment(self.next_seq)
         first = self.next_seq
-        count = len(types)
-        line = _encode_columns(first, types, stamps, attrs)
+        record = encode(first)
         # Unbuffered binary handle: one write() syscall pushes the
         # record to the OS, so a process crash never loses an append
         # (fsync policy only matters for machine failures).
-        self._handle.write(line)
-        size = len(line)
+        self._handle.write(record)
+        size = len(record)
         self._segment_size += size
         self.backlog_bytes += size
         self.next_seq = first + count
@@ -373,13 +463,13 @@ class EventJournal:
     def replay(self, start_seq: int = 0) -> Iterator[tuple[int, EventBatch]]:
         """Yield ``(first_seq, batch)`` per journaled record holding a
         row at or past ``start_seq``, the record holding ``start_seq``
-        cut to start there — the shard re-seed read; see
-        :func:`read_journal` for what it tolerates and raises."""
-        for seq, types, stamps, attrs in _read_columns(
-            self.directory, start_seq
-        ):
-            yield seq, EventBatch.from_events(
-                list(map(Event, types, stamps, attrs))
+        cut to start there — the shard re-seed read; a frame record's
+        batch comes straight from its frame. See :func:`read_journal`
+        for what it tolerates and raises."""
+        for seq, rows in _read_records(self.directory, start_seq):
+            yield seq, (
+                rows if isinstance(rows, EventBatch)
+                else EventBatch.from_events(rows)
             )
 
     # ----- durability ------------------------------------------------------
@@ -499,16 +589,18 @@ def read_journal(
     the requested start were pruned or lost, and replaying from later
     would skip events silently.
     """
-    for seq, types, stamps, attrs in _read_columns(directory, start_seq):
-        yield from enumerate(map(Event, types, stamps, attrs), seq)
+    for seq, rows in _read_records(directory, start_seq):
+        if isinstance(rows, EventBatch):
+            rows = rows.to_events()
+        yield from enumerate(rows, seq)
 
 
-def _read_columns(
+def _read_records(
     directory: str | Path, start_seq: int
-) -> Iterator[tuple[int, list, list, list]]:
-    """The one journal reader: each record from the one holding
-    ``start_seq`` on, as ``(seq, types, stamps, attrs)`` with the rows
-    below ``start_seq`` cut off (so ``seq`` is its first kept row)."""
+) -> Iterator[tuple[int, EventBatch | list[Event]]]:
+    """Each record from the one holding ``start_seq`` on, as ``(seq,
+    rows)`` with the rows below ``start_seq`` cut off (so ``seq`` is
+    its first kept row)."""
     segments = list_segments(directory)
     # Skip whole segments that end before start_seq: a segment can be
     # skipped when the *next* segment starts at or below start_seq.
@@ -524,39 +616,33 @@ def _read_columns(
         keep.append(segment)
     expected = None
     for index, segment in enumerate(keep):
-        is_last = index == len(keep) - 1
-        with open(segment, "rb") as handle:
-            for raw in handle:
-                torn = not raw.endswith(b"\n")
-                if not torn:
-                    try:
-                        seq, types, stamps, attrs = _decode_columns(
-                            raw.decode("utf-8")
-                        )
-                    except (JournalError, UnicodeDecodeError):
-                        torn = True
-                if torn:
-                    if is_last:
-                        return  # tolerated torn tail
-                    raise JournalError(
-                        f"corrupt record in non-final segment "
-                        f"{segment.name}"
+        data = segment.read_bytes()
+        valid_end = 0
+        for valid_end, seq, rows in iter_records(data):
+            if expected is None and seq > start_seq:
+                raise JournalError(
+                    f"journal starts at seq {seq} in {segment.name}, "
+                    f"after the requested start {start_seq}"
+                )
+            if expected is not None and seq != expected:
+                raise JournalError(
+                    f"journal sequence jumped from {expected - 1} "
+                    f"to {seq} in {segment.name}"
+                )
+            expected = seq + len(rows)
+            if expected > start_seq:
+                skip = max(0, start_seq - seq)
+                if skip:
+                    rows = (
+                        rows.islice(skip, len(rows))
+                        if isinstance(rows, EventBatch)
+                        else rows[skip:]
                     )
-                if expected is None and seq > start_seq:
-                    raise JournalError(
-                        f"journal starts at seq {seq} in {segment.name}, "
-                        f"after the requested start {start_seq}"
-                    )
-                if expected is not None and seq != expected:
-                    raise JournalError(
-                        f"journal sequence jumped from {expected - 1} "
-                        f"to {seq} in {segment.name}"
-                    )
-                expected = seq + len(types)
-                if expected > start_seq:
-                    skip = max(0, start_seq - seq)
-                    if skip:
-                        types = types[skip:]
-                        stamps = stamps[skip:]
-                        attrs = attrs[skip:]
-                    yield seq + skip, types, stamps, attrs
+                yield seq + skip, rows
+        if valid_end < len(data):
+            if index == len(keep) - 1:
+                return  # tolerated torn tail
+            raise JournalError(
+                f"corrupt record in non-final segment {segment.name} "
+                f"at byte {valid_end}"
+            )

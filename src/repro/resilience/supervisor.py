@@ -8,7 +8,8 @@ its own — see "supervision hooks" there) such that:
 * every ingested event — through ``process``, ``process_batch`` or
   ``process_event_batch`` alike — is appended to the journal (when
   attached) *before* any executor sees it: the WAL discipline recovery
-  depends on;
+  depends on (a columnar batch is journaled as itself, and only its
+  routed rows are ever materialised as events);
 * an executor that raises gets that event routed to a bounded
   :class:`DeadLetterQueue` (event + exception + registration name)
   while every other registration still receives it;
@@ -222,8 +223,8 @@ class SupervisedStreamEngine(StreamEngine):
         self._auto_restart_events = auto_restart_events
         self._max_backlog = max_journal_backlog_bytes
         # REPRO_FORCE_COLUMNAR reroutes process_batch through
-        # process_event_batch; here that lane *is* process_batch (see
-        # below), so the hook could only bounce between the two.
+        # process_event_batch; here both entry points journal what they
+        # are given, so the hook would journal a batch twice.
         self._force_columnar = False
         self.events_replayed = 0
         obs = self.obs_registry
@@ -311,35 +312,58 @@ class SupervisedStreamEngine(StreamEngine):
     def process_event_batch(
         self, batch: EventBatch, enforce_order: bool = True
     ) -> int:
-        """Supervise a columnar batch by materialising it: the order
-        gate first (a rejected batch must never reach the journal), then
-        its events through :meth:`process_batch`, whose WAL, isolation
-        and checkpoint cadence therefore hold here unchanged. Counted as
-        a ``supervised`` decline per registration."""
-        if not len(batch):
+        """Supervise a columnar batch, keeping it columnar up to the
+        guard: the order gate first (a rejected batch must never reach
+        the journal), then the batch itself as one WAL record, then only
+        the rows some registration's route reads become events, offered
+        through the guarded loop at their positions in the batch — so
+        journal sequences, dead letters, quarantine ordinals and the
+        checkpoint cadence are :meth:`process_batch`'s. Counted as a
+        ``supervised`` decline per registration."""
+        count = len(batch)
+        if not count:
             return 0
-        self._check_batch_order(batch, enforce_order)
+        last_ts = self._check_batch_order(batch, enforce_order)
         if self._obs_on:
             for registration in self._all:
                 self._count_decline(registration, "supervised")
-        return self.process_batch(batch.to_events())
+        first_seq = self._write_ahead(batch)
+        rows = self._routed_rows(batch)
+        events = (
+            batch.to_events() if rows is None
+            else batch.take(rows).to_events()
+        )
+        self._ingest(events, count, last_ts, first_seq, rows)
+        if self._checkpointer is not None:
+            self._checkpointer.maybe_checkpoint(count)
+        return count
 
-    def _write_ahead(self, events: list[Event]) -> int:
-        """Append ``events`` to the journal before anything sees them;
-        returns the first one's sequence (-1 with no journal)."""
+    def _write_ahead(self, rows: list[Event] | EventBatch) -> int:
+        """Append ``rows`` — an event list through ``append_batch``, a
+        batch through ``append_event_batch`` — to the journal before
+        anything sees them; returns the first one's sequence (-1 with
+        no journal)."""
         journal = self._journal
         if journal is None:
             return -1
-        first_seq = journal.append_batch(events)
+        if isinstance(rows, EventBatch):
+            first_seq = journal.append_event_batch(rows)
+        else:
+            first_seq = journal.append_batch(rows)
         if (
             self._max_backlog is not None
             and journal.backlog_bytes > self._max_backlog
         ):
             journal.sync()
         if self._trace_on:
-            last_seq = first_seq + len(events) - 1
+            if isinstance(rows, EventBatch):
+                last_ts = rows.last_ts()
+                last_type = rows.schema.types[rows.codes[-1]]
+            else:
+                last_ts, last_type = rows[-1].ts, rows[-1].event_type
+            last_seq = first_seq + len(rows) - 1
             self._trace.record(
-                Stage.JOURNAL, events[-1].ts, events[-1].event_type,
+                Stage.JOURNAL, last_ts, last_type,
                 f"seq={first_seq}"
                 + (f"..{last_seq}" if last_seq > first_seq else ""),
             )

@@ -319,6 +319,67 @@ class TestColumnarTraceSource:
         assert _result_values(capsys.readouterr().out) == expected
 
 
+class TestJournalLane:
+    """``--journal DIR --batch-size N`` (N > 1) reads a trace the way
+    the columnar lane does and journals each batch as one frame record;
+    only the guard turns rows into events."""
+
+    @staticmethod
+    def _without_name(out):
+        """``--emit every`` lines with a lane's name column removed."""
+        return [
+            "\t".join(fields[:1] + fields[-1:])
+            for fields in (line.split("\t") for line in out.splitlines())
+        ]
+
+    def test_trace_reaches_the_journal_as_batches(
+        self, trace_path, tmp_path, capsys, monkeypatch
+    ):
+        from repro.datagen import tracefile
+        from repro.resilience import EventJournal
+        from repro.resilience.journal import read_journal
+
+        argv = [
+            "--query", QUERY, "--trace", trace_path, "--emit", "every",
+            "--batch-size", "256",
+        ]
+        assert main(argv) == 0
+        expected = self._without_name(capsys.readouterr().out)
+        assert len(expected) > 10
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("per-event path on the journal lane")
+
+        monkeypatch.setattr(tracefile, "iter_trace", refuse)
+        monkeypatch.setattr(tracefile, "_parse_fields", refuse)
+        monkeypatch.setattr(EventJournal, "append_batch", refuse)
+        journal = tmp_path / "j"
+        assert main(argv + ["--journal", str(journal)]) == 0
+        assert self._without_name(capsys.readouterr().out) == expected
+        monkeypatch.undo()
+        assert len(list(read_journal(journal))) == 3_000
+
+    def test_recover_refuses_a_tail_that_goes_back_in_time(
+        self, tmp_path, capsys
+    ):
+        from repro.resilience.journal import read_journal
+
+        head, tail = tmp_path / "head.txt", tmp_path / "tail.txt"
+        head.write_text("A,10\nB,20\nA,30\n")
+        tail.write_text("B,5\nB,40\n")
+        journal = ["--journal", str(tmp_path / "j"), "--batch-size", "2"]
+        argv = ["--query", "PATTERN SEQ(A, B) AGG COUNT WITHIN 1 s"]
+        assert main(argv + ["--trace", str(head), *journal]) == 0
+        capsys.readouterr()
+        code = main(argv + ["--trace", str(tail), *journal, "--recover"])
+        captured = capsys.readouterr()
+        assert code == 1
+        errors = _error_lines(captured.err)
+        assert len(errors) == 1 and "timestamp 5 is earlier" in errors[0]
+        assert "result" not in captured.out
+        assert len(list(read_journal(tmp_path / "j"))) == 3
+
+
 class TestLanes:
     """Every lane is the same spine — build an engine, ``run(source)``,
     finish — so one trace and one negation + GROUP BY query must read

@@ -223,6 +223,26 @@ class TestBatchBoundaryEdges:
             EventBatch.from_events([Event("B", 5)])
         )
 
+    @pytest.mark.parametrize("entry", ["process", "process_batch"])
+    def test_batch_gated_against_events_ingested_per_event(self, entry):
+        """The cross-batch gate sees what ``process``/``process_batch``
+        ingested (recovery replays through them), not only batches."""
+        engine = StreamEngine(routed=True)
+        engine.register(
+            parse_query("PATTERN SEQ(A, B) AGG COUNT WITHIN 1 s"),
+            name="q0",
+        )
+        if entry == "process":
+            engine.process(Event("A", 100))
+        else:
+            engine.process_batch([Event("A", 100)])
+        with pytest.raises(OutOfOrderError):
+            engine.process_event_batch(
+                EventBatch.from_events([Event("B", 50), Event("B", 60)])
+            )
+        assert engine.result("q0") == 0
+        assert engine.metrics.events == 1
+
     def test_missing_predicate_attribute_raises_like_per_event(self):
         # The mask compiler routes the offending batch through the
         # materializer, which must surface the same PredicateError the

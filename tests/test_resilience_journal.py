@@ -362,3 +362,165 @@ def test_shard_log_replays_batches_cut_at_the_start_seq(tmp_path, durable):
         (13, 12), (25, 5),
     ]
     log.close()
+
+
+# ----- frame records ---------------------------------------------------------
+
+
+def frame_record(seq, wire):
+    """A frame record made by hand: ``<crc> @<seq> <nbytes>\\n<wire>\\n``."""
+    head = b"@%d %d\n" % (seq, len(wire))
+    crc = zlib.crc32(head + wire) & 0xFFFFFFFF
+    return b"%08x " % crc + head + wire + b"\n"
+
+
+def columnar_batch(start, n):
+    """Rows with int, float and str columns, two of them masked."""
+    return EventBatch.from_events([
+        Event(
+            "ABC"[i % 3],
+            i,
+            {"id": i, "w": i / 4, "tag": f"t{i % 5}"} if i % 3
+            else {"w": float(i)},
+        )
+        for i in range(start, start + n)
+    ])
+
+
+def test_event_batch_is_one_frame_record_that_round_trips(tmp_path):
+    batch = columnar_batch(0, 12)
+    with EventJournal(tmp_path) as journal:
+        assert journal.append_event_batch(batch) == 0
+        assert journal.next_seq == 12
+    assert list_segments(tmp_path)[0].read_bytes() == frame_record(
+        0, batch.to_wire()
+    )
+    with EventJournal(tmp_path) as journal:
+        ((seq, replayed),) = journal.replay()
+    assert seq == 0
+    assert replayed.schema.types == batch.schema.types
+    assert replayed.schema.columns == tuple(batch.cols)
+    assert replayed.codes.tolist() == batch.codes.tolist()
+    assert replayed.ts.tolist() == batch.ts.tolist()
+    for name, column in batch.cols.items():
+        assert replayed.cols[name].dtype == column.dtype
+        assert replayed.cols[name].tolist() == column.tolist()
+    assert set(replayed.present) == set(batch.present) == {"id", "tag"}
+    for name, mask in batch.present.items():
+        assert replayed.present[name].tolist() == mask.tolist()
+    assert [event for _, event in read_journal(tmp_path)] == (
+        batch.to_events()
+    )
+
+
+def test_column_records_then_frames_resume_and_replay_in_order(tmp_path):
+    events = columnar_batch(0, 90).to_events()
+    with EventJournal(tmp_path, segment_bytes=600) as journal:
+        journal.append_batch(events[:10])
+        journal.append(events[10])
+        journal.append_event_batch(EventBatch.from_events(events[11:30]))
+    with EventJournal(tmp_path, segment_bytes=600) as journal:
+        assert journal.next_seq == 30
+        journal.append_batch(events[30:45])
+        journal.append_event_batch(EventBatch.from_events(events[45:70]))
+    with EventJournal(tmp_path, segment_bytes=600) as journal:
+        assert journal.next_seq == 70
+        journal.append_event_batch(EventBatch.from_events(events[70:]))
+    data = b"".join(path.read_bytes() for path in list_segments(tmp_path))
+    assert data.count(b' {"seq":') == 3 and data.count(b" @") >= 3
+    assert len(list_segments(tmp_path)) > 2
+    assert list(read_journal(tmp_path)) == list(enumerate(events))
+    for start in (0, 10, 17, 30, 52, 89, 90):
+        assert list(read_journal(tmp_path, start_seq=start)) == list(
+            enumerate(events)
+        )[start:]
+    with EventJournal(tmp_path) as journal:
+        pairs = list(journal.replay(17))
+    assert [seq for seq, _ in pairs][0] == 17
+    assert [e for _, batch in pairs for e in batch.to_events()] == events[17:]
+
+
+def rewrite(path, data):
+    path.unlink(missing_ok=True)  # cheaper than truncating in place
+    path.write_bytes(data)
+
+
+def damaged_frames(record):
+    """Every cut of ``record`` short of its end, then every byte of it
+    flipped."""
+    for keep in range(len(record)):
+        yield record[:keep]
+    for index in range(len(record)):
+        flipped = bytearray(record)
+        flipped[index] ^= 0xFF
+        yield bytes(flipped)
+
+
+def test_damaged_final_frame_is_a_torn_tail(tmp_path):
+    first, second = columnar_batch(0, 5), columnar_batch(5, 4)
+    intact = frame_record(0, first.to_wire())
+    last = frame_record(5, second.to_wire())
+    segment = tmp_path / "journal-000000000000.wal"
+    for damaged in damaged_frames(last):
+        rewrite(segment, intact + damaged)
+        assert [seq for seq, _ in read_journal(tmp_path)] == list(range(5))
+        with EventJournal(tmp_path) as journal:
+            assert journal.next_seq == 5
+            assert segment.read_bytes() == intact
+            journal.append_event_batch(second)
+        assert segment.read_bytes() == intact + last
+
+
+def test_damaged_frame_in_a_non_final_segment_raises(tmp_path):
+    first, second = columnar_batch(0, 5), columnar_batch(5, 4)
+    record = frame_record(0, first.to_wire())
+    (tmp_path / "journal-000000000005.wal").write_bytes(
+        frame_record(5, second.to_wire())
+    )
+    for damaged in damaged_frames(record):
+        rewrite(tmp_path / "journal-000000000000.wal", damaged)
+        with pytest.raises(JournalError):
+            list(read_journal(tmp_path))
+
+
+def test_object_column_batch_is_journaled_as_a_column_record(tmp_path):
+    events = [Event("A", 1, {"x": 1}), Event("B", 2, {"x": "one"})]
+    batch = EventBatch.from_events(events)
+    assert batch.cols["x"].dtype == object
+    with EventJournal(tmp_path) as journal:
+        journal.append_event_batch(batch)
+    (line,) = list_segments(tmp_path)[0].read_bytes().splitlines()
+    assert decode_record(line.decode("utf-8")) == (0, events)
+    with EventJournal(tmp_path) as journal:
+        replayed = [e for _, b in journal.replay() for e in b.to_events()]
+    assert replayed == events
+
+
+def test_frame_with_an_object_segment_is_refused_unpickled(
+    tmp_path, monkeypatch
+):
+    import pickle
+
+    wire = EventBatch.from_events(
+        [Event("A", 1, {"x": 1}), Event("B", 2, {"x": "one"})]
+    ).to_wire()
+    assert b'"col","x",null' in wire  # an object segment: a pickle
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a journal frame was unpickled")
+
+    monkeypatch.setattr(pickle, "loads", refuse)
+    ok = frame_record(0, columnar_batch(0, 3).to_wire())
+    (tmp_path / "journal-000000000000.wal").write_bytes(
+        ok + frame_record(3, wire)
+    )
+    assert [seq for seq, _ in read_journal(tmp_path)] == [0, 1, 2]
+    with EventJournal(tmp_path) as journal:
+        assert journal.next_seq == 3
+    assert list_segments(tmp_path)[0].read_bytes() == ok
+    (tmp_path / "journal-000000000000.wal").write_bytes(
+        frame_record(0, wire)
+    )
+    (tmp_path / "journal-000000000002.wal").write_bytes(ok)
+    with pytest.raises(JournalError):
+        list(read_journal(tmp_path))

@@ -469,6 +469,78 @@ def test_rejected_batch_reaches_neither_journal_nor_executors(tmp_path):
     assert engine.metrics.events == 4
 
 
+def test_event_batch_materialises_only_routed_rows_and_guards_alike(
+    tmp_path, monkeypatch
+):
+    """A routed supervised engine journals a columnar batch as itself
+    and builds events only for the rows a route reads; dead letters
+    (under their positional journal sequence), quarantine and readmit
+    ordinals, health and outputs are those of the same rows fed to
+    ``process_batch`` as events."""
+    events = [
+        Event("A" if i % 7 == 0 else "B" if i % 11 == 0 else "Z", i + 1)
+        for i in range(400)
+    ]
+    routed = sum(event.event_type != "Z" for event in events)
+
+    def twin(directory):
+        engine = SupervisedStreamEngine(
+            routed=True, quarantine_after=2, auto_restart_events=30,
+            journal=EventJournal(directory),
+        )
+        sinks = {"healthy": CollectSink(), "poison": CollectSink()}
+        engine.register(ab_query("healthy"), sinks["healthy"])
+        engine.register_executor(
+            "poison",
+            FaultyExecutor(ASeqEngine(ab_query("poison")), fail_at=range(9)),
+            sinks["poison"],
+        )
+        return engine, sinks
+
+    def triples(engine):
+        return [
+            (letter.query_name, letter.event, letter.journal_seq)
+            for letter in engine.dlq
+        ]
+
+    batches = [
+        EventBatch.from_events(events[i:i + 64])
+        for i in range(0, len(events), 64)
+    ]
+    reference, reference_sinks = twin(tmp_path / "events")
+    for batch in batches:
+        reference.process_batch(batch.to_events())
+
+    materialised = []
+    to_events = EventBatch.to_events
+
+    def counted(self):
+        materialised.extend(self.schema.types[code] for code in self.codes)
+        return to_events(self)
+
+    monkeypatch.setattr(EventBatch, "to_events", counted)
+    engine, sinks = twin(tmp_path / "batches")
+    for batch in batches:
+        engine.process_event_batch(batch)
+    engine.journal.close()
+    reference.journal.close()
+
+    assert len(materialised) == routed and "Z" not in materialised
+    assert triples(engine) == triples(reference)
+    letters = triples(engine)
+    assert len(letters) == engine.executor_of("poison").failures > 4
+    assert all(events[seq] == event for _, event, seq in letters)
+    for name in ("healthy", "poison"):
+        assert engine.health_of(name) == reference.health_of(name)
+        assert sinks[name].values() == reference_sinks[name].values()
+    assert engine.results() == reference.results()
+    assert engine.metrics.events == reference.metrics.events == len(events)
+    monkeypatch.setattr(EventBatch, "to_events", to_events)
+    assert list(read_journal(tmp_path / "batches")) == list(
+        read_journal(tmp_path / "events")
+    ) == list(enumerate(events))
+
+
 # ----- journal backlog bound -------------------------------------------------
 
 
