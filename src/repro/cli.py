@@ -441,11 +441,6 @@ def _check_flags(args: argparse.Namespace) -> None:
             "--admin-linger requires --admin-port",
         ),
         (
-            supervised and args.columnar,
-            "--columnar is not supported with --journal/--recover (the "
-            "supervised engine journals per-event)",
-        ),
-        (
             supervised and args.journal is None,
             "--recover requires --journal DIR",
         ),
@@ -484,24 +479,33 @@ def _columnar_batch_size(args: argparse.Namespace) -> int:
     return args.batch_size if args.batch_size > 1 else 4096
 
 
+def _ingests_batches(args: argparse.Namespace) -> bool:
+    """Whether the lane is fed ``EventBatch``es: ``--columnar`` and
+    ``--shards N`` always, the ``--journal``/``--recover`` lane when
+    ``--batch-size`` > 1. The one condition behind the source and the
+    supervised engine's routing and vectorized executors."""
+    journaled = bool(args.journal or args.recover)
+    return (
+        args.columnar or args.shards > 0
+        or (journaled and args.batch_size > 1)
+    )
+
+
 def _load_source(
     args: argparse.Namespace,
 ) -> Iterable[Event] | Iterator[EventBatch]:
-    """The event source: ``Event``s, or ``EventBatch``es under
-    ``--columnar`` and ``--shards N``.
+    """The event source: ``EventBatch``es when the lane ingests batches
+    (:func:`_ingests_batches`), else ``Event``s.
 
     A batch-lane trace file is parsed straight into columns — no
     ``Event`` and no ``EventStream``; the engine's vectorised per-batch
-    check enforces stream order instead. The ``--journal``/``--recover``
-    lane reads a trace that way too when ``--batch-size`` > 1, so each
-    batch is journaled as itself. The reorder buffer and the generators
-    produce events, so those are columnarized from events (or, on the
-    journal lane, stay events).
+    check enforces stream order instead. On the ``--journal`` lane each
+    batch is then journaled as itself. The reorder buffer and the
+    generators produce events, so those are columnarized from events.
     """
-    batched = args.columnar or args.shards > 0
+    batched = _ingests_batches(args)
     if args.trace is not None:
-        journaled = bool(args.journal or args.recover) and args.batch_size > 1
-        if (batched or journaled) and not args.reorder_slack_ms:
+        if batched and not args.reorder_slack_ms:
             return read_trace_batches(args.trace, _columnar_batch_size(args))
         events: Iterable[Event] = read_trace(
             args.trace, enforce_order=args.reorder_slack_ms == 0
@@ -653,13 +657,15 @@ def _build_supervised(
 
     names = _names(queries)
     checkpoint_every = args.checkpoint_every or None
-    # One engine configuration for a fresh run and a recovered one.
+    # One engine configuration for a fresh run and a recovered one. A
+    # lane that ingests batches runs the executors --columnar runs.
+    batched = _ingests_batches(args)
     engine_kwargs = dict(
-        vectorized=args.engine == "vectorized",
+        vectorized=batched or args.engine == "vectorized",
         registry=registry,
         trace=trace,
         quarantine_after=args.quarantine_after,
-        routed=args.batch_size > 1,
+        routed=batched,
         batch_size=max(0, args.batch_size),
         sink_retries=max(0, args.sink_retries),
     )
