@@ -109,6 +109,25 @@ def test_supervised_engine_wires_sink_dlq_to_its_own_dlq(tmp_path):
         assert [letter.journal_seq for letter in letters] == [1, 3, 5]
 
 
+def test_kernel_lane_sink_dead_letters_name_their_arrival(tmp_path):
+    from repro.events.batch import EventBatch
+
+    engine = SupervisedStreamEngine(
+        vectorized=True, sink_retries=1, sink_retry_backoff_s=0.0
+    )
+    engine.attach_journal(EventJournal(tmp_path))
+    engine.register(_ab_query(), AlwaysFailingSink())
+    events = _ab_events(3)
+    engine.process_event_batch(EventBatch.from_events(events))
+    state = engine.executor_of("ab").runtime.inspect()
+    assert state["kernel_slices"]["row_loop"] == 1
+    letters = [letter for letter in engine.dlq.drain() if letter.output]
+    # The kernel emits from columns; the B row behind each undelivered
+    # output becomes an event only for its dead letter.
+    assert [letter.journal_seq for letter in letters] == [1, 3, 5]
+    assert [letter.event for letter in letters] == events[1::2]
+
+
 def test_zero_backoff_does_not_sleep():
     engine = StreamEngine(sink_retries=3, sink_retry_backoff_s=0.0)
     engine.register(_ab_query(), AlwaysFailingSink())
