@@ -50,6 +50,17 @@ class OutOfOrderError(StreamError):
         self.current_ts = current_ts
 
 
+class CounterOverflowError(ReproError, OverflowError):
+    """A prefix count outgrew the columnar runtime's int64 ring.
+
+    Raised before the count is written, never wrapped. It belongs to the
+    workload, not to the event that tipped it over, so the supervised
+    engine raises it instead of dead-lettering that event; the reference
+    engine (``vectorized=False``) counts in Python integers and has no
+    such limit.
+    """
+
+
 class PlanError(ReproError):
     """A multi-query sharing plan is invalid (e.g. bad chop points)."""
 
