@@ -810,7 +810,11 @@ class StreamEngine:
         by_length: dict[int, list[tuple[_Registration, Any]]] = {}
         for registration in self._all:
             plan, _ = self._bind_columnar(registration, schema)
-            if plan is not None and plan.closed_form_decline is None:
+            if (
+                plan is not None
+                and plan.key_attribute is None
+                and plan.closed_form_decline is None
+            ):
                 by_length.setdefault(len(plan.slot_luts), []).append(
                     (registration, plan)
                 )

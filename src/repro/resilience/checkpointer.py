@@ -101,6 +101,9 @@ def engine_state(engine: Any, journal_seq: int = 0) -> dict[str, Any]:
     return {
         "version": ENGINE_FORMAT_VERSION,
         "journal_seq": journal_seq,
+        # The order gate's clock: a restored engine must refuse what the
+        # checkpointed one would have refused.
+        "clock_ms": getattr(engine, "_clock_ms", None),
         "metrics": {
             "events": metrics.events,
             "outputs": metrics.outputs,
@@ -122,7 +125,9 @@ def apply_engine_state(
     registration objects, whose ``executor`` is looked up at dispatch
     time); entries naming none are skipped. ``only`` restores that one
     registration and raises :class:`~repro.errors.CheckpointError` when
-    the document does not hold it.
+    the document does not hold it; otherwise the engine's clock moves up
+    to the checkpointed one (its batch order gate), when the document
+    records it.
     """
     found = False
     for entry in state.get("registrations", []):
@@ -142,6 +147,11 @@ def apply_engine_state(
         raise CheckpointError(
             f"checkpoint holds no registration named {only!r}"
         )
+    clock = state.get("clock_ms")
+    if only is None and clock is not None:
+        current = getattr(engine, "_clock_ms", None)
+        if current is None or clock > current:
+            engine._clock_ms = clock
 
 
 def apply_engine_metrics(engine: Any, state: dict[str, Any]) -> None:

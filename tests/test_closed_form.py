@@ -204,7 +204,13 @@ def test_declined_plans_stay_on_the_row_loop(reason, monkeypatch):
     events = stream(seed=11, count=600)
     batch = EventBatch.from_events(events)
     executor = ASeqEngine(query, vectorized=True)
-    assert executor.columnar_plan(batch.schema).closed_form_decline == reason
+    plan = executor.columnar_plan(batch.schema)
+    if reason == "group_by":
+        # A GROUP BY runs the partition table's kernel whatever its
+        # flat plan would allow.
+        assert plan.key_attribute == "v"
+    else:
+        assert plan.closed_form_decline == reason
 
     force_kernel(monkeypatch, "closed_form")
     engine = StreamEngine(routed=True, vectorized=True)
@@ -221,15 +227,19 @@ def test_declined_plans_stay_on_the_row_loop(reason, monkeypatch):
     ]
     runtime = executor.runtime
     if reason == "group_by":
-        partitions = [engine for _, engine in runtime.partitions()]
+        assert runtime.inspect()["kernel_batches"]["batches"] == 1
+        assert all(
+            partition.inspect()["closed_form_scan_width"] == 0
+            for _, partition in runtime.partitions()
+        )
+        kernel = "kernel: partition_table\n"
     else:
-        partitions = [runtime]
-    for partition in partitions:
-        state = partition.inspect()
+        state = runtime.inspect()
         assert state["kernel_slices"]["closed_form"] == 0
         assert state["kernel_slices"]["row_loop"] >= 1
         assert not any(state["closed_form_fallbacks"].values())
-    assert f"kernel: row_loop ({reason})" in render_explain(engine.explain())
+        kernel = f"kernel: row_loop ({reason})"
+    assert kernel in render_explain(engine.explain())
 
 
 def test_explain_names_the_closed_form():
@@ -251,9 +261,7 @@ def test_adjacency_is_about_update_slots_only():
     from repro.core.aggregates import PatternLayout
 
     def slug(text):
-        return closed_form_decline(
-            PatternLayout.of(parse_query(text)), False
-        )
+        return closed_form_decline(PatternLayout.of(parse_query(text)))
 
     assert slug("PATTERN SEQ(A, A, B) AGG COUNT WITHIN 9 ms") is None
     assert slug("PATTERN SEQ(A, B, A, B) AGG COUNT WITHIN 9 ms") is None

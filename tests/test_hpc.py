@@ -297,9 +297,10 @@ class TestHPCEngine:
 
 class TestColumnarPartitions:
     def test_ten_thousand_keys_stay_under_the_ring_budget(self):
-        """Each key owns a ring, and most hold 0-2 live STARTs: the
-        rings of 10 000 keys of a length-3 SUM query must fit in 512 B
-        apiece (they took 14 KiB apiece at 256 columns)."""
+        """Most keys hold 0-2 live STARTs: the partition table's columns
+        and per-key books for 10 000 keys of a length-3 SUM query must
+        fit in 512 B per key (per-key rings took 14 KiB apiece at 256
+        columns)."""
         from repro.core.executor import ASeqEngine
         from repro.events.batch import EventBatch
 
@@ -320,11 +321,7 @@ class TestColumnarPartitions:
         hpc = engine.runtime
         assert hpc.partition_count == keys
         assert hpc.current_objects() == keys
-        ring_bytes = sum(
-            array.nbytes
-            for _, partition in hpc.partitions()
-            for array in (
-                partition._counts, partition._exps, partition._wsums
-            )
+        table_bytes = sum(
+            array.nbytes for array in (hpc._ints, hpc._floats, hpc._books)
         )
-        assert ring_bytes <= keys * 512
+        assert table_bytes <= keys * 512

@@ -112,6 +112,78 @@ def test_validate_rejects_malformed_documents():
             validate_engine_state(bad)
 
 
+GROUPED = "PATTERN SEQ(A, !N, B) AGG SUM(B.v) WITHIN 40 ms GROUP BY g"
+
+
+def grouped_batches():
+    """Two 1000-row batches of a negation + GROUP BY stream."""
+    import random
+
+    from repro.events.batch import EventBatch
+
+    rng = random.Random(3)
+    events = [
+        Event(rng.choice("ABNZ"), ts + 1, {
+            "g": rng.randint(0, 7), "v": rng.randint(1, 9),
+        })
+        for ts in range(2000)
+    ]
+    return (
+        EventBatch.from_events(events[:1000]),
+        EventBatch.from_events(events[1000:]),
+    )
+
+
+def restored_from(state):
+    from repro.engine.engine import StreamEngine
+    from repro.query import parse_query
+    from repro.resilience.checkpointer import apply_engine_state
+
+    engine = StreamEngine(routed=True, vectorized=True)
+    engine.register(parse_query(GROUPED), name="q")
+    apply_engine_state(engine, json.loads(json.dumps(state)))
+    return engine
+
+
+def test_a_restored_engine_keeps_the_batch_order_gate():
+    """The document records the engine clock, so an engine restored
+    from it refuses a batch older than everything it counted, as the
+    checkpointed engine does."""
+    from repro.engine.engine import StreamEngine
+    from repro.errors import OutOfOrderError
+    from repro.query import parse_query
+
+    first, second = grouped_batches()
+    live = StreamEngine(routed=True, vectorized=True)
+    live.register(parse_query(GROUPED), name="q")
+    live.process_event_batch(first)
+    live.process_event_batch(second)
+    state = engine_state(live)
+    assert state["clock_ms"] == second.last_ts()
+    restored = restored_from(state)
+    for engine in (live, restored):
+        with pytest.raises(OutOfOrderError):
+            engine.process_event_batch(first)
+    assert restored.results() == live.results()
+
+
+def test_a_document_without_the_clock_restores_as_before():
+    """An older document has no clock: the restored engine's gate starts
+    open, as it did before the field existed."""
+    from repro.engine.engine import StreamEngine
+    from repro.query import parse_query
+
+    first, second = grouped_batches()
+    live = StreamEngine(routed=True, vectorized=True)
+    live.register(parse_query(GROUPED), name="q")
+    live.process_event_batch(first)
+    live.process_event_batch(second)
+    state = engine_state(live)
+    del state["clock_ms"]
+    restored = restored_from(state)
+    assert restored.process_event_batch(first) == len(first)
+
+
 # ----- Checkpointer scheduling ----------------------------------------------
 
 
