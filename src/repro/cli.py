@@ -23,7 +23,7 @@ import os
 import sys
 import time
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable, Iterator
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator
 
 from repro.baseline.twostep import TwoStepEngine
 from repro.core.executor import ASeqEngine
@@ -50,10 +50,12 @@ from repro.obs.registry import (
     MetricsRegistry,
     set_default_registry,
 )
-from repro.obs.server import AdminServer
 from repro.obs.tracing import NULL_TRACER, TraceRecorder
 from repro.obs.workload_profile import write_workload_profile
 from repro.query.parser import parse_query, parse_workload
+
+if TYPE_CHECKING:
+    from repro.obs.server import AdminServer
 
 _log = get_logger("cli")
 
@@ -892,6 +894,10 @@ def _open_run(
         history.set_refresher(engine.refresh_cost_metrics)
     if args.admin_port is None:
         return None
+    # Imported here: the HTTP server modules cost every start-up that
+    # asks for no admin port.
+    from repro.obs.server import AdminServer
+
     admin = AdminServer(
         engine,
         registry=registry,

@@ -286,7 +286,7 @@ class ColumnarPlan:
         is written before a None return.
         """
         codes = batch.codes
-        routed_mask = self.routed_lut[codes]
+        routed_mask = self.routed_lut.take(codes)
         routed_idx = np.flatnonzero(routed_mask)
         if not routed_idx.size:
             return routed_idx, routed_idx
@@ -311,7 +311,9 @@ class ColumnarPlan:
         ):
             return self._decline("missing_key")
         if self.needs_value:
-            needed = kept_idx[self.value_needed_lut[codes[kept_idx]]]
+            needed = kept_idx[
+                self.value_needed_lut.take(codes.take(kept_idx))
+            ]
             if needed.size and not _covers(
                 batch, self.value_attribute, needed
             ):

@@ -30,7 +30,12 @@ from repro.core.aggregates import PatternLayout
 from repro.core.columnar import GroupPlan, decline_reason, plan_for
 from repro.core.hpc import HPCEngine, flat_runtime, partition_attributes
 from repro.core.partition_table import PartitionTable
-from repro.core.vectorized import Emissions, VectorizedSemEngine
+from repro.core.vectorized import (
+    NO_EMISSIONS,
+    Emissions,
+    VectorizedSemEngine,
+    emitted_rows,
+)
 from repro.obs.funnel import FunnelRecorder, resolve_funnel
 from repro.obs.registry import MetricsRegistry, resolve_registry
 from repro.obs.tracing import Stage, TraceRecorder, resolve_tracer
@@ -58,7 +63,7 @@ def process_columnar_group(
     group: GroupPlan,
     batch: Any,
     routed: bool = True,
-) -> list[tuple[list[tuple[int, Any]], int, Any, Any] | None]:
+) -> list[tuple[Emissions, int, Any] | None]:
     """:meth:`ASeqEngine.process_columnar` for every member of
     ``group`` (``executors[m]`` bound through ``group.plans[m]``), with
     one routing pass and one closed-form scan; returns, member by
@@ -81,7 +86,7 @@ def process_columnar_group(
             routed_idx, kept_idx = selection
         books = executor._admit_columns(batch, routed_idx, routed)
         if books is None:
-            outcomes[member] = ([], 0, None, ())
+            outcomes[member] = (NO_EMISSIONS, 0, None)
             continue
         admitted.append((member, routed_idx, kept_idx, *books))
         if kept_idx.size:
@@ -110,7 +115,7 @@ def process_columnar_group(
     for member, routed_idx, kept_idx, offered, horizon in admitted:
         outcomes[member] = executors[member]._settle_columns(
             batch, routed_idx, kept_idx, offered, horizon,
-            emitted.get(member) or ((), []), kept,
+            emitted.get(member, NO_EMISSIONS), kept,
         )
     return outcomes
 
@@ -368,15 +373,19 @@ class ASeqEngine:
         fallback; the executor state is untouched.
         """
         outcome = self.run_columnar(batch, plan, routed)
-        return None if outcome is None else outcome[:2]
+        if outcome is None:
+            return None
+        emitted, offered, _ = outcome
+        return list(emitted_rows(emitted)), offered
 
     def run_columnar(
         self, batch: Any, plan: Any, routed: bool = True
-    ) -> tuple[list[tuple[int, Any]], int, Any, Any] | None:
-        """:meth:`process_columnar` as ``(emitted, offered, kept_idx,
-        positions)``: the ``k``-th output arose on batch row
-        ``kept_idx[positions[k]]``, for a caller that may have to name
-        the arrival behind an output.
+    ) -> tuple[Emissions, int, Any] | None:
+        """:meth:`process_columnar` as ``(emitted, offered, kept_idx)``
+        with the outputs still as
+        :data:`~repro.core.vectorized.Emissions` columns: the ``k``-th
+        arose on batch row ``kept_idx[positions[k]]``, for a caller
+        that may have to name the arrival behind an output.
 
         The call commits the whole batch or nothing: a raise — from the
         kernel, or its int64 check — leaves the executor exactly as it
@@ -388,12 +397,12 @@ class ASeqEngine:
         routed_idx, kept_idx = selection
         admitted = self._admit_columns(batch, routed_idx, routed)
         if admitted is None:
-            return [], 0, None, ()
+            return NO_EMISSIONS, 0, None
         return self._settle_columns(
             batch, routed_idx, kept_idx, *admitted,
             self._runtime.process_batch_columns(batch, kept_idx, plan)
             if kept_idx.size
-            else ((), []),
+            else NO_EMISSIONS,
             kept_idx,
         )
 
@@ -420,7 +429,7 @@ class ASeqEngine:
         horizon: int,
         emissions: Emissions,
         scan: Any,
-    ) -> tuple[list[tuple[int, Any]], int, Any, Any]:
+    ) -> tuple[Emissions, int, Any]:
         """Book one batch once the runtime has committed its kept rows
         with ``emissions``, whose positions index ``scan`` (the kept
         rows of every registration the kernel call took); returns what
@@ -439,9 +448,8 @@ class ASeqEngine:
             self._m_events.inc(offered)
             if kept_count < offered:
                 self._m_filtered.inc(offered - kept_count)
-        positions, emitted = emissions
-        self._finish_batch(horizon, len(emitted))
-        return emitted, offered, scan, positions
+        self._finish_batch(horizon, len(emissions[0]))
+        return emissions, offered, scan
 
     def result(self) -> Any:
         """Current aggregate (scalar, or per-key dict for GROUP BY)."""

@@ -20,7 +20,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from functools import cache
 from itertools import accumulate
-from typing import Any
+from typing import Any, Iterator
 
 import numpy as np
 
@@ -113,10 +113,35 @@ def _int64_safe(
     )
 
 
-#: A kernel's emissions, in stream order: ``(positions, pairs)`` — the
-#: ``(ts, fresh)`` pair of each TRIG arrival with a fresh aggregate,
-#: and that row's index into the slice (or the caller's row tag).
-Emissions = tuple[Any, list[tuple[int, Any]]]
+#: A kernel's emissions, in stream order, as columns ``(positions, ts,
+#: values, labels)``: per TRIG arrival with a fresh aggregate, its index
+#: into the slice (or the caller's row tag), its timestamp and its
+#: aggregate, and for a GROUP BY the arriving row's key (``labels`` is
+#: None for a flat kernel). Each column is an array or a list; the
+#: ``(ts, fresh)`` objects are built from them only where something
+#: reads them (:func:`emitted_rows`).
+Emissions = tuple[Any, Any, Any, Any]
+
+#: The emissions of a call with no TRIG arrival.
+NO_EMISSIONS: Emissions = ((), (), (), None)
+
+
+def _listed(column: Any) -> Any:
+    return column.tolist() if isinstance(column, np.ndarray) else column
+
+
+def emitted_rows(emitted: Emissions) -> Iterator[tuple[int, Any]]:
+    """The ``(ts, fresh)`` pair of each emission, as per-event
+    ``process`` returns it there: the aggregate, or ``{key: aggregate}``
+    for a GROUP BY."""
+    _, stamps, values, labels = emitted
+    stamps, values = _listed(stamps), _listed(values)
+    if labels is None:
+        return zip(stamps, values)
+    return (
+        (ts, {label: value})
+        for ts, label, value in zip(stamps, _listed(labels), values)
+    )
 
 
 def _copied(lists: tuple[Any, list[int], Any, Any], lo: int) -> tuple:
@@ -148,8 +173,8 @@ def _moved(emitted: Emissions | None, rows: np.ndarray) -> Any:
     rows ``rows`` index."""
     if emitted is None:
         return None
-    positions, pairs = emitted
-    return rows[positions], pairs
+    positions, *columns = emitted
+    return (rows[positions], *columns)
 
 
 class VectorizedSemEngine:
@@ -398,7 +423,7 @@ class VectorizedSemEngine:
         """
         if not len(codes):
             return []
-        return self._kernel(codes, ts, plan, values)[1]
+        return list(emitted_rows(self._kernel(codes, ts, plan, values)))
 
     def _kernel(
         self,
@@ -451,8 +476,8 @@ class VectorizedSemEngine:
         the cut-over.
         """
         return [
-            pairs
-            for _, pairs in VectorizedSemEngine._scan_group(
+            list(emitted_rows(emitted))
+            for emitted in VectorizedSemEngine._scan_group(
                 runtimes, plans, codes, ts, bounds, stacked
             )
         ]
@@ -582,7 +607,8 @@ class VectorizedSemEngine:
             created = 0
             blocked = 0
             positions: list[int] = []
-            pairs: list[tuple[int, Any]] = []
+            stamps: list[int] = []
+            aggregates: list[Any] = []
             for i in range(first, end):
                 t = ts[i]
                 if t > now:
@@ -723,7 +749,8 @@ class VectorizedSemEngine:
                             )
                     if fresh is not None:
                         positions.append(i if rows is None else rows[i])
-                        pairs.append((t, fresh))
+                        stamps.append(t)
+                        aggregates.append(fresh)
             # The ring is int64 and Python ints are not: a counter that
             # outgrew it fails here, before anything is committed.
             if owned and size:
@@ -734,7 +761,7 @@ class VectorizedSemEngine:
                 runtime, lists, end - first, now, lo, size,
                 updates - blocked, peak, created, expired, blocked,
             ))
-            emitted.append((positions, pairs))
+            emitted.append((positions, stamps, aggregates, None))
         for (
             runtime, lists, n, now, lo, size,
             updates, peak, created, expired, blocked,
@@ -864,7 +891,7 @@ class VectorizedSemEngine:
         bounds: list[int],
         slot_luts: np.ndarray,
         trigger_lut: np.ndarray,
-    ) -> list[list[tuple[int, Any]] | None]:
+    ) -> list[Emissions | None]:
         """The flat COUNT kernel as prefix products over a group of
         slices (derivation: docs/ALGORITHMS.md, "Closed-form COUNT
         kernel" and "Many registrations, one scan").
@@ -1080,7 +1107,7 @@ class VectorizedSemEngine:
         totals = np.einsum(
             "kt,kt->t", prefix.take(triggers + 1, axis=1), in_range
         )
-        pairs = list(zip(ts[triggers].tolist(), totals.tolist()))
+        trigger_ts = ts.take(triggers)
 
         # One accounting tick per arrival per counter live before it,
         # and a peak sampled after each START, as the row loop counts.
@@ -1143,10 +1170,13 @@ class VectorizedSemEngine:
                 expired=end_lo - born0 + end_lo0 - carried0,
             )
             if single:
-                emitted.append((triggers, pairs))
+                emitted.append((triggers, trigger_ts, totals, None))
             else:
                 first, end = splits[member], splits[member + 1]
-                emitted.append((triggers[first:end], pairs[first:end]))
+                emitted.append((
+                    triggers[first:end], trigger_ts[first:end],
+                    totals[first:end], None,
+                ))
             born0, carried0 = end_born, end_carried
         return emitted
 

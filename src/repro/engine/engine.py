@@ -38,6 +38,7 @@ from repro.core.executor import (
     process_columnar_group,
     process_each,
 )
+from repro.core.vectorized import emitted_rows
 from repro.engine.metrics import EngineMetrics
 from repro.engine.sinks import Output, ResultSink
 from repro.obs.funnel import FunnelRecorder, resolve_funnel
@@ -737,14 +738,15 @@ class StreamEngine:
                 if bucket:
                     self._drive_batch(registration, bucket, obs_on)
                 continue
-            emitted, offered, kept_idx, positions = outcome
+            emitted, offered, kept_idx = outcome
             if routed and not offered:
                 continue  # empty bucket: skipped, like process_batch
             if health is not None and health.consecutive_failures:
                 health.consecutive_failures = 0
             if obs_on:
                 registration.m_events.inc(offered)
-            emit_count = len(emitted)
+            positions = emitted[0]
+            emit_count = len(positions)
             if not emit_count:
                 continue
             self.metrics.outputs += emit_count
@@ -754,7 +756,7 @@ class StreamEngine:
             if registration.sinks:
                 name = registration.name
                 rows = kept_idx[positions].tolist()
-                for (ts, fresh), row in zip(emitted, rows):
+                for (ts, fresh), row in zip(emitted_rows(emitted), rows):
                     self._deliver(
                         name,
                         registration.sinks,

@@ -2161,15 +2161,20 @@ class ShardedStreamEngine:
         rows = np.flatnonzero(route[1][batch.codes])
         if not rows.size:
             return
-        buckets: list[list[int]] = [[] for _ in self._workers]
+        buckets: list[Any] = [[] for _ in self._workers]
         traced: list[list[tuple[int, str]]] | None = None
         attribute = self.shard_attribute
         column = None if attribute is None else batch.cols.get(attribute)
+        sampled = self._trace_on and skip is None
         if column is None:
             # No key column at all: every relevant row is keyless.
             row_list = rows.tolist()
             for bucket in buckets:
                 bucket.extend(row_list)
+        elif column.dtype.kind in "biu" and not sampled:
+            buckets = self._integer_buckets(
+                rows, column, batch.present.get(attribute)
+            )
         else:
             keys = column[rows].tolist()
             mask = batch.present.get(attribute)
@@ -2192,7 +2197,7 @@ class ShardedStreamEngine:
                 except TypeError:  # unhashable key: hash it every time
                     index = shard_of(key, shards)
                 buckets[index].append(row)
-            if self._trace_on and skip is None:
+            if sampled:
                 traced = self._sample_routes(
                     batch, rows, keys, keyed, buckets
                 )
@@ -2202,7 +2207,7 @@ class ShardedStreamEngine:
                 applied = min(skip[worker.index], len(bucket))
                 skip[worker.index] -= applied  # in checkpoint + journal
                 bucket = bucket[applied:]
-            if not bucket:
+            if not len(bucket):
                 continue
             if len(bucket) == count:
                 sub = batch
@@ -2212,6 +2217,40 @@ class ShardedStreamEngine:
                 self._send_batch(
                     worker, sub, traced and traced[worker.index]
                 )
+
+    def _integer_buckets(
+        self, rows: np.ndarray, column: np.ndarray, mask: Any
+    ) -> list[np.ndarray]:
+        """The partition step's buckets over an integer or bool key
+        column, equal to the row loop's: one memo / :func:`shard_of`
+        lookup per distinct key, then one mask per worker, keyless rows
+        (``mask`` False) in every bucket. Float keys stay on the loop:
+        ``-0.0`` and ``0.0`` are one key to ``np.unique`` and to the
+        memo, but not to ``repr``."""
+        keys = column.take(rows)
+        keyed = None if mask is None else mask.take(rows)
+        if keyed is not None:
+            keys = keys[keyed]
+        distinct, inverse = np.unique(keys, return_inverse=True)
+        memo = self._shard_of_key
+        shards = self.shards
+        table = []
+        for key in distinct.tolist():
+            index = memo.get(key)
+            if index is None:
+                index = shard_of(key, shards)
+                if len(memo) < 65536:
+                    memo[key] = index
+            table.append(index)
+        owner = np.array(table, dtype=np.intp).take(inverse.ravel())
+        if keyed is not None:
+            owner, owned = np.full(rows.size, -1, dtype=np.intp), owner
+            owner[keyed] = owned
+        keyless = owner < 0
+        return [
+            rows[(owner == worker) | keyless]
+            for worker in range(len(self._workers))
+        ]
 
     def _sample_routes(
         self,

@@ -108,6 +108,27 @@ class BatchSchema:
         )
 
 
+#: Schemas decoded from wire frames, by ``(types, columns)``, so that
+#: every frame of one stream shares one schema object (engines cache
+#: plans by schema identity). Bounded: emptied when full.
+_DECODED_SCHEMAS: dict[tuple[tuple[str, ...], ...], BatchSchema] = {}
+_DECODED_SCHEMAS_MAX = 64
+
+
+def _decoded_schema(
+    types: list[str], columns: tuple[str, ...]
+) -> BatchSchema:
+    """The interned schema of a decoded frame (schemas are immutable)."""
+    key = (tuple(types), columns)
+    schema = _DECODED_SCHEMAS.get(key)
+    if schema is None:
+        schema = BatchSchema(*key)
+        if len(_DECODED_SCHEMAS) >= _DECODED_SCHEMAS_MAX:
+            _DECODED_SCHEMAS.clear()
+        _DECODED_SCHEMAS[key] = schema
+    return schema
+
+
 def _column_array(
     values: list[Any], n: int
 ) -> tuple[np.ndarray, np.ndarray | None]:
@@ -497,8 +518,9 @@ class EventBatch:
             raise StreamError(
                 f"columnar batch codes outside [0, {len(types)})"
             )
-        schema = BatchSchema(types, tuple(cols))
-        return cls(schema, codes, ts, cols, present)
+        return cls(
+            _decoded_schema(types, tuple(cols)), codes, ts, cols, present
+        )
 
     def __repr__(self) -> str:
         return (

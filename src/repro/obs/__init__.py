@@ -85,7 +85,6 @@ from repro.obs.logging import (
     get_logger,
     install_config,
 )
-from repro.obs.server import AdminServer
 
 __all__ = [
     "Counter",
@@ -144,3 +143,13 @@ __all__ = [
     "query_rows",
     "state_of",
 ]
+
+
+def __getattr__(name: str):
+    """``AdminServer`` on first use: importing it pulls in the HTTP
+    server modules, which a process without an admin port never needs."""
+    if name == "AdminServer":
+        from repro.obs.server import AdminServer
+
+        return AdminServer
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
