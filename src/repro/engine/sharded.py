@@ -34,7 +34,7 @@ single-process guarantees to this path:
   answers heartbeat pings on it; a
   :class:`~repro.resilience.shard_supervisor.HeartbeatSupervisor`
   thread revives shards that die, wedge, or report a poisoned engine;
-* every batch successfully handed to a worker is recorded in that
+* every frame successfully handed to a worker is recorded in that
   shard's journal (in memory by default, on disk under
   ``journal_dir/shard-NN`` — an
   :class:`~repro.resilience.journal.EventJournal`); workers snapshot
@@ -68,7 +68,11 @@ Router durability (PR 7) closes the last single point of failure:
 * every row reaches the workers through one partition step
   (``_send_partitions``): a columnar ingest batch directly, per-event
   ingest once the router's pending batch flushes (``batch_size``
-  events, or ``flush()``), WAL replay record by record;
+  events, or ``flush()``), WAL replay record by record. The step
+  appends each worker's rows to that worker's frame buffer, sent as
+  one frame once it holds as many rows as the batch being routed (or
+  when something reads shard state), so a worker's kernel calls are
+  as large as the caller's;
 * with a router WAL attached (an :class:`~repro.resilience.journal
   .EventJournal`), each of those batches is one WAL record written
   before any of its rows is sent, and the router periodically
@@ -132,7 +136,7 @@ from repro.errors import (
     QueryError,
     TransportError,
 )
-from repro.events.batch import EventBatch
+from repro.events.batch import BatchSchema, EventBatch
 from repro.events.event import Event
 from repro.core.hpc import partition_attributes
 from repro.engine.engine import StreamEngine
@@ -672,7 +676,7 @@ class _Worker:
         "log", "replay_base", "checkpoint", "checkpoint_disabled",
         "batches_since_checkpoint", "fold", "generation",
         "obs_state", "last_rows", "profile",
-        "span_seen", "address",
+        "span_seen", "address", "parts", "part_traces",
     )
 
     def __init__(self, index: int):
@@ -707,6 +711,11 @@ class _Worker:
         self.span_seen = 0
         #: Remote endpoint address, when the transport has one.
         self.address: tuple[str, int] | None = None
+        #: The frame buffer: routed sub-batches not yet sent and their
+        #: trace offsets into the frame they will make. Guarded by the
+        #: engine's ``_pending_lock``, not by ``lock``.
+        self.parts: list[EventBatch] = []
+        self.part_traces: list[tuple[int, str]] = []
 
 
 def _pipe_writable(conn: Any, timeout: float) -> bool:
@@ -1048,6 +1057,10 @@ class ShardedStreamEngine:
         #: thread both flush), so neither can run out of order.
         self._pending: list[Event] = []
         self._pending_lock = threading.Lock()
+        #: The one growing schema of every pending batch, as
+        #: ``batches_from_events`` keeps it: type codes stay put and the
+        #: routing LUT stays cached from one flush to the next.
+        self._pending_schema: BatchSchema | None = None
         # ----- router durability (see attach_router_log) -----
         self._router_log: EventJournal | None = None
         self._router_checkpoint_every = router_checkpoint_every
@@ -1261,8 +1274,10 @@ class ShardedStreamEngine:
     def close(self) -> None:
         """Stop workers with terminate→kill escalation; idempotent and
         exception-safe (no leaked pipe fds, no zombie processes).
-        Events still pending are journaled, not sent: router recovery
-        delivers them."""
+        Nothing more is sent: pending events are journaled, and rows
+        in the workers' frame buffers are already in the router WAL
+        when one is attached; router recovery's count-skip delivers
+        both. Without a router WAL, call :meth:`flush` first."""
         if self._closed:
             return
         self._closed = True
@@ -1802,8 +1817,8 @@ class ShardedStreamEngine:
         started = time.perf_counter()
         # Every send holds the worker lock, so holding it is a batch
         # boundary: the checkpoint below covers exactly what the shard
-        # journal holds. Rows still pending in the router go to
-        # whichever member owns the partition when they are flushed.
+        # journal holds. Rows still pending or buffered in the router
+        # go to whichever member owns the partition when they are sent.
         try:
             if not worker.checkpoint_disabled:
                 self._take_checkpoint(worker)
@@ -2036,10 +2051,12 @@ class ShardedStreamEngine:
 
         The local lane sees it now; the router WAL and the workers see
         it when the router's pending batch flushes — once ``batch_size``
-        events are pending, or on :meth:`flush`, :meth:`router_checkpoint`,
-        :meth:`process_event_batch` or a ``query_rows`` scrape — as one
-        WAL record and one :meth:`_send_partitions` call. Until then
-        the event is neither durable nor in any shard.
+        events are pending, or on :meth:`flush`, :meth:`router_checkpoint`
+        or a ``query_rows`` scrape — as one WAL record and one
+        :meth:`_send_partitions` call, after which every frame buffer is
+        sent. Until then the event is neither durable nor in any shard.
+        :meth:`process_event_batch` routes pending events into the frame
+        buffers without sending them.
         """
         if not self._started:
             self._start()
@@ -2066,10 +2083,13 @@ class ShardedStreamEngine:
 
         The batch must not run backwards past anything the router has
         ingested (:class:`~repro.errors.OutOfOrderError` otherwise,
-        before any of it is journaled or routed). Pending events go
-        first; then the batch is one router WAL record, the local lane
-        consumes it through its columnar lane, and
-        :meth:`_send_partitions` hands each worker its share.
+        before any of it is journaled or routed). Pending events are
+        routed first; then the batch is one router WAL record, the local
+        lane consumes it through its columnar lane, and
+        :meth:`_send_partitions` hands each worker's share to its frame
+        buffer. A frame goes out once it holds ``len(batch)`` rows, so
+        a shard journals a row when its frame is sent: until then the
+        row is in the router WAL (when attached) and nowhere else.
         """
         count = len(batch)
         if count == 0:
@@ -2081,19 +2101,26 @@ class ShardedStreamEngine:
         if log is not None:
             self._router_checkpoint_due(count)
         with self._pending_lock:
-            self._flush_pending_locked()
+            self._route_pending_locked()
             if log is not None:
                 log.append_event_batch(batch)
                 self._m_wal_appends.inc(count)
-            self._ingest_batch(batch)
+            self._ingest_locked(batch)
         return count
 
     def _ingest_batch(
         self, batch: EventBatch, skip: list[int] | None = None
     ) -> None:
+        """:meth:`_ingest_locked` under the pending lock (router
+        recovery's WAL replay enters here)."""
+        with self._pending_lock:
+            self._ingest_locked(batch, skip)
+
+    def _ingest_locked(
+        self, batch: EventBatch, skip: list[int] | None = None
+    ) -> None:
         """Everything but the WAL and the order gate: local lane,
-        counters, clock, then the partition step (router recovery's WAL
-        replay enters here)."""
+        counters, clock, then the partition step."""
         self._local.process_event_batch(batch, enforce_order=False)
         self.metrics.events += len(batch)
         last = batch.last_ts()
@@ -2112,6 +2139,14 @@ class ShardedStreamEngine:
             self._pending_lock.release()
 
     def _flush_pending_locked(self) -> None:
+        """Route the pending events, then send every worker's frame
+        buffer (``_pending_lock`` held): afterwards every ingested row
+        is in its shard."""
+        self._route_pending_locked()
+        for worker in self._workers:
+            self._send_frame_locked(worker)
+
+    def _route_pending_locked(self) -> None:
         """Journal the pending events as one router WAL record, then
         route them as one batch (``_pending_lock`` held)."""
         pending = self._pending
@@ -2121,13 +2156,16 @@ class ShardedStreamEngine:
         if self._router_log is not None:
             self._router_log.append_batch(pending)
             self._m_wal_appends.inc(len(pending))
-        self._send_partitions(EventBatch.from_events(pending))
+        batch = EventBatch.from_events(pending, self._pending_schema)
+        self._pending_schema = batch.schema
+        self._send_partitions(batch)
 
     def _send_partitions(
         self, batch: EventBatch, skip: list[int] | None = None
     ) -> None:
-        """The router's one partition step: hand every worker the rows
-        of ``batch`` its partition owns, as one sub-batch each.
+        """The router's one partition step: hand every worker's frame
+        buffer the rows of ``batch`` its partition owns, as one
+        sub-batch each (``_pending_lock`` held).
 
         A row is relevant when a sharded query reacts to its type (a
         per-schema LUT over the type codes). A relevant row with the
@@ -2213,10 +2251,53 @@ class ShardedStreamEngine:
                 sub = batch
             else:
                 sub = batch.take(np.asarray(bucket, dtype=np.int64))
-            with worker.lock:
-                self._send_batch(
-                    worker, sub, traced and traced[worker.index]
-                )
+            self._buffer_locked(
+                worker, sub, traced and traced[worker.index], count
+            )
+
+    def _buffer_locked(
+        self,
+        worker: _Worker,
+        sub: EventBatch,
+        traced: list[tuple[int, str]] | None,
+        frame_rows: int,
+    ) -> None:
+        """Append one routed sub-batch to ``worker``'s frame buffer; the
+        frame is sent once it holds ``frame_rows`` rows — the size of
+        the batch being routed — so a worker's kernel calls are as large
+        as the caller's (``_pending_lock`` held). A sub-batch that
+        cannot join the buffered rows in one frame (:func:`_joinable`)
+        sends them first. Trace offsets shift by the rows already
+        buffered, so a traced run sends the frames an untraced one does.
+
+        What moves with it: ``checkpoint_every_batches`` counts frames
+        sent, a shard's heartbeat ``events`` lags until its frame is
+        sent, and ``shed_oldest`` drops a whole frame — up to one caller
+        batch per worker (``shed_events`` stays exact)."""
+        if worker.parts and not _joinable(worker.parts[-1], sub):
+            self._send_frame_locked(worker)
+        buffered = sum(map(len, worker.parts))
+        if traced:
+            worker.part_traces.extend(
+                (offset + buffered, trace_id) for offset, trace_id in traced
+            )
+        worker.parts.append(sub)
+        if buffered + len(sub) >= frame_rows:
+            self._send_frame_locked(worker)
+
+    def _send_frame_locked(self, worker: _Worker) -> None:
+        """Send ``worker``'s frame buffer as one batch and empty it
+        (``_pending_lock`` held; the send takes ``worker.lock``). The
+        parts are released before the frame is encoded."""
+        parts = worker.parts
+        if not parts:
+            return
+        traced = worker.part_traces
+        worker.parts, worker.part_traces = [], []
+        frame = parts[0] if len(parts) == 1 else _concatenated(parts)
+        del parts
+        with worker.lock:
+            self._send_batch(worker, frame, traced)
 
     def _integer_buckets(
         self, rows: np.ndarray, column: np.ndarray, mask: Any
@@ -2302,7 +2383,8 @@ class ShardedStreamEngine:
         batch: EventBatch,
         traced: list[tuple[int, str]] | None = None,
     ) -> None:
-        """Deliver one batch with the backpressure guard (lock held).
+        """Deliver one frame with the backpressure guard (lock held);
+        only :meth:`_send_frame_locked` calls it.
 
         The journal-on-successful-send invariant: a batch is appended
         to the shard journal exactly when the worker accepted it, so
@@ -2426,10 +2508,14 @@ class ShardedStreamEngine:
             )
 
     def flush(self) -> None:
-        """Journal and route every pending event (see :meth:`process`).
+        """Journal and route every pending event (see :meth:`process`),
+        then send every worker's frame buffer.
 
         With a router log attached this is the durability ack: every
-        event ingested before it is in the WAL afterwards.
+        event ingested before it is in the WAL afterwards. With shard
+        journals it is also the delivery ack: every routed row is in
+        its shard's journal afterwards (or, under ``shed_oldest``,
+        dropped and counted).
         """
         self._flush_pending()
 
@@ -2602,7 +2688,8 @@ class ShardedStreamEngine:
         rows = {row["query"]: row for row in self._local.query_rows()}
         stale_queries: set[str] = set()
         if self._sharded and self._started:
-            if self._pending:  # unlocked peek: an idle router skips the wait
+            # Unlocked peek: an idle router skips the wait.
+            if self._pending or any(w.parts for w in self._workers):
                 try:
                     self._flush_pending(timeout=0.5)
                 except Exception as error:
@@ -2849,6 +2936,43 @@ class ShardedStreamEngine:
             "routing_version": self.routing_version,
             "migrations": self.migrations,
         }
+
+
+def _joinable(head: EventBatch, tail: EventBatch) -> bool:
+    """Whether ``tail`` may follow ``head`` in one frame: its codes name
+    the same types (one schema, or one extending ``head``'s) and it has
+    ``head``'s columns, in order and of the same dtypes, and masks."""
+    if tail.schema is not head.schema:
+        types = head.schema.types
+        if tail.schema.types[: len(types)] != types:
+            return False
+    if list(tail.cols) != list(head.cols):
+        return False
+    if tail.present.keys() != head.present.keys():
+        return False
+    return all(
+        column.dtype == head.cols[name].dtype
+        for name, column in tail.cols.items()
+    )
+
+
+def _concatenated(parts: list[EventBatch]) -> EventBatch:
+    """One batch of ``parts``' rows, in order, under the last (widest)
+    part's schema; every pair of neighbours is :func:`_joinable`."""
+    last = parts[-1]
+    return EventBatch(
+        last.schema,
+        np.concatenate([part.codes for part in parts]),
+        np.concatenate([part.ts for part in parts]),
+        {
+            name: np.concatenate([part.cols[name] for part in parts])
+            for name in last.cols
+        },
+        {
+            name: np.concatenate([part.present[name] for part in parts])
+            for name in last.present
+        },
+    )
 
 
 def _feed_fold(fold: StreamEngine, batch: EventBatch) -> int:

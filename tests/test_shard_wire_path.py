@@ -11,16 +11,13 @@ wire decode on the far side.
   recovery's count-skip replay see the same rows in the same order.
 """
 
-import threading
-from types import SimpleNamespace
-
 import numpy as np
 import pytest
 
 import repro.events.batch as batch_module
 from repro.core.executor import ASeqEngine
 from repro.engine.engine import StreamEngine
-from repro.engine.sharded import ShardedStreamEngine
+from repro.engine.sharded import ShardedStreamEngine, _Worker
 from repro.events.batch import BatchSchema, EventBatch
 from repro.query import parse_query
 from repro.resilience.journal import EventJournal
@@ -98,7 +95,7 @@ def test_the_schema_table_stays_bounded():
 
 def buckets(column, present=None, memo=None, shards=3):
     """Each worker's rows of one partition step over a batch whose key
-    column is ``column``."""
+    column is ``column``, read from the frame each worker is sent."""
     n = column.size
     batch = EventBatch(
         BatchSchema(TYPES, ("k",)),
@@ -111,10 +108,7 @@ def buckets(column, present=None, memo=None, shards=3):
     engine.register(
         parse_query("PATTERN SEQ(A, !N, B) AGG COUNT WITHIN 9 ms GROUP BY k")
     )
-    engine._workers = [
-        SimpleNamespace(index=index, lock=threading.Lock())
-        for index in range(shards)
-    ]
+    engine._workers = [_Worker(index) for index in range(shards)]
     if memo is not None:
         engine._shard_of_key.update(memo)
     sent = {}
@@ -122,6 +116,7 @@ def buckets(column, present=None, memo=None, shards=3):
         worker.index, sub.ts.tolist()
     )
     engine._send_partitions(batch)
+    engine.flush()  # the step buffers each worker's rows as one frame
     # Rows are numbered by their timestamps (1-based).
     return [[ts - 1 for ts in sent.get(index, [])] for index in range(shards)]
 
