@@ -2454,7 +2454,8 @@ class ShardedStreamEngine:
                 self._fold_feed(worker, batch)
                 return
         if worker.log is not None:
-            worker.log.append_event_batch(batch)
+            # The frame the worker was sent is the frame journaled.
+            worker.log.append_event_batch(batch, payload["c"])
             worker.batches_since_checkpoint += 1
             if (
                 self._checkpoint_every

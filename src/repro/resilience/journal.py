@@ -416,15 +416,19 @@ class EventJournal:
             [event.attrs or None for event in events],
         ))
 
-    def append_event_batch(self, batch: EventBatch) -> int:
+    def append_event_batch(
+        self, batch: EventBatch, wire: bytes | None = None
+    ) -> int:
         """:meth:`append_batch` for a columnar batch: one frame record
-        holding ``batch.to_wire()``, or — when a column is ``object``,
-        whose frame segment would be a pickle — one column record."""
+        holding ``batch.to_wire()`` — ``wire`` when the caller already
+        encoded it — or, when a column is ``object``, whose frame
+        segment would be a pickle, one column record."""
         if not len(batch):
             return self.next_seq
         if any(column.dtype == object for column in batch.cols.values()):
             return self.append_batch(batch.to_events())
-        wire = batch.to_wire()
+        if wire is None:
+            wire = batch.to_wire()
         return self._write(
             len(batch), lambda first: _encode_frame(first, wire)
         )
@@ -466,7 +470,7 @@ class EventJournal:
         cut to start there — the shard re-seed read; a frame record's
         batch comes straight from its frame. See :func:`read_journal`
         for what it tolerates and raises."""
-        for seq, rows in _read_records(self.directory, start_seq):
+        for seq, rows in read_records(self.directory, start_seq):
             yield seq, (
                 rows if isinstance(rows, EventBatch)
                 else EventBatch.from_events(rows)
@@ -529,7 +533,10 @@ class MemoryShardLog:
         self._batches: deque[EventBatch] = deque()
         self.next_seq = 0
 
-    def append_event_batch(self, batch: EventBatch) -> None:
+    def append_event_batch(
+        self, batch: EventBatch, wire: bytes | None = None
+    ) -> None:
+        """Keep ``batch`` itself (``wire`` is not needed)."""
         self._batches.append(batch)
         self.next_seq += len(batch)
 
@@ -589,13 +596,13 @@ def read_journal(
     the requested start were pruned or lost, and replaying from later
     would skip events silently.
     """
-    for seq, rows in _read_records(directory, start_seq):
+    for seq, rows in read_records(directory, start_seq):
         if isinstance(rows, EventBatch):
             rows = rows.to_events()
         yield from enumerate(rows, seq)
 
 
-def _read_records(
+def read_records(
     directory: str | Path, start_seq: int
 ) -> Iterator[tuple[int, EventBatch | list[Event]]]:
     """Each record from the one holding ``start_seq`` on, as ``(seq,

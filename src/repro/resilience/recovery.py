@@ -14,31 +14,33 @@ negation, value aggregates). The pieces:
    (:func:`repro.resilience.checkpointer.load_latest_checkpoint`);
    with no loadable checkpoint at all, recovery degrades to a full
    journal replay from offset 0 (queries must then be re-supplied);
-2. rebuild the :class:`SupervisedStreamEngine`: each registration's
-   query text is re-parsed and registered, then the document is applied
-   (:func:`repro.resilience.checkpointer.apply_engine_state`);
+2. rebuild the :class:`SupervisedStreamEngine`: re-register each
+   registration's query text (:func:`register_recorded`), then apply
+   the document (:func:`~repro.resilience.checkpointer.apply_engine_state`);
 3. replay the journal suffix (``seq >= checkpoint.journal_seq``)
-   through the restored engine — the journal reader tolerates a torn
-   final record, so a crash mid-append loses at most the event whose
-   dispatch never completed;
+   records as they were written (:func:`replay_records`): a frame as
+   one batch, a run of column records as one event list — a torn final
+   record, whose dispatch never began, is dropped whole;
 4. re-attach the journal (which resumes appending after the last valid
    record) and a fresh checkpointer, so the recovered engine is
    immediately crash-safe again.
 
 Sinks are process-local objects and cannot be serialized; pass
-``sinks={"query_name": [sink, ...]}`` to re-attach them. Replayed
-events do *not* re-emit to sinks by default (``replay_to_sinks=False``)
-— the outputs were already delivered before the crash.
+``sinks={"query_name": [sink, ...]}`` to re-attach them. Replayed rows
+do *not* re-emit to sinks — the outputs were already delivered before
+the crash. :func:`~repro.resilience.router_recovery.recover_router`
+rebuilds a sharded router on the same two helpers.
 """
 
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Any, Callable, Iterable, Mapping, Sequence
+from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
 from repro.errors import CheckpointError
+from repro.engine.engine import StreamEngine
 from repro.engine.sinks import ResultSink
-from repro.events.event import Event
+from repro.events.batch import EventBatch
 from repro.obs.registry import MetricsRegistry, resolve_registry
 from repro.obs.tracing import Stage, TraceRecorder, resolve_tracer
 from repro.query.ast import Query
@@ -49,35 +51,81 @@ from repro.resilience.checkpointer import (
     apply_engine_state,
     load_latest_checkpoint,
 )
-from repro.resilience.journal import EventJournal, read_journal
+from repro.resilience.journal import EventJournal, read_records
 from repro.resilience.supervisor import SupervisedStreamEngine
 
 
-def replay_detached(
+def register_recorded(
     engine: Any,
-    events: Iterable[Event],
-    process: Callable[[Event], None],
-    detach: bool = True,
+    recorded: Iterable[Sequence[Any]] | None,
+    queries: Sequence[Query] | None,
+    sinks: Mapping[str, Sequence[ResultSink]] | None,
+    directory: Path,
+) -> None:
+    """Register the checkpoint's ``(name, query text, ...)`` entries
+    with their sinks — or, with no checkpoint, ``queries`` (named
+    ``q<i>`` when unnamed); with neither, raise :class:`CheckpointError`."""
+    if recorded is not None:
+        queries = [parse_query(text, name=name) for name, text, *_ in recorded]
+    elif queries is None:
+        raise CheckpointError(
+            f"no loadable checkpoint under {directory} and no queries "
+            f"supplied for a from-scratch replay"
+        )
+    sinks = sinks or {}
+    for index, query in enumerate(queries):
+        name = query.name or f"q{index}"
+        engine.register(query, *sinks.get(name, ()), name=name)
+
+
+def replay_records(
+    engine: Any,
+    records: Iterable[tuple[int, Any]],
+    ingest: Callable[[Any, int], None],
 ) -> int:
-    """Replay ``events`` through ``process`` with ``engine``'s sinks
-    detached (unless ``detach`` is off), so outputs delivered before
+    """Feed each ``(first seq, rows)`` journal record to ``ingest(rows,
+    seq)`` with ``engine``'s sinks detached, so outputs delivered before
     the crash are not delivered twice; the sinks are re-attached even
-    when replay raises. Returns the number of events replayed."""
-    detached: dict[str, list] = {}
-    if detach:
-        for name in engine.query_names:
-            registration = engine._registrations[name]
-            detached[name] = registration.sinks
-            registration.sinks = []
+    when replay raises. Returns the number of rows replayed."""
+    detached = {}
+    for name in engine.query_names:
+        registration = engine._registrations[name]
+        detached[name], registration.sinks = registration.sinks, []
     replayed = 0
     try:
-        for event in events:
-            process(event)
-            replayed += 1
+        for seq, rows in records:
+            ingest(rows, seq)
+            replayed += len(rows)
     finally:
         for name, saved in detached.items():
             engine._registrations[name].sinks = saved
     return replayed
+
+
+#: Replay stops joining column records once a run holds this many rows.
+_RUN_ROWS = 4096
+
+
+def _joined(
+    records: Iterable[tuple[int, Any]],
+) -> Iterator[tuple[int, Any]]:
+    """``records`` with each run of consecutive column records (event
+    lists; a per-event journal holds one event per record) joined into
+    one list, cut once it holds :data:`_RUN_ROWS` events; frame records
+    pass as they are."""
+    first, run = 0, []
+    for seq, rows in records:
+        if run and (isinstance(rows, EventBatch) or len(run) >= _RUN_ROWS):
+            yield first, run
+            run = []
+        if isinstance(rows, EventBatch):
+            yield seq, rows
+        elif run:
+            run += rows
+        else:
+            first, run = seq, rows
+    if run:
+        yield first, run
 
 
 def recover(
@@ -88,8 +136,6 @@ def recover(
     trace: TraceRecorder | None = None,
     reattach_journal: bool = True,
     checkpoint_every_events: int | None = None,
-    checkpoint_every_ms: float | None = None,
-    replay_to_sinks: bool = False,
     fsync: str = "never",
     **supervisor_kwargs,
 ) -> SupervisedStreamEngine:
@@ -115,29 +161,17 @@ def recover(
     engine = SupervisedStreamEngine(
         registry=registry, trace=tracer, **supervisor_kwargs
     )
-    sinks = sinks or {}
-
-    start_seq = 0
+    start_seq, recorded = 0, None
     if state is not None:
         start_seq = state["journal_seq"]
         apply_engine_metrics(engine, state)
-        for entry in state["registrations"]:
-            name = entry["name"]
-            engine.register(
-                parse_query(entry["state"]["query"], name=name),
-                *sinks.get(name, ()),
-                name=name,
-            )
+        recorded = [
+            (entry["name"], entry["state"]["query"])
+            for entry in state["registrations"]
+        ]
+    register_recorded(engine, recorded, queries, sinks, directory)
+    if state is not None:
         apply_engine_state(engine, state)
-    elif queries is not None:
-        for index, query in enumerate(queries):
-            name = query.name or f"q{index}"
-            engine.register(query, *sinks.get(name, ()), name=name)
-    else:
-        raise CheckpointError(
-            f"no loadable checkpoint under {directory} and no queries "
-            f"supplied for a from-scratch replay"
-        )
 
     if tracer.enabled:
         tracer.record(
@@ -146,11 +180,16 @@ def recover(
             f"replay_from={start_seq}",
         )
 
-    replayed = replay_detached(
-        engine,
-        (event for _, event in read_journal(directory, start_seq=start_seq)),
-        engine.process,
-        detach=not replay_to_sinks,
+    # The base-class entry points: replay must not re-journal or tick
+    # the checkpoint schedule, and each row keeps its journal sequence.
+    def ingest(rows: Any, seq: int) -> None:
+        if isinstance(rows, EventBatch):
+            StreamEngine.process_event_batch(engine, rows, False, seq)
+        else:
+            StreamEngine.process_batch(engine, rows, seq)
+
+    replayed = replay_records(
+        engine, _joined(read_records(directory, start_seq)), ingest
     )
     m_replayed.inc(replayed)
     engine.events_replayed = replayed
@@ -158,15 +197,10 @@ def recover(
     if reattach_journal:
         journal = EventJournal(directory, fsync=fsync, registry=registry)
         engine.attach_journal(journal)
-        if checkpoint_every_events or checkpoint_every_ms:
-            engine.attach_checkpointer(
-                Checkpointer(
-                    engine,
-                    journal,
-                    every_events=checkpoint_every_events,
-                    every_ms=checkpoint_every_ms,
-                    registry=registry,
-                )
-            )
+        if checkpoint_every_events:
+            engine.attach_checkpointer(Checkpointer(
+                engine, journal, every_events=checkpoint_every_events,
+                registry=registry,
+            ))
     m_recoveries.inc()
     return engine

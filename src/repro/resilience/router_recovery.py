@@ -1,12 +1,9 @@
 """Router durability: exact recovery of a sharded engine from its WAL.
 
-The sharded engine's last single point of failure was the router
-process itself: per-shard journals could rebuild any *worker*, but a
-SIGKILL'd router lost its local lane, its merge bookkeeping, and every
-in-flight batch. The router closes that hole with the same recipe
-every durable directory uses — one
-:class:`~repro.resilience.journal.EventJournal` owning its write-ahead
-segments and checkpoint generations — applied one level up:
+Per-shard journals rebuild any *worker*; the router's own local lane,
+merge bookkeeping and in-flight batches are rebuilt by the recipe every
+durable directory uses — one :class:`~repro.resilience.journal
+.EventJournal` owning its segments and checkpoints — one level up:
 
 * the router's WAL is an ``EventJournal`` whose segments sit directly
   in the router directory (shard journals under ``shards/``). Every
@@ -18,16 +15,12 @@ segments and checkpoint generations — applied one level up:
   final line that the reader drops whole, and none of its events can
   have reached a shard. The journal sequence is the global ingest
   sequence;
-* :func:`recover_router` — rebuilds a
+* :func:`recover_router` rebuilds a
   :class:`~repro.engine.sharded.ShardedStreamEngine` after a router
-  crash: load the router checkpoint, re-register its query texts,
-  restart workers seeded from *their own* checkpoints + journals,
-  then replay the WAL suffix record by record, each as one batch
-  through the router's own partition step, with per-shard
-  **count-skip** — routing is deterministic per row, so the first
-  ``skip[i]`` rows of shard *i*'s buckets are dropped, *skip[i]*
-  being how far that shard's recovered journal runs past the
-  checkpoint (the worker already holds those rows).
+  crash on the supervised recovery's spine
+  (:func:`~repro.resilience.recovery.register_recorded`,
+  :func:`~repro.resilience.recovery.replay_records`), its ingest being
+  the router's own partition step with per-shard **count-skip**.
 
 Why this is exact (under the ``"block"`` overload policy):
 
@@ -71,7 +64,7 @@ from repro.resilience.checkpointer import (
     load_latest_checkpoint,
 )
 from repro.resilience.journal import EventJournal
-from repro.resilience.recovery import replay_detached
+from repro.resilience.recovery import register_recorded, replay_records
 
 _log = get_logger("router_recovery")
 
@@ -99,13 +92,8 @@ def recover_router(
     authoritative and must re-derive the same sharding plan. Extra
     keyword arguments pass through to the engine constructor
     (transport, overload policy, heartbeat cadence,
-    ``router_checkpoint_every``, ...).
-
-    The recovered engine's ``metrics.events`` is the resume position:
-    the source should continue from that offset. It can trail the
-    crashed router's ingest count by the events that were still
-    pending in the router (ingested after the last flush), and those
-    were never delivered to any shard.
+    ``router_checkpoint_every``, ...). The source resumes from the
+    recovered engine's ``metrics.events`` (point 2 above).
 
     Recovery outline (the inverse of ``router_checkpoint``):
 
@@ -115,13 +103,13 @@ def recover_router(
        embedded in the router checkpoint;
     2. the local lane restores from the checkpoint document exactly
        like single-process recovery (executors + metrics);
-    3. the WAL suffix (``EventJournal.replay(journal_seq)``) replays
-       one record batch at a time into the local lane (sinks
-       detached) and through the router's partition step with
-       per-shard count-skip, so workers receive only the rows their
-       journals do not already hold — anything redelivered anyway
-       (conservative overlap) is dropped by the worker's own dedup
-       cursor. ``events_replayed`` counts rows.
+    3. the WAL suffix replays one record at a time, as a batch, into
+       the local lane (sinks detached) and through the partition step
+       with per-shard count-skip: routing is deterministic per row, so
+       the first ``skip[i]`` rows bound for shard *i* — how far its
+       recovered journal runs past the checkpoint — are dropped, and
+       anything redelivered anyway is dropped by the worker's own
+       dedup cursor. ``events_replayed`` counts rows.
     """
     from repro.engine.sharded import ShardedStreamEngine
 
@@ -136,18 +124,14 @@ def recover_router(
     )
 
     state, state_path = load_latest_checkpoint(directory)
-    router: dict[str, Any] | None = None
-    if state is not None:
-        router = state.get("router")
-        if not isinstance(router, dict):
-            raise CheckpointError(
-                f"{state_path} is not a router checkpoint (no 'router' "
-                f"section); point recover() at it instead"
-            )
+    router = state.get("router") if state is not None else None
+    if state is not None and not isinstance(router, dict):
+        raise CheckpointError(
+            f"{state_path} is not a router checkpoint (no 'router' "
+            f"section); point recover() at it instead"
+        )
 
-    shards = engine_kwargs.pop(
-        "shards", router["shards"] if router else None
-    )
+    shards = engine_kwargs.pop("shards", router["shards"] if router else None)
     if shards is None:
         raise CheckpointError(
             f"no loadable router checkpoint under {directory}; pass "
@@ -173,33 +157,15 @@ def recover_router(
         **engine_kwargs,
     )
 
-    sinks = sinks or {}
-    if router is not None:
-        from repro.query.parser import parse_query
-
-        recorded = [
-            (name, text, bool(sharded))
-            for name, text, sharded in router["queries"]
-        ]
-        for name, text, _ in recorded:
-            query = parse_query(text, name=name)
-            engine.register(query, *sinks.get(name, ()), name=name)
-        for name, _, was_sharded in recorded:
-            if (name in engine._sharded) != was_sharded:
-                raise CheckpointError(
-                    f"query {name!r} re-derived a different sharding "
-                    f"plan than the checkpoint records; the "
-                    f"registration set must match the crashed run"
-                )
-    elif queries is not None:
-        for index, query in enumerate(queries):
-            name = getattr(query, "name", None) or f"q{index}"
-            engine.register(query, *sinks.get(name, ()), name=name)
-    else:
-        raise CheckpointError(
-            f"no loadable router checkpoint under {directory} and no "
-            f"queries supplied for a from-scratch replay"
-        )
+    recorded = router["queries"] if router is not None else None
+    register_recorded(engine, recorded, queries, sinks, directory)
+    for name, _, was_sharded in recorded or ():
+        if (name in engine._sharded) != bool(was_sharded):
+            raise CheckpointError(
+                f"query {name!r} re-derived a different sharding plan "
+                f"than the checkpoint records; the registration set "
+                f"must match the crashed run"
+            )
 
     if router is not None:
         engine._resume_checkpoints = {
@@ -219,11 +185,9 @@ def recover_router(
     engine._start()
 
     # Restore the router's own bookkeeping and the local lane.
-    delivered = [0] * shards
-    start_seq = 0
+    delivered, start_seq = [0] * shards, 0
     if router is not None:
-        delivered = list(router["shard_delivered"])
-        start_seq = state["journal_seq"]
+        delivered, start_seq = router["shard_delivered"], state["journal_seq"]
         engine.metrics.events = int(router["events"])
         engine._clock_ms = router["clock_ms"]
         engine._route_seq = int(router["route_seq"])
@@ -242,13 +206,11 @@ def recover_router(
 
     # Local-lane sinks stay detached during replay — pre-crash outputs
     # were already delivered (same contract as single-process recover).
-    resumed_at = engine.metrics.events
-    replay_detached(
+    replayed = replay_records(
         engine._local,
-        (batch for _, batch in log.replay(start_seq)),
-        lambda batch: engine._ingest_batch(batch, skip),
+        log.replay(start_seq),
+        lambda batch, _: engine._ingest_batch(batch, skip),
     )
-    replayed = engine.metrics.events - resumed_at
 
     engine.events_replayed = replayed
     m_replayed.inc(replayed)

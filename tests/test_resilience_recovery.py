@@ -314,3 +314,135 @@ def test_supervised_recovery_refuses_a_journal_with_a_hole(tmp_path):
         path.write_text("{ torn")
     with pytest.raises(JournalError):
         recover(tmp_path, queries=queries)
+
+
+# ----- replay feeds each record as it was written -----------------------------
+
+#: The shapes whose plans bind the columnar kernel on a vectorized engine.
+KERNEL_KINDS = ["sem", "negation", "groupby", "sum"]
+
+
+def batched_engine(tmp_path=None, checkpoint_every=None):
+    engine = SupervisedStreamEngine(vectorized=True, routed=True)
+    if tmp_path is not None:
+        journal = EventJournal(tmp_path)
+        engine.attach_journal(journal)
+        if checkpoint_every:
+            engine.attach_checkpointer(
+                Checkpointer(engine, journal, every_events=checkpoint_every)
+            )
+    for kind in KERNEL_KINDS:
+        engine.register(QUERIES[kind]())
+    return engine
+
+
+@pytest.mark.parametrize("checkpoint_every", [None, 70])
+def test_a_frame_journal_recovers_through_the_kernel(
+    tmp_path, monkeypatch, checkpoint_every
+):
+    """Frame records replay as batches, never as events: recovery with
+    ``EventBatch.to_events`` raising equals the uninterrupted run, from
+    offset 0 and across a mid-stream checkpoint."""
+    from repro.events.batch import EventBatch, batches_from_events
+    from repro.resilience.journal import read_records
+
+    plan = FaultPlan()
+    events = random_stream(random.Random(plan.seed + 4099))
+    batches = list(batches_from_events(events, 25))
+    crash = max(1, plan.crash_point(len(batches)))
+    expected = batched_engine()
+    for batch in batches_from_events(events, 25):
+        expected.process_event_batch(batch)
+
+    crashed = batched_engine(tmp_path, checkpoint_every)
+    for batch in batches[:crash]:
+        crashed.process_event_batch(batch)
+    start, _ = load_latest_checkpoint(tmp_path)
+    start_seq = start["journal_seq"] if start else 0
+    assert (checkpoint_every is None) == (start is None)
+    assert all(
+        isinstance(rows, EventBatch)
+        for _, rows in read_records(tmp_path, start_seq)
+    )
+
+    def refuse(batch):
+        raise AssertionError("a frame record was made events")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(EventBatch, "to_events", refuse)
+        recovered = recover(
+            tmp_path, queries=[QUERIES[kind]() for kind in KERNEL_KINDS],
+            vectorized=True, routed=True,
+        )
+    assert recovered.events_replayed == crash * 25 - start_seq
+    for batch in batches_from_events(events[crash * 25:], 25):
+        recovered.process_event_batch(batch)
+    assert recovered.results() == expected.results()
+    assert recovered.metrics.events == len(events)
+
+
+def test_a_mixed_journal_recovers_exactly(tmp_path):
+    """Per-event column records followed by frame records: each replays
+    through its own lane, in journal order."""
+    from repro.events.batch import EventBatch, batches_from_events
+    from repro.resilience.journal import read_records
+
+    plan = FaultPlan()
+    queries = [make() for make in QUERIES.values()]
+    events = random_stream(random.Random(plan.seed + 4111))
+    expected = oracle_results(queries, events)
+    head, crash = 130, 330
+
+    engine = SupervisedStreamEngine(vectorized=True, routed=True)
+    engine.attach_journal(EventJournal(tmp_path))
+    for query in queries:
+        engine.register(query)
+    for event in events[:head]:
+        engine.process(event)
+    for batch in batches_from_events(events[head:crash], 40):
+        engine.process_event_batch(batch)
+    kinds = [
+        isinstance(rows, EventBatch) for _, rows in read_records(tmp_path, 0)
+    ]
+    assert kinds == [False] * head + [True] * 5
+
+    recovered = recover(
+        tmp_path, queries=[make() for make in QUERIES.values()],
+        vectorized=True, routed=True,
+    )
+    assert recovered.events_replayed == crash
+    for event in events[crash:]:
+        recovered.process(event)
+    assert recovered.results() == expected
+
+
+@pytest.mark.parametrize("lane", ["event", "batch"])
+def test_replayed_dead_letters_carry_their_journal_sequence(tmp_path, lane):
+    """A poison row met during replay is dead-lettered under the
+    sequence the journal gave it, as it was before the crash."""
+    from repro.events.batch import batches_from_events
+
+    events = [
+        Event("A", 1, {"id": 1}),
+        Event("B", 2, {"id": 1}),
+        Event("A", 3, {}),  # no GROUP BY key: the executor raises
+        Event("B", 4, {"id": 1}),
+    ]
+    engine = SupervisedStreamEngine(vectorized=lane == "batch")
+    engine.attach_journal(EventJournal(tmp_path))
+    engine.register(QUERIES["groupby"]())
+    if lane == "event":
+        for event in events:
+            engine.process(event)
+    else:
+        engine.process_event_batch(next(batches_from_events(events, 4)))
+    assert [letter.journal_seq for letter in engine.dlq] == [2]
+
+    recovered = recover(
+        tmp_path, queries=[QUERIES["groupby"]()],
+        vectorized=lane == "batch", reattach_journal=False,
+    )
+    letters = list(recovered.dlq)
+    assert [letter.journal_seq for letter in letters] == [2]
+    assert letters[0].event == events[2]
+    assert recovered.results() == engine.results()

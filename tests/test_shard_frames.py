@@ -137,6 +137,34 @@ def test_ten_caller_batches_reach_each_worker_as_few_frames(frames):
         assert all(len(rows) >= 4096 for rows in sent[:-1])
 
 
+def test_a_durable_shard_journal_encodes_each_frame_once(
+    tmp_path, monkeypatch, frames
+):
+    """The bytes a worker is sent are the bytes its journal records: one
+    ``to_wire`` per frame with ``journal_dir`` set."""
+    encoded = []
+    to_wire = EventBatch.to_wire
+
+    def counting(batch):
+        encoded.append(len(batch))
+        return to_wire(batch)
+
+    monkeypatch.setattr(EventBatch, "to_wire", counting)
+    events = _events(4 * 256)
+    with _engine(vectorized=True, journal_dir=tmp_path) as engine:
+        for batch in batches_from_events(events, 256):
+            engine.process_event_batch(batch)
+        assert engine.results() == _reference(events)
+        assert encoded == [len(rows) for _, rows, _ in frames]
+        for worker, owned in zip(engine._workers, _owned(events)):
+            replayed = [
+                (ts, batch.schema.types[code])
+                for _, batch in worker.log.replay(0)
+                for ts, code in zip(batch.ts.tolist(), batch.codes.tolist())
+            ]
+            assert replayed == owned
+
+
 def test_per_event_flushes_share_one_schema(monkeypatch, frames):
     """The router's pending batches grow one schema, as
     ``batches_from_events`` does, so the routing LUT is built once; each
