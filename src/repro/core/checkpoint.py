@@ -98,7 +98,6 @@ def _runtime_state(runtime: Any) -> dict[str, Any]:
             ],
         }
     if isinstance(runtime, VectorizedSemEngine):
-        runtime._sync()
         head, tail = runtime._head, runtime._tail
         state: dict[str, Any] = {
             "kind": "vectorized",
@@ -147,7 +146,6 @@ def _load_runtime(runtime: Any, state: dict[str, Any]) -> None:
             runtime._counters.append(counter)
     elif isinstance(runtime, VectorizedSemEngine):
         _expect(kind, "vectorized")
-        runtime._live = None
         runtime._now = state["now"]
         counts = np.asarray(state["counts"], dtype=np.int64)
         live = counts.shape[1] if counts.size else 0

@@ -144,18 +144,6 @@ def emitted_rows(emitted: Emissions) -> Iterator[tuple[int, Any]]:
     )
 
 
-def _copied(lists: tuple[Any, list[int], Any, Any], lo: int) -> tuple:
-    """Private copies of the row loop's list columns from column
-    ``lo`` on (the counters before it have expired)."""
-    counts, exps, wsums, extrema = lists
-    return (
-        [row[lo:] for row in counts],
-        exps[lo:],
-        None if wsums is None else [row[lo:] for row in wsums],
-        None if extrema is None else [row[lo:] for row in extrema],
-    )
-
-
 @cache
 def _no_ring(length: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Zero-width ring columns ``(counts, exps, floats)``, shared by
@@ -196,8 +184,8 @@ class VectorizedSemEngine:
         self.query = query
         self.layout = layout or PatternLayout.of(query)
         self._window_ms = query.window.size_ms
-        # No ring until something is written into it: a runtime the
-        # row loop keeps in lists may never need one.
+        # No ring until something is written into it: a runtime that
+        # never holds a START needs no ring.
         self._head = 0
         self._tail = 0
         counts, exps, floats = _no_ring(self.layout.length)
@@ -211,10 +199,6 @@ class VectorizedSemEngine:
             self._extrema = floats
         else:
             self._extrema = None
-        #: The row loop's list columns ``(counts, exps, wsums,
-        #: extrema)`` over ``[0, _tail)``, live from ``_head``, while it
-        #: wrote last; the ring is stale until :meth:`_sync`.
-        self._live: tuple[Any, list[int], Any, Any] | None = None
         #: An upper bound on every live count in the ring, kept by
         #: per-event :meth:`process`; a kernel slice, which rewrites the
         #: counts wholesale, leaves it unknown (the limit), and a
@@ -406,13 +390,13 @@ class VectorizedSemEngine:
           Python at all. It runs when the slice is large enough to pay
           for its fixed cost, in order, and provably inside int64;
           :meth:`process_group` runs it over several registrations'
-          slices at once. It reads and writes the numpy ring;
-        * the **row loop** (:meth:`_row_loop`) for everything else. Its
-          hot loop runs on Python ints and lists, and its state stays
-          in those lists between calls (see :meth:`_sync`): per-event
-          numpy slice arithmetic costs ~1µs per touch, while list
-          operations over the small live set (tens of counters) stay
-          in the low hundreds of ns.
+          slices at once;
+        * the **row loop** (:meth:`_row_loop`) for everything else. It
+          reads the live ring into Python lists once per call, runs its
+          hot loop on Python ints and lists, and writes the ring back
+          once at the end: per-event numpy slice arithmetic costs ~1µs
+          per touch, while list operations over the small live set
+          (tens of counters) stay in the low hundreds of ns.
           Expiry remains a binary search (``bisect`` ==
           ``searchsorted`` on the same sorted expiry column). Negated
           types arrive here too: their plan entry is the complemented
@@ -544,10 +528,10 @@ class VectorizedSemEngine:
         each one's :data:`Emissions`, the emitting rows as ``rows[i]``
         when ``rows`` is given, else as ``i``.
 
-        A member writes only private copies of its lists, taken before
-        its first write, so a raise anywhere — the int64 check included
-        — leaves every member as it was; the copies and the bookkeeping
-        are committed only once every member has run.
+        Each member's live ring is read into private lists at the start
+        (:meth:`_lists`) and written back (:meth:`_store`) only once
+        every member has run and passed the int64 check, so a raise
+        anywhere leaves every member as it was.
         """
         if isinstance(codes, np.ndarray):
             codes = codes.tolist()
@@ -570,14 +554,6 @@ class VectorizedSemEngine:
                     runtime._extreme_identity if layout.tracks_extrema
                     else 0.0
                 )
-                # What an empty ring reads as: shared, so copied before
-                # the first write like any held lists.
-                nothing = (
-                    [[]] * length,
-                    [],
-                    [[]] * length if layout.tracks_values else None,
-                    [[]] * length if layout.tracks_extrema else None,
-                )
             if plans[member] is not plan:
                 plan = plans[member]
                 slots_of = plan.slots_of_code
@@ -585,20 +561,9 @@ class VectorizedSemEngine:
                 trigger_of = plan.is_trigger
             first, end = bounds[member], bounds[member + 1]
             window = runtime._window_ms
-            # The lists the runtime holds are read in place and copied
-            # (from ``lo``) before the first write; mirrored ones are
-            # fresh already.
-            lists = runtime._live
-            lo = runtime._head
-            owned = False
-            if lists is None:
-                if lo == runtime._tail:
-                    lists = nothing
-                else:
-                    lists = runtime._lists()
-                    owned = True
-                lo = 0
+            lists = runtime._lists()
             counts, exps, wsums, extrema = lists
+            lo = 0
             size = len(exps)
             now = runtime._now
             peak = runtime.peak_counters
@@ -620,13 +585,6 @@ class VectorizedSemEngine:
                 code = codes[i]
                 live = size - lo
                 if live:
-                    if not owned:
-                        counts, exps, wsums, extrema = lists = _copied(
-                            lists, lo
-                        )
-                        size -= lo
-                        lo = 0
-                        owned = True
                     # One accounting tick per arrival per live counter,
                     # matching SemEngine / per-event bookkeeping.
                     updates += live
@@ -697,13 +655,6 @@ class VectorizedSemEngine:
                             a + b for a, b in zip(row[lo:], previous[lo:])
                         ]
                 if start_of[code]:
-                    if not owned:
-                        counts, exps, wsums, extrema = lists = _copied(
-                            lists, lo
-                        )
-                        size -= lo
-                        lo = 0
-                        owned = True
                     counts[0].append(1)
                     for slot in range(1, length):
                         counts[slot].append(0)
@@ -753,7 +704,7 @@ class VectorizedSemEngine:
                         aggregates.append(fresh)
             # The ring is int64 and Python ints are not: a counter that
             # outgrew it fails here, before anything is committed.
-            if owned and size:
+            if size:
                 for row in counts:
                     if max(row) >= _INT64_LIMIT:
                         raise CounterOverflowError(_PREFIX_OVERFLOW)
@@ -766,21 +717,15 @@ class VectorizedSemEngine:
             runtime, lists, n, now, lo, size,
             updates, peak, created, expired, blocked,
         ) in staged:
-            if size == lo:
-                # Nothing live: no lists to hold (the empty ring says
-                # as much).
-                lists = None
-                lo = size = 0
-            runtime._live = lists
+            runtime._store(lists, lo, size)
             runtime._kernel_stats["row_loop"] += 1
             runtime._settle(
-                n, now, size - lo, updates, peak, created, expired,
-                blocked, head=lo,
+                n, now, size - lo, updates, peak, created, expired, blocked
             )
         return emitted
 
     def _lists(self) -> tuple[Any, list[int], Any, Any]:
-        """The live ring columns mirrored into fresh lists ``(counts,
+        """The live ring columns copied into fresh lists ``(counts,
         exps, wsums, extrema)`` (None for a column the layout does not
         keep)."""
         head, tail = self._head, self._tail
@@ -793,41 +738,27 @@ class VectorizedSemEngine:
             else self._extrema[:, head:tail].tolist(),
         )
 
-    def _sync(self) -> None:
-        """Make the numpy ring current: write the lists the row loop
-        left back into it, as columns ``[0, live)``, and drop them.
-
-        The row loop's state stays in Python lists from one call to the
-        next; the ring is written only when something reads it — the
-        closed form, per-event :meth:`process`, :meth:`_expire` (so
-        :meth:`advance_time`, :meth:`result` and :meth:`count_and_wsum`)
-        and checkpointing — and each of those calls this first
-        (:meth:`_expire` only when a listed counter outlives the clock:
-        otherwise it drops the lists unwritten).
-        """
-        live_lists = self._live
-        if live_lists is None:
-            return
-        self._live = None
-        counts, exps, wsums, extrema = live_lists
-        head, tail = self._head, self._tail
-        live = tail - head
+    def _store(
+        self, lists: tuple[Any, list[int], Any, Any], lo: int, size: int
+    ) -> None:
+        """Write the row loop's list columns ``[lo, size)`` into the
+        ring as columns ``[0, size - lo)``."""
+        counts, exps, wsums, extrema = lists
+        live = size - lo
         if live > self._capacity:
             self._grow_to(live)
         if live:
-            self._counts[:, :live] = [row[head:] for row in counts]
-            self._exps[:live] = exps[head:]
+            self._counts[:, :live] = [row[lo:] for row in counts]
+            self._exps[:live] = exps[lo:]
             if wsums is not None:
-                self._wsums[:, :live] = [row[head:] for row in wsums]
+                self._wsums[:, :live] = [row[lo:] for row in wsums]
             if extrema is not None:
-                self._extrema[:, :live] = [row[head:] for row in extrema]
-        self._head = 0
-        self._tail = live
+                self._extrema[:, :live] = [row[lo:] for row in extrema]
 
     def _grow_to(self, live: int) -> None:
         """Reallocate the ring (contents dropped) to hold ``live``
-        columns; the closed form, :meth:`_sync` and a restore rewrite
-        it whole from column 0."""
+        columns; both kernels and a restore rewrite it whole from
+        column 0."""
         capacity = max(self._capacity, _INITIAL_CAPACITY)
         while capacity < live:
             capacity *= 2
@@ -855,14 +786,12 @@ class VectorizedSemEngine:
         created: int,
         expired: int,
         blocked: int = 0,
-        head: int = 0,
     ) -> None:
-        """One slice's bookkeeping, after its kernel left ``live``
-        counters as columns ``[head, head + live)`` — of the ring, or
-        of the row loop's lists."""
+        """One slice's bookkeeping, after its kernel wrote the ``live``
+        counters it left into ring columns ``[0, live)``."""
         self._count_bound = _INT64_LIMIT
-        self._head = head
-        self._tail = head + live
+        self._head = 0
+        self._tail = live
         self._now = now
         self.events_processed += n
         self.counter_updates += updates
@@ -922,9 +851,6 @@ class VectorizedSemEngine:
         when its slice must take the row loop instead (out of order, or
         the bound fails).
         """
-        for runtime in runtimes:
-            if runtime._live is not None:
-                runtime._sync()
         count = len(runtimes)
         single = count == 1
         firsts, ends = bounds[:-1], bounds[1:]
@@ -1288,32 +1214,16 @@ class VectorizedSemEngine:
 
     def _expire(self, now: int) -> None:
         head, tail = self._head, self._tail
-        live_lists = self._live
         # Expirations are appended in START order, so the live slice of
         # ``_exps`` is non-decreasing for in-order streams: one binary
         # search replaces the per-counter scan. (SemEngine tolerates
         # out-of-order STARTs with a linear popleft loop; here in-order
         # input is an invariant of the columnar ring.)
-        if live_lists is not None:
-            # Expired on the lists first: when nothing outlives ``now``
-            # they are dropped and the ring is never written.
-            expired = bisect_right(live_lists[1], now, head, tail) - head
-            self._head = head = head + expired
-            if head == tail:
-                self._live = None
-                self._head = self._tail = 0
-            else:
-                self._sync()
-            if not expired:
-                return
-        elif head == tail or self._exps[head] > now:
+        if head == tail or self._exps[head] > now:
             return
-        else:
-            head += int(
-                self._exps[head:tail].searchsorted(now, side="right")
-            )
-            expired = head - self._head
-            self._head = head
+        head += int(self._exps[head:tail].searchsorted(now, side="right"))
+        expired = head - self._head
+        self._head = head
         if self._obs_on:
             self._m_expired.inc(expired)
             self._m_active.set(tail - head)

@@ -136,7 +136,7 @@ from repro.errors import (
     QueryError,
     TransportError,
 )
-from repro.events.batch import BatchSchema, EventBatch
+from repro.events.batch import BatchSchema, EventBatch, concatenated, joinable
 from repro.events.event import Event
 from repro.core.hpc import partition_attributes
 from repro.engine.engine import StreamEngine
@@ -2266,15 +2266,16 @@ class ShardedStreamEngine:
         frame is sent once it holds ``frame_rows`` rows — the size of
         the batch being routed — so a worker's kernel calls are as large
         as the caller's (``_pending_lock`` held). A sub-batch that
-        cannot join the buffered rows in one frame (:func:`_joinable`)
-        sends them first. Trace offsets shift by the rows already
-        buffered, so a traced run sends the frames an untraced one does.
+        cannot join the buffered rows in one frame
+        (:func:`~repro.events.batch.joinable`) sends them first. Trace
+        offsets shift by the rows already buffered, so a traced run
+        sends the frames an untraced one does.
 
         What moves with it: ``checkpoint_every_batches`` counts frames
         sent, a shard's heartbeat ``events`` lags until its frame is
         sent, and ``shed_oldest`` drops a whole frame — up to one caller
         batch per worker (``shed_events`` stays exact)."""
-        if worker.parts and not _joinable(worker.parts[-1], sub):
+        if worker.parts and not joinable(worker.parts[-1], sub):
             self._send_frame_locked(worker)
         buffered = sum(map(len, worker.parts))
         if traced:
@@ -2294,7 +2295,7 @@ class ShardedStreamEngine:
             return
         traced = worker.part_traces
         worker.parts, worker.part_traces = [], []
-        frame = parts[0] if len(parts) == 1 else _concatenated(parts)
+        frame = parts[0] if len(parts) == 1 else concatenated(parts)
         del parts
         with worker.lock:
             self._send_batch(worker, frame, traced)
@@ -2937,43 +2938,6 @@ class ShardedStreamEngine:
             "routing_version": self.routing_version,
             "migrations": self.migrations,
         }
-
-
-def _joinable(head: EventBatch, tail: EventBatch) -> bool:
-    """Whether ``tail`` may follow ``head`` in one frame: its codes name
-    the same types (one schema, or one extending ``head``'s) and it has
-    ``head``'s columns, in order and of the same dtypes, and masks."""
-    if tail.schema is not head.schema:
-        types = head.schema.types
-        if tail.schema.types[: len(types)] != types:
-            return False
-    if list(tail.cols) != list(head.cols):
-        return False
-    if tail.present.keys() != head.present.keys():
-        return False
-    return all(
-        column.dtype == head.cols[name].dtype
-        for name, column in tail.cols.items()
-    )
-
-
-def _concatenated(parts: list[EventBatch]) -> EventBatch:
-    """One batch of ``parts``' rows, in order, under the last (widest)
-    part's schema; every pair of neighbours is :func:`_joinable`."""
-    last = parts[-1]
-    return EventBatch(
-        last.schema,
-        np.concatenate([part.codes for part in parts]),
-        np.concatenate([part.ts for part in parts]),
-        {
-            name: np.concatenate([part.cols[name] for part in parts])
-            for name in last.cols
-        },
-        {
-            name: np.concatenate([part.present[name] for part in parts])
-            for name in last.present
-        },
-    )
 
 
 def _feed_fold(fold: StreamEngine, batch: EventBatch) -> int:

@@ -550,3 +550,41 @@ def batches_from_events(
         batch = EventBatch.from_events(chunk, schema=schema)
         schema = batch.schema
         yield batch
+
+
+def joinable(head: EventBatch, tail: EventBatch) -> bool:
+    """Whether ``tail`` may follow ``head`` in one batch — a shard frame,
+    or a run of replayed journal frames: its codes name the same types
+    (one schema, or one extending ``head``'s) and it has ``head``'s
+    columns, in order and of the same dtypes, and masks."""
+    if tail.schema is not head.schema:
+        types = head.schema.types
+        if tail.schema.types[: len(types)] != types:
+            return False
+    if list(tail.cols) != list(head.cols):
+        return False
+    if tail.present.keys() != head.present.keys():
+        return False
+    return all(
+        column.dtype == head.cols[name].dtype
+        for name, column in tail.cols.items()
+    )
+
+
+def concatenated(parts: list[EventBatch]) -> EventBatch:
+    """One batch of ``parts``' rows, in order, under the last (widest)
+    part's schema; every pair of neighbours is :func:`joinable`."""
+    last = parts[-1]
+    return EventBatch(
+        last.schema,
+        np.concatenate([part.codes for part in parts]),
+        np.concatenate([part.ts for part in parts]),
+        {
+            name: np.concatenate([part.cols[name] for part in parts])
+            for name in last.cols
+        },
+        {
+            name: np.concatenate([part.present[name] for part in parts])
+            for name in last.present
+        },
+    )

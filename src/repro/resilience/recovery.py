@@ -18,9 +18,10 @@ negation, value aggregates). The pieces:
    registration's query text (:func:`register_recorded`), then apply
    the document (:func:`~repro.resilience.checkpointer.apply_engine_state`);
 3. replay the journal suffix (``seq >= checkpoint.journal_seq``)
-   records as they were written (:func:`replay_records`): a frame as
-   one batch, a run of column records as one event list — a torn final
-   record, whose dispatch never began, is dropped whole;
+   records in the order they were written (:func:`replay_records`): a
+   run of frame records as one batch, a run of column records as one
+   event list — a torn final record, whose dispatch never began, is
+   dropped whole;
 4. re-attach the journal (which resumes appending after the last valid
    record) and a fresh checkpointer, so the recovered engine is
    immediately crash-safe again.
@@ -34,13 +35,14 @@ rebuilds a sharded router on the same two helpers.
 
 from __future__ import annotations
 
+from itertools import chain
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
 from repro.errors import CheckpointError
 from repro.engine.engine import StreamEngine
 from repro.engine.sinks import ResultSink
-from repro.events.batch import EventBatch
+from repro.events.batch import EventBatch, concatenated, joinable
 from repro.obs.registry import MetricsRegistry, resolve_registry
 from repro.obs.tracing import Stage, TraceRecorder, resolve_tracer
 from repro.query.ast import Query
@@ -102,30 +104,43 @@ def replay_records(
     return replayed
 
 
-#: Replay stops joining column records once a run holds this many rows.
+#: Replay stops joining records once a run holds this many rows.
 _RUN_ROWS = 4096
 
 
 def _joined(
     records: Iterable[tuple[int, Any]],
 ) -> Iterator[tuple[int, Any]]:
-    """``records`` with each run of consecutive column records (event
-    lists; a per-event journal holds one event per record) joined into
-    one list, cut once it holds :data:`_RUN_ROWS` events; frame records
-    pass as they are."""
-    first, run = 0, []
+    """``records`` with each run of consecutive records of one kind
+    joined, cut once it holds :data:`_RUN_ROWS` rows: column records
+    (event lists; a per-event journal holds one event per record) into
+    one list, frame records into one batch while each can follow the
+    last (:func:`~repro.events.batch.joinable`)."""
+    first, framed, parts, size = 0, False, [], 0
     for seq, rows in records:
-        if run and (isinstance(rows, EventBatch) or len(run) >= _RUN_ROWS):
-            yield first, run
-            run = []
-        if isinstance(rows, EventBatch):
-            yield seq, rows
-        elif run:
-            run += rows
-        else:
-            first, run = seq, rows
-    if run:
-        yield first, run
+        frame = isinstance(rows, EventBatch)
+        if parts and (
+            size >= _RUN_ROWS
+            or frame is not framed
+            or (frame and not joinable(parts[-1], rows))
+        ):
+            yield first, _run(parts)
+            parts, size = [], 0
+        if not parts:
+            first, framed = seq, frame
+        parts.append(rows)
+        size += len(rows)
+    if parts:
+        yield first, _run(parts)
+
+
+def _run(parts: list[Any]) -> Any:
+    """One record's rows out of a joined run of ``parts``."""
+    if len(parts) == 1:
+        return parts[0]
+    if isinstance(parts[0], EventBatch):
+        return concatenated(parts)
+    return list(chain.from_iterable(parts))
 
 
 def recover(

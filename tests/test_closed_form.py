@@ -26,7 +26,7 @@ from hypothesis import given, settings
 
 import repro.core.vectorized as vectorized_module
 from repro.baseline.oracle import BruteForceOracle
-from repro.core.checkpoint import checkpoint, restore
+from repro.core.checkpoint import _runtime_state, checkpoint, restore
 from repro.core.columnar import closed_form_decline
 from repro.core.executor import ASeqEngine
 from repro.core.sem import SemEngine
@@ -568,9 +568,22 @@ def test_carried_counters_count_against_the_bound(monkeypatch):
     # Plant a carried count so large that 500 more C rows cannot fit.
     runtime._counts[1, runtime._head] = 2**62
     before = runtime.inspect()["closed_form_fallbacks"]["bound"]
+    state = _runtime_state(runtime)
+    ring = runtime._head, runtime._tail
+    books = (
+        runtime.events_processed, runtime.counter_updates,
+        runtime.peak_counters,
+    )
     with pytest.raises(OverflowError):
         runtime.process_columns(codes[2500:], ts[2500:], plan)
     assert runtime.inspect()["closed_form_fallbacks"]["bound"] == before + 1
+    # The row loop raised before writing its lists back to the ring.
+    assert _runtime_state(runtime) == state
+    assert (runtime._head, runtime._tail) == ring
+    assert (
+        runtime.events_processed, runtime.counter_updates,
+        runtime.peak_counters,
+    ) == books
 
 
 # ----- the REPRO_FORCE_COLUMNAR leg ------------------------------------------------

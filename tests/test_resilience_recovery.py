@@ -416,11 +416,15 @@ def test_a_mixed_journal_recovers_exactly(tmp_path):
     assert recovered.results() == expected
 
 
-@pytest.mark.parametrize("lane", ["event", "batch"])
+@pytest.mark.parametrize("lane", ["event", "batch", "frames"])
 def test_replayed_dead_letters_carry_their_journal_sequence(tmp_path, lane):
     """A poison row met during replay is dead-lettered under the
-    sequence the journal gave it, as it was before the crash."""
+    sequence the journal gave it, as it was before the crash — also
+    when it sits in a later frame of a run replay joins into one
+    batch."""
     from repro.events.batch import batches_from_events
+    from repro.resilience.journal import read_records
+    from repro.resilience.recovery import _joined
 
     events = [
         Event("A", 1, {"id": 1}),
@@ -428,19 +432,27 @@ def test_replayed_dead_letters_carry_their_journal_sequence(tmp_path, lane):
         Event("A", 3, {}),  # no GROUP BY key: the executor raises
         Event("B", 4, {"id": 1}),
     ]
-    engine = SupervisedStreamEngine(vectorized=lane == "batch")
+    engine = SupervisedStreamEngine(vectorized=lane != "event")
     engine.attach_journal(EventJournal(tmp_path))
     engine.register(QUERIES["groupby"]())
     if lane == "event":
         for event in events:
             engine.process(event)
     else:
-        engine.process_event_batch(next(batches_from_events(events, 4)))
+        batch = next(batches_from_events(events, 4))
+        # "frames": one frame record per row, all of one batch's columns.
+        step = 4 if lane == "batch" else 1
+        for start in range(0, 4, step):
+            engine.process_event_batch(batch.islice(start, start + step))
     assert [letter.journal_seq for letter in engine.dlq] == [2]
+    if lane == "frames":
+        # Four one-row frame records, replayed as one batch.
+        joined = _joined(read_records(tmp_path, 0))
+        assert [(seq, len(rows)) for seq, rows in joined] == [(0, 4)]
 
     recovered = recover(
         tmp_path, queries=[QUERIES["groupby"]()],
-        vectorized=lane == "batch", reattach_journal=False,
+        vectorized=lane != "event", reattach_journal=False,
     )
     letters = list(recovered.dlq)
     assert [letter.journal_seq for letter in letters] == [2]

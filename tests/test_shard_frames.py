@@ -428,7 +428,7 @@ def test_a_router_checkpoint_with_rows_buffered_recovers_exactly(tmp_path):
 def test_frames_concatenate_columns_and_masks():
     """The frame of two joinable parts is their rows, in order, column
     by column and mask by mask."""
-    from repro.engine.sharded import _concatenated, _joinable
+    from repro.events.batch import concatenated, joinable
 
     schema = BatchSchema(("A", "B"), ("k",))
     head = EventBatch(
@@ -439,9 +439,9 @@ def test_frames_concatenate_columns_and_masks():
         schema.extended(["C"]), np.array([2]), np.array([3]),
         {"k": np.array([7])}, {"k": np.array([True])},
     )
-    assert _joinable(head, tail)
-    assert not _joinable(tail, head)  # the shorter schema renames nothing
-    frame = _concatenated([head, tail])
+    assert joinable(head, tail)
+    assert not joinable(tail, head)  # the shorter schema renames nothing
+    frame = concatenated([head, tail])
     assert frame.schema is tail.schema
     assert frame.codes.tolist() == [0, 1, 2]
     assert frame.ts.tolist() == [1, 2, 3]
@@ -451,4 +451,4 @@ def test_frames_concatenate_columns_and_masks():
         schema, np.array([0]), np.array([4]),
         {"k": np.array([7.5])}, {"k": np.array([True])},
     )
-    assert not _joinable(head, wide)  # another dtype
+    assert not joinable(head, wide)  # another dtype

@@ -142,7 +142,7 @@ class TestVectorizedSem:
         assert engine.count_and_wsum() == (1, 4.0)
 
 
-# ----- list-resident row-loop state --------------------------------------------
+# ----- row-loop calls interleaved with per-event ingest ------------------------
 
 
 def _runtimes(executor):
